@@ -16,9 +16,9 @@ from .game import (
 )
 from .oracle import explicit_solve, model_check, brute_force_primes
 from .analyses import (
-    semantics_comparison, position_statistics, assumption_falsification,
-    classify_assumptions, error_resilience, precommit_analysis,
-    stuck_at_analysis,
+    Session, semantics_comparison, position_statistics,
+    assumption_falsification, classify_assumptions, error_resilience,
+    precommit_analysis, stuck_at_analysis,
 )
 from .traces import nominal_trace, abstract_strategy
 from .report import run_report, ReportConfig, Report
@@ -31,7 +31,7 @@ __all__ = [
     "build_game", "solve_game", "check_realizability", "extract_strategy",
     "reactive_distance", "SymbolicGame", "WinningRegion", "MealyMachine",
     "explicit_solve", "model_check", "brute_force_primes",
-    "semantics_comparison", "position_statistics",
+    "Session", "semantics_comparison", "position_statistics",
     "assumption_falsification", "classify_assumptions", "error_resilience",
     "precommit_analysis", "stuck_at_analysis",
     "nominal_trace", "abstract_strategy",

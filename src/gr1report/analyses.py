@@ -1,7 +1,9 @@
 """Specification debugging analyses.
 
-Each analysis builds its own game in a fresh manager from the compiled
-specification, so analyses are independent and can run concurrently.
+The analyses of one report share a Session: one manager holding the
+baseline games, regions and machine, and every variant game, which is
+compared with the baseline as BDDs.  Called on a plain BooleanSpec, an
+analysis runs in a fresh session, so such calls may run concurrently.
 All results are deterministic functions of (specification, options).
 """
 
@@ -9,8 +11,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
-from .bdd import Cube
+from .bdd import BddManager, Cube
 from .compiler import BooleanSpec, BoolPart, ir_var, ir_not, IR_FALSE
 from .game import (
     SymbolicGame, WinningRegion, build_game, solve_game,
@@ -24,16 +27,69 @@ class AnalysisError(Exception):
     pass
 
 
-def _deadline(timeout: float | None):
-    return None if timeout is None else time.monotonic() + timeout
+class Session:
+    """One solving context for a specification, each part built on first
+    use.  The node budget bounds the one manager; entering an analysis
+    restarts the deadline and frees the nodes the previous one left."""
 
+    def __init__(self, spec: BooleanSpec, robotics=False, node_budget=None,
+                 timeout=None):
+        self.spec = spec
+        self.robotics = robotics
+        self.timeout = timeout
+        self.mgr = BddManager(node_budget=node_budget)
+        self._games: dict[str, SymbolicGame] = {}
+        self._regions: dict[str, WinningRegion] = {}
+        self._machine = None
 
-def _solve(spec: BooleanSpec, semantics="strict", robotics=False,
-           node_budget=None, timeout=None, record=True):
-    game = build_game(spec, semantics=semantics, robotics=robotics,
-                      node_budget=node_budget, deadline=_deadline(timeout))
-    region = solve_game(game, record=record)
-    return game, region
+    @classmethod
+    def of(cls, spec, robotics=False, node_budget=None,
+           timeout=None) -> "Session":
+        """`spec` itself when it is a session (whose own settings then
+        apply), else a fresh session on it; entered for a new analysis
+        either way."""
+        session = (spec if isinstance(spec, Session)
+                   else cls(spec, robotics, node_budget, timeout))
+        session.mgr.deadline = (None if session.timeout is None
+                                else time.monotonic() + session.timeout)
+        session.mgr.collect()
+        return session
+
+    def build(self, spec: BooleanSpec, semantics="strict") -> SymbolicGame:
+        """Game of `spec` (the session's or a variant) in the session
+        manager."""
+        return build_game(spec, semantics=semantics, robotics=self.robotics,
+                          mgr=self.mgr)
+
+    def game(self, semantics="strict") -> SymbolicGame:
+        if semantics not in self._games:
+            self._games[semantics] = self.build(self.spec, semantics)
+        return self._games[semantics]
+
+    def region(self, semantics="strict", record=False) -> WinningRegion:
+        """Baseline winning region; a recorded one also has strata."""
+        region = self._regions.get(semantics)
+        if region is None or (record and not region.strata):
+            start = None if region is None else region.win
+            region = solve_game(self.game(semantics), record=record,
+                                start=start)
+            self._regions[semantics] = region
+        return region
+
+    def verdict(self, semantics="strict") -> str:
+        return check_realizability(self.game(semantics),
+                                   self.region(semantics))
+
+    def require_realizable(self, what: str, error=AnalysisError):
+        if self.verdict() != "realizable":
+            raise error(f"{what} needs a realizable specification")
+
+    def machine(self):
+        """The canonical machine of the strict baseline."""
+        if self._machine is None:
+            self._machine = extract_strategy(self.game(),
+                                             self.region(record=True))
+        return self._machine
 
 
 def _variant(spec: BooleanSpec, drop: tuple[str, int] | None = None,
@@ -66,18 +122,14 @@ class SemanticsComparison:
         return self.strict != self.nonstrict
 
 
-def semantics_comparison(spec: BooleanSpec, robotics=False,
+def semantics_comparison(spec: BooleanSpec | Session, robotics=False,
                          node_budget=None, timeout=None) -> SemanticsComparison:
     """Realizability under the native strict implication and under the
     classical implication; a difference flags specs whose auxiliary
     signals let the system provoke assumption violations."""
-    game_s, region_s = _solve(spec, "strict", robotics, node_budget, timeout,
-                              record=False)
-    game_n, region_n = _solve(spec, "nonstrict", robotics, node_budget,
-                              timeout, record=False)
-    return SemanticsComparison(
-        strict=check_realizability(game_s, region_s),
-        nonstrict=check_realizability(game_n, region_n))
+    session = Session.of(spec, robotics, node_budget, timeout)
+    return SemanticsComparison(strict=session.verdict("strict"),
+                               nonstrict=session.verdict("nonstrict"))
 
 
 # ----------------------------------------------------------------------
@@ -97,17 +149,16 @@ class PositionStats:
     realizable: str
 
 
-def position_statistics(spec: BooleanSpec, max_cubes: int = 10,
+def position_statistics(spec: BooleanSpec | Session, max_cubes: int = 10,
                         robotics=False, node_budget=None,
                         timeout=None) -> PositionStats:
     """Counts of winning positions in four position classes plus the
     largest winning and losing cubes."""
-    game, region = _solve(spec, "strict", robotics, node_budget, timeout,
-                          record=False)
+    session = Session.of(spec, robotics, node_budget, timeout)
+    game = session.game()
     mgr = game.mgr
     pos = game.positions
-    win = region.win
-    n = len(pos)
+    win = session.region().win
 
     def cls(pred):
         return ClassCount(total=mgr.count_models(pred, pos),
@@ -119,19 +170,12 @@ def position_statistics(spec: BooleanSpec, max_cubes: int = 10,
         "init_guarantees": cls(game.init_sys),
         "init_both": cls(game.init_env & game.init_sys),
     }
-    assert classes["all"].total == 1 << n
-    wcubes, lcubes = [], []
-    for c in mgr.prime_cubes(win, pos):
-        wcubes.append(c)
-        if len(wcubes) >= max_cubes:
-            break
-    for c in mgr.prime_cubes(~win, pos):
-        lcubes.append(c)
-        if len(lcubes) >= max_cubes:
-            break
-    return PositionStats(classes=classes, winning_cubes=wcubes,
-                         losing_cubes=lcubes,
-                         realizable=check_realizability(game, region))
+    assert classes["all"].total == 1 << len(pos)
+    return PositionStats(
+        classes=classes,
+        winning_cubes=list(islice(mgr.prime_cubes(win, pos), max_cubes)),
+        losing_cubes=list(islice(mgr.prime_cubes(~win, pos), max_cubes)),
+        realizable=session.verdict())
 
 
 # ----------------------------------------------------------------------
@@ -145,27 +189,24 @@ class FalsificationResult:
     region_bdd: object  # BddRef over game.positions
 
 
-def assumption_falsification(spec: BooleanSpec, max_cubes: int = 10,
-                             node_budget=None,
+def assumption_falsification(spec: BooleanSpec | Session,
+                             max_cubes: int = 10, node_budget=None,
                              timeout=None) -> FalsificationResult:
     """Winning set of the game whose only system goal is FALSE: exactly
     the positions from which the system can force an assumption
     violation."""
+    session = Session.of(spec, node_budget=node_budget, timeout=timeout)
     impossible = BoolPart(ir=IR_FALSE, text="FALSE", kind="sys_liveness",
                           index=0, synthetic=True)
-    variant = _variant(spec, add={"sys_liveness": []})
+    variant = _variant(session.spec, add={"sys_liveness": []})
     variant.parts["sys_liveness"] = [impossible]
-    game, region = _solve(variant, "strict", False, node_budget, timeout,
-                          record=False)
+    game = session.build(variant)
+    win = solve_game(game, record=False).win
     mgr = game.mgr
-    cubes = []
-    for c in mgr.prime_cubes(region.win, game.positions):
-        cubes.append(c)
-        if len(cubes) >= max_cubes:
-            break
     return FalsificationResult(
-        count=mgr.count_models(region.win, game.positions),
-        cubes=cubes, game=game, region_bdd=region.win)
+        count=mgr.count_models(win, game.positions),
+        cubes=list(islice(mgr.prime_cubes(win, game.positions), max_cubes)),
+        game=game, region_bdd=win)
 
 
 # ----------------------------------------------------------------------
@@ -188,19 +229,8 @@ class AssumptionVerdict:
                              or self.test_d) else "superfluous")
 
 
-def _strata_tables(region: WinningRegion, props):
-    mgr = region.game.mgr
-    return [[mgr.to_truthtable(s, props) for s in per_goal]
-            for per_goal in region.strata]
-
-
-def _pad(tables, d, full):
-    if not tables:
-        return full
-    return tables[min(d, len(tables) - 1)]
-
-
-def classify_assumptions(spec: BooleanSpec, robotics=False, node_budget=None,
+def classify_assumptions(spec: BooleanSpec | Session, robotics=False,
+                         node_budget=None,
                          timeout=None) -> list[AssumptionVerdict]:
     """Four-test classification of every user assumption.
 
@@ -209,57 +239,53 @@ def classify_assumptions(spec: BooleanSpec, robotics=False, node_budget=None,
     (c), including distances at the reachable states of the canonically
     extracted machine (d).
     """
-    game, region = _solve(spec, "strict", robotics, node_budget, timeout)
-    if check_realizability(game, region) != "realizable":
-        raise AnalysisError(
-            "assumption classification needs a realizable specification")
-    mgr = game.mgr
-    props = game.positions
-    win_full = mgr.to_truthtable(region.win, props)
-    strata_full = _strata_tables(region, props)
-    machine = extract_strategy(game, region)
-    n_goals = len(region.strata)
+    session = Session.of(spec, robotics, node_budget, timeout)
+    session.require_realizable("assumption classification")
+    region = session.region(record=True)
+    machine = session.machine()
     # positions the machine visits, split by pursued goal
-    reach: list[int] = [0] * n_goals
-    pspace_bits = len(props)
-    for st in machine.states:
-        posmap = machine.position(st)
-        idx = 0
-        for k, p in enumerate(props):
-            if posmap[p]:
-                idx |= 1 << (pspace_bits - 1 - k)
-        reach[st.goal] |= 1 << idx
-
+    visited = [[machine.position(st) for st in machine.states
+                if st.goal == j] for j in range(len(region.strata))]
     verdicts = []
     for kind in ("env_init", "env_trans", "env_liveness"):
-        for part in spec.parts[kind]:
-            if part.synthetic:
-                continue
-            sub = _variant(spec, drop=(kind, part.index))
-            g2, r2 = _solve(sub, "strict", robotics, node_budget, timeout)
-            win_wo = g2.mgr.to_truthtable(r2.win, g2.positions)
-            strata_wo = _strata_tables(r2, g2.positions)
-            test_a = check_realizability(g2, r2) != "realizable"
-            test_b = win_full != win_wo  # removal never grows the set
-            both = win_full & win_wo
-            test_c_goals = []
-            test_d = False
-            for j in range(n_goals):
-                depth = max(len(strata_full[j]), len(strata_wo[j]))
-                helped = 0
-                for d in range(depth):
-                    sf = _pad(strata_full[j], d, win_full)
-                    sw = _pad(strata_wo[j], d, win_wo)
-                    helped |= sf & ~sw & both
-                if helped:
-                    test_c_goals.append(j)
-                    if helped & reach[j]:
-                        test_d = True
-            verdicts.append(AssumptionVerdict(
-                kind=kind, index=part.index, text=part.text,
-                test_a=test_a, test_b=test_b, test_c=bool(test_c_goals),
-                test_d=test_d, test_c_goals=test_c_goals))
+        for part in session.spec.parts[kind]:
+            if not part.synthetic:
+                verdicts.append(_drop_assumption(session, region, visited,
+                                                 part))
+                session.mgr.collect()
     return verdicts
+
+
+def _drop_assumption(session: Session, region: WinningRegion,
+                     visited: list[list[dict]],
+                     part: BoolPart) -> AssumptionVerdict:
+    # removing an assumption only takes power from the system
+    sub = _variant(session.spec, drop=(part.kind, part.index))
+    game = session.build(sub)
+    sub_region = solve_game(game, record=True, start=region.win)
+    mgr = game.mgr
+    win, win_wo = region.win, sub_region.win
+    both = win & win_wo
+    test_c_goals = []
+    test_d = False
+    for j, (strata, strata_wo) in enumerate(zip(region.strata,
+                                                sub_region.strata)):
+        # a position's distance is the first stratum holding it; past
+        # the last stratum every winning position is in
+        helped = mgr.false
+        for d in range(max(len(strata), len(strata_wo))):
+            sf = strata[d] if d < len(strata) else win
+            sw = strata_wo[d] if d < len(strata_wo) else win_wo
+            helped = helped | (sf & ~sw)
+        helped = helped & both
+        if not helped.is_false():
+            test_c_goals.append(j)
+            test_d = test_d or any(mgr.eval(helped, p) for p in visited[j])
+    return AssumptionVerdict(
+        kind=part.kind, index=part.index, text=part.text,
+        test_a=check_realizability(game, sub_region) != "realizable",
+        test_b=win != win_wo,  # removal never grows the set
+        test_c=bool(test_c_goals), test_d=test_d, test_c_goals=test_c_goals)
 
 
 # ----------------------------------------------------------------------
@@ -278,8 +304,9 @@ class ResilienceResult:
         return str(int(self.level))
 
 
-def error_resilience(spec: BooleanSpec, max_k: int = 16, robotics=False,
-                     node_budget=None, timeout=None) -> ResilienceResult:
+def error_resilience(spec: BooleanSpec | Session, max_k: int = 16,
+                     robotics=False, node_budget=None,
+                     timeout=None) -> ResilienceResult:
     """Largest glitch budget under which the specification stays
     realizable.
 
@@ -293,10 +320,9 @@ def error_resilience(spec: BooleanSpec, max_k: int = 16, robotics=False,
     """
     if max_k < 1:
         raise AnalysisError("max_k must be at least 1")
-    game, region = _solve(spec, "strict", robotics, node_budget, timeout,
-                          record=False)
-    if check_realizability(game, region) != "realizable":
-        raise AnalysisError("error resilience needs a realizable specification")
+    session = Session.of(spec, robotics, node_budget, timeout)
+    session.require_realizable("error resilience")
+    game = session.game()
     mgr = game.mgr
     parts = [b for (_p, b) in game.trans_env_parts]
     if not parts:
@@ -312,14 +338,16 @@ def error_resilience(spec: BooleanSpec, max_k: int = 16, robotics=False,
     if glitch.is_false():
         return ResilienceResult(level=INFINITE)
 
-    w = region.win
+    w = session.region().win
     for k in range(1, max_k + 1):
         canv = mgr.and_exists(game.trans_sys, game.prime(w),
                               game.primed_outputs)
         hole = mgr.and_exists(glitch, ~canv, game.primed_inputs)
         game.position_filter = ~hole
-        region_k = solve_game(game, record=False, start=w)
-        game.position_filter = None
+        try:
+            region_k = solve_game(game, record=False, start=w)
+        finally:
+            game.position_filter = None
         if region_k.win == w:
             return ResilienceResult(level=INFINITE)
         if check_realizability(game, region_k) != "realizable":
@@ -337,28 +365,30 @@ class PrecommitResult:
     maximal_set: list[str]
 
 
-def precommit_analysis(spec: BooleanSpec, robotics=False, node_budget=None,
-                       timeout=None) -> PrecommitResult:
+def precommit_analysis(spec: BooleanSpec | Session, robotics=False,
+                       node_budget=None, timeout=None) -> PrecommitResult:
     """Which outputs can have their next value fixed before the next
     input is observed, individually and greedily jointly."""
-    game, region = _solve(spec, "strict", robotics, node_budget, timeout,
-                          record=False)
-    if check_realizability(game, region) != "realizable":
-        raise AnalysisError("precommit analysis needs a realizable specification")
+    session = Session.of(spec, robotics, node_budget, timeout)
+    session.require_realizable("precommit analysis")
+    game = session.game()
+    win = session.region().win
 
     def realizable_with(outs: list[str]) -> bool:
+        # committing early only takes power from the system
         game.precommit = outs
         try:
-            r = solve_game(game, record=False)
+            r = solve_game(game, record=False, start=win)
             return check_realizability(game, r) == "realizable"
         finally:
             game.precommit = None
 
+    outputs = session.spec.output_props
     per_output = {}
-    for o in spec.output_props:
+    for o in outputs:
         per_output[o] = realizable_with([o])
     maximal: list[str] = []
-    for o in spec.output_props:
+    for o in outputs:
         if per_output[o] and realizable_with(maximal + [o]):
             maximal.append(o)
     return PrecommitResult(per_output=per_output, maximal_set=maximal)
@@ -374,8 +404,8 @@ class StuckAtTable:
     entries: dict[tuple[str, bool], str]  # (signal, value) -> verdict
 
 
-def stuck_at_analysis(spec: BooleanSpec, robotics=False, node_budget=None,
-                      timeout=None) -> StuckAtTable:
+def stuck_at_analysis(spec: BooleanSpec | Session, robotics=False,
+                      node_budget=None, timeout=None) -> StuckAtTable:
     """Realizability with one signal forced constant from power-on.
 
     Realizable specification: outputs are stuck one by one; a verdict of
@@ -383,15 +413,19 @@ def stuck_at_analysis(spec: BooleanSpec, robotics=False, node_budget=None,
     specification: inputs are stuck via added assumptions; persisting
     unrealizability means that input's freedom is not the cause.
     """
-    game, region = _solve(spec, "strict", robotics, node_budget, timeout,
-                          record=False)
-    baseline = check_realizability(game, region)
+    session = Session.of(spec, robotics, node_budget, timeout)
+    spec = session.spec
+    baseline = session.verdict()
     if baseline == "realizable":
+        # a stuck output only takes power from the system
         direction, signals = "outputs", spec.output_props
         init_kind, safe_kind = "sys_init", "sys_trans"
+        start = session.region().win
     else:
+        # a stuck input gives the system power: solve from scratch
         direction, signals = "inputs", spec.input_props
         init_kind, safe_kind = "env_init", "env_trans"
+        start = None
     entries = {}
     for sig in signals:
         for value in (False, True):
@@ -405,8 +439,10 @@ def stuck_at_analysis(spec: BooleanSpec, robotics=False, node_budget=None,
                 safe_kind: [BoolPart(lit_next, text, safe_kind, 10_000,
                                      synthetic=True)],
             })
-            g2, r2 = _solve(variant, "strict", robotics, node_budget, timeout,
-                            record=False)
-            entries[(sig, value)] = check_realizability(g2, r2)
+            game = session.build(variant)
+            entries[(sig, value)] = check_realizability(
+                game, solve_game(game, record=False, start=start))
+            del game  # so that the collection frees the variant
+            session.mgr.collect()
     return StuckAtTable(direction=direction, baseline=baseline,
                         entries=entries)

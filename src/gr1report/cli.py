@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .report import (
     ANALYSIS_ORDER, BaselineResourceError, ReportConfig, ReportError,
@@ -37,9 +36,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-trace-steps", type=int, default=64)
     p.add_argument("--abstract-horizon", type=int, default=64)
     p.add_argument("--timeout", type=float, metavar="SECONDS",
-                   help="per-analysis cooperative timeout")
+                   help="cooperative timeout, restarted for the baseline "
+                        "check and for each analysis")
     p.add_argument("--node-budget", type=int, metavar="N",
-                   help="BDD node budget per analysis")
+                   help="BDD node budget of the one manager that the "
+                        "baseline check and all analyses share")
     p.add_argument("--dump-bdd", metavar="NAME.dot",
                    help="also dump the baseline winning-set BDD as DOT text")
     return p
@@ -63,10 +64,8 @@ def main(argv=None) -> int:
         print(f"gr1report: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.dump_bdd:
-            _dump_bdd(args.spec, args.dump_bdd, config)
         report = run_report(args.spec, config, json_path=args.json,
-                            html_path=args.html)
+                            html_path=args.html, dot_path=args.dump_bdd)
     except BaselineResourceError as exc:
         print(f"gr1report: baseline realizability check exhausted "
               f"resources: {exc}", file=sys.stderr)
@@ -78,20 +77,6 @@ def main(argv=None) -> int:
     print(f"gr1report: {report.spec_name}: {verdict}; "
           f"{len(report.analyses)} analyses written")
     return 0
-
-
-def _dump_bdd(spec_path: str, dot_path: str, config: ReportConfig):
-    from .compiler import compile_to_boolean
-    from .syntax import parse_spec
-    from .game import build_game, solve_game
-
-    text = Path(spec_path).read_text(encoding="utf-8")
-    spec = compile_to_boolean(parse_spec(text))
-    game = build_game(spec, robotics=config.robotics,
-                      node_budget=config.node_budget)
-    region = solve_game(game, record=False)
-    Path(dot_path).write_text(game.mgr.to_dot(region.win, "winning_set"),
-                              encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -270,27 +270,32 @@ def check_realizability(game: SymbolicGame, region) -> str:
 
 def build_game(spec: BooleanSpec, semantics: str = "strict",
                robotics: bool = False, node_budget: int | None = None,
-               deadline: float | None = None) -> SymbolicGame:
+               deadline: float | None = None,
+               mgr: BddManager | None = None) -> SymbolicGame:
     """Build the synthesis game for a compiled specification.
 
     strict: the native game; the system loses on violating its safety
     parts unless the environment violated first.  nonstrict: classical
     implication, encoded with two violation-tracker bits and transformed
     liveness; solved by the same fixpoint.
+
+    The game goes into a fresh manager with the given node budget and
+    deadline, or into `mgr` (whose own limits apply), reusing the
+    signals it already has.
     """
     if semantics not in ("strict", "nonstrict"):
         raise GameError(f"unknown semantics {semantics!r}")
-    mgr = BddManager(node_budget=node_budget)
-    mgr.deadline = deadline
-    for p in spec.props:
-        mgr.declare_signal(p)
-    trackers: list[str] = []
-    if semantics == "nonstrict":
-        for t in (ENV_VIOL, SYS_VIOL):
-            if t in spec.props:
-                raise GameError(f"proposition {t!r} is reserved")
-            mgr.declare_signal(t)
-            trackers.append(t)
+    trackers = [ENV_VIOL, SYS_VIOL] if semantics == "nonstrict" else []
+    for t in trackers:
+        if t in spec.props:
+            raise GameError(f"proposition {t!r} is reserved")
+    if mgr is None:
+        mgr = BddManager(node_budget=node_budget)
+        mgr.deadline = deadline
+    declared = set(mgr.var_names)
+    for p in list(spec.props) + trackers:
+        if p not in declared:
+            mgr.declare_signal(p)
     memo: dict = {}
 
     def conj(kind: str) -> BddRef:

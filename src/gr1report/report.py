@@ -25,9 +25,8 @@ from . import __version__
 from .bdd import Cube, ResourceLimitError
 from .compiler import compile_to_boolean, validate_gr1_shape
 from .syntax import parse_spec
-from .game import build_game, solve_game, check_realizability
 from .analyses import (
-    AnalysisError, semantics_comparison, position_statistics,
+    AnalysisError, Session, semantics_comparison, position_statistics,
     assumption_falsification, classify_assumptions, error_resilience,
     precommit_analysis, stuck_at_analysis,
 )
@@ -184,22 +183,13 @@ def _cube_json(c: Cube) -> dict:
     return {name: val for name, val in c.literals}
 
 
-def _deadline_of(config: ReportConfig):
-    if config.timeout_seconds is None:
-        return None
-    return time.monotonic() + config.timeout_seconds
-
-
-def _run_analysis(name: str, config: ReportConfig, spec, baseline_verdict):
-    kw = dict(node_budget=config.node_budget,
-              timeout=config.timeout_seconds)
+def _run_analysis(name: str, config: ReportConfig, session: Session):
     if name == "semantics":
-        r = semantics_comparison(spec, robotics=config.robotics, **kw)
+        r = semantics_comparison(session)
         return {"strict": r.strict, "nonstrict": r.nonstrict,
                 "differs": r.differs}
     if name == "positions":
-        r = position_statistics(spec, max_cubes=config.max_cubes,
-                                robotics=config.robotics, **kw)
+        r = position_statistics(session, max_cubes=config.max_cubes)
         return {
             "classes": {k: {"total": v.total, "winning": v.winning}
                         for k, v in r.classes.items()},
@@ -207,10 +197,10 @@ def _run_analysis(name: str, config: ReportConfig, spec, baseline_verdict):
             "losing_cubes": [_cube_json(c) for c in r.losing_cubes],
         }
     if name == "falsify":
-        r = assumption_falsification(spec, max_cubes=config.max_cubes, **kw)
+        r = assumption_falsification(session, max_cubes=config.max_cubes)
         return {"count": r.count, "cubes": [_cube_json(c) for c in r.cubes]}
     if name == "assumptions":
-        rs = classify_assumptions(spec, robotics=config.robotics, **kw)
+        rs = classify_assumptions(session)
         return {"assumptions": [
             {"kind": v.kind, "index": v.index, "text": v.text,
              "changes_realizability": v.test_a,
@@ -221,32 +211,26 @@ def _run_analysis(name: str, config: ReportConfig, spec, baseline_verdict):
              "verdict": v.verdict}
             for v in rs]}
     if name == "resilience":
-        r = error_resilience(spec, max_k=config.max_k,
-                             robotics=config.robotics, **kw)
+        r = error_resilience(session, max_k=config.max_k)
         level = ("infinite" if r.level == float("inf")
                  else int(r.level))
         return {"level": level, "exceeded_max_k": r.exceeded,
                 "display": r.render(config.max_k)}
     if name == "precommit":
-        r = precommit_analysis(spec, robotics=config.robotics, **kw)
+        r = precommit_analysis(session)
         return {"per_output": r.per_output, "maximal_set": r.maximal_set}
     if name == "stuckat":
-        r = stuck_at_analysis(spec, robotics=config.robotics, **kw)
+        r = stuck_at_analysis(session)
         return {"direction": r.direction,
                 "entries": [{"signal": s, "value": v, "verdict": verdict}
                             for (s, v), verdict in sorted(r.entries.items())]}
     if name == "trace":
-        r = nominal_trace(spec, max_steps=config.max_trace_steps,
-                          robotics=config.robotics,
-                          node_budget=config.node_budget,
-                          deadline=_deadline_of(config))
+        r = nominal_trace(session, max_steps=config.max_trace_steps)
         if isinstance(r, dict):
             return r
         return r.to_json()
     if name == "abstract":
-        r = abstract_strategy(spec, horizon=config.abstract_horizon,
-                              node_budget=config.node_budget,
-                              deadline=_deadline_of(config))
+        r = abstract_strategy(session, horizon=config.abstract_horizon)
         if r is None:
             return {"finding": "neither player wins with the safety parts alone"}
         return r.to_json()
@@ -254,9 +238,12 @@ def _run_analysis(name: str, config: ReportConfig, spec, baseline_verdict):
 
 
 def run_report(spec_path, config: ReportConfig | None = None,
-               json_path=None, html_path=None, log=sys.stderr) -> Report:
-    """Run all requested analyses on a specification file and write the
-    JSON and HTML reports next to it (or to the given paths)."""
+               json_path=None, html_path=None, log=sys.stderr,
+               dot_path=None) -> Report:
+    """Run all requested analyses on a specification file in one solving
+    session and write the JSON and HTML reports next to it (or to the
+    given paths), plus the baseline winning-set BDD as DOT text when
+    `dot_path` is given."""
     config = config or ReportConfig()
     spec_path = Path(spec_path)
     text = spec_path.read_text(encoding="utf-8")
@@ -269,12 +256,10 @@ def run_report(spec_path, config: ReportConfig | None = None,
     spec = compile_to_boolean(doc)
 
     base_sem = "nonstrict" if config.semantics == "nonstrict" else "strict"
+    session = Session.of(spec, config.robotics, config.node_budget,
+                         config.timeout_seconds)
     try:
-        game = build_game(spec, semantics=base_sem, robotics=config.robotics,
-                          node_budget=config.node_budget,
-                          deadline=_deadline_of(config))
-        region = solve_game(game, record=False)
-        verdict = check_realizability(game, region)
+        verdict = session.verdict(base_sem)
     except ResourceLimitError as exc:
         raise BaselineResourceError(str(exc)) from exc
     baseline = {"semantics": base_sem, "realizable": verdict}
@@ -287,8 +272,8 @@ def run_report(spec_path, config: ReportConfig | None = None,
         t0 = time.monotonic()
         try:
             results[name] = {"status": "ok",
-                             "result": _run_analysis(name, config, spec,
-                                                     verdict)}
+                             "result": _run_analysis(name, config,
+                                                     session)}
         except (AnalysisError, TraceError) as exc:
             results[name] = {"status": "skipped", "reason": str(exc)}
         except ResourceLimitError as exc:
@@ -318,6 +303,9 @@ def run_report(spec_path, config: ReportConfig | None = None,
     json_path.write_text(json_text, encoding="utf-8")
     html_path.write_text(render_html(json.loads(json_text)),
                          encoding="utf-8")
+    if dot_path:
+        Path(dot_path).write_text(session.mgr.to_dot(
+            session.region(base_sem).win, "winning_set"), encoding="utf-8")
     return report
 
 

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .analyses import Session
 from .bdd import BddRef
 from .compiler import BooleanSpec
-from .game import (
-    SymbolicGame, build_game, solve_game, check_realizability,
-    extract_strategy,
-)
+from .game import SymbolicGame, ir_to_bdd
 
 STAR = "star"
 VIOLATION = "X"
@@ -92,17 +90,16 @@ def _env_buchi(game: SymbolicGame):
     return w, iterates
 
 
-def nominal_trace(spec: BooleanSpec, max_steps: int = 64, robotics=False,
-                  node_budget=None, deadline=None):
+def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64,
+                  robotics=False, node_budget=None, timeout=None):
     """Annotated nominal-case run, or a finding dict when no suitable
     initial position exists or the environment cannot meet its liveness
     assumptions from it."""
-    game = build_game(spec, robotics=robotics, node_budget=node_budget,
-                      deadline=deadline)
-    region = solve_game(game)
-    if check_realizability(game, region) != "realizable":
-        raise TraceError("nominal trace needs a realizable specification")
-    machine = extract_strategy(game, region)
+    session = Session.of(spec, robotics, node_budget, timeout)
+    session.require_realizable("nominal trace", TraceError)
+    spec, game = session.spec, session.game()
+    region = session.region(record=True)
+    machine = session.machine()
     mgr = game.mgr
     starts = game.init_env & game.init_sys & region.win
     if starts.is_false():
@@ -230,37 +227,34 @@ def _group_ir(spec: BooleanSpec, name: str, value, primed: bool):
     return out
 
 
-def abstract_strategy(spec: BooleanSpec, horizon: int = 64,
-                      node_budget=None, deadline=None):
+def _sys_start_ok(game: SymbolicGame, v: BddRef) -> bool:
+    """Every initial input has an initial output into v (never robotics)."""
+    mgr = game.mgr
+    some = mgr.exists(game.outputs, game.init_sys & v)
+    return mgr.forall(game.inputs, game.init_env.implies(some)).is_true()
+
+
+def _env_start_ok(game: SymbolicGame, v: BddRef) -> bool:
+    """Some initial input makes every initial output land in v."""
+    every = game.mgr.forall(game.outputs, game.init_sys.implies(v))
+    return not (game.init_env & every).is_false()
+
+
+def abstract_strategy(spec: BooleanSpec | Session, horizon: int = 64,
+                      node_budget=None, timeout=None):
     """Abstract strategy/counter-strategy for safety-decided games.
 
     Returns None unless one player forces the opponent into a safety
     dead end from the initial condition within the horizon.
     """
-    game = build_game(spec, node_budget=node_budget, deadline=deadline)
-    mgr = game.mgr
-
-    def sys_pre(v):
-        return game.cox(v)
-
-    def env_pre(v):
-        return game.pre_env(v)
-
-    def sys_start_ok(v) -> bool:
-        some = mgr.exists(game.outputs, game.init_sys & v)
-        return mgr.forall(game.inputs,
-                          game.init_env.implies(some)).is_true()
-
-    def env_start_ok(v) -> bool:
-        every = mgr.forall(game.outputs, game.init_sys.implies(v))
-        return not (game.init_env & every).is_false()
-
-    a_sys = _attractor(game, sys_pre, horizon)
-    h_sys = next((h for h in range(len(a_sys)) if sys_start_ok(a_sys[h])),
-                 None)
-    a_env = _attractor(game, env_pre, horizon)
-    h_env = next((h for h in range(len(a_env)) if env_start_ok(a_env[h])),
-                 None)
+    session = Session.of(spec, node_budget=node_budget, timeout=timeout)
+    spec, game = session.spec, session.game()
+    a_sys = _attractor(game, game.cox, horizon)
+    h_sys = next((h for h in range(len(a_sys))
+                  if _sys_start_ok(game, a_sys[h])), None)
+    a_env = _attractor(game, game.pre_env, horizon)
+    h_env = next((h for h in range(len(a_env))
+                  if _env_start_ok(game, a_env[h])), None)
     if h_sys is not None and h_env is not None:
         raise TraceError("both players cannot force a safety win")
     if h_sys is not None:
@@ -273,7 +267,6 @@ def abstract_strategy(spec: BooleanSpec, horizon: int = 64,
 def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
                  h: int, attr: list[BddRef]) -> AbstractStrategy:
     mgr = game.mgr
-    from .game import ir_to_bdd
     ir_memo: dict = {}
 
     def bdd_of(ir):
@@ -285,24 +278,10 @@ def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
         return attr[k] if k < len(attr) else attr[-1]
 
     if winner == "environment":
-        def pre(v):
-            return game.pre_env(v)
-
-        def start_ok(v) -> bool:
-            every = mgr.forall(game.outputs, game.init_sys.implies(v))
-            return not (game.init_env & every).is_false()
-        winner_vars = [v for v in spec.user_vars()
-                       if _owner(spec, v) == "input"]
+        pre, start_ok, owner = game.pre_env, _env_start_ok, "input"
     else:
-        def pre(v):
-            return game.cox(v)
-
-        def start_ok(v) -> bool:
-            some = mgr.exists(game.outputs, game.init_sys & v)
-            return mgr.forall(game.inputs,
-                              game.init_env.implies(some)).is_true()
-        winner_vars = [v for v in spec.user_vars()
-                       if _owner(spec, v) == "output"]
+        pre, start_ok, owner = game.cox, _sys_start_ok, "output"
+    winner_vars = [v for v in spec.user_vars() if _owner(spec, v) == owner]
 
     cons: list[BddRef] = [mgr.true for _ in range(h)]
 
@@ -310,7 +289,7 @@ def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
         v = unconstrained(t) & cons[t] & extra
         for s in range(t - 1, -1, -1):
             v = pre(v) & cons[s]
-        return start_ok(v)
+        return start_ok(game, v)
 
     def values_of(name):
         if name in spec.bool_vars:

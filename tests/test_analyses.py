@@ -2,14 +2,16 @@
 
 import pytest
 
-from conftest import load_spec, random_boolean_spec
+from conftest import SPEC_DIR, load_spec, random_boolean_spec
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.analyses import (
-    AnalysisError, semantics_comparison, position_statistics,
+    AnalysisError, Session, semantics_comparison, position_statistics,
     assumption_falsification, classify_assumptions, error_resilience,
-    precommit_analysis, stuck_at_analysis, INFINITE,
+    precommit_analysis, stuck_at_analysis, INFINITE, _variant,
 )
 from gr1report.game import build_game, solve_game, check_realizability
+from gr1report.oracle import explicit_solve
+from gr1report.report import ANALYSIS_ORDER, ReportConfig, _run_analysis
 
 
 def compile_text(text):
@@ -257,8 +259,9 @@ def test_stuckat_inputs_when_unrealizable():
 
 
 def test_analyses_run_concurrently_in_isolated_managers():
-    # each analysis builds its own manager from the shared immutable
-    # BooleanSpec, so a thread pool gets the same answers as sequential
+    # an analysis called on a plain BooleanSpec runs in a fresh session
+    # with its own manager, so a thread pool gets the same answers as
+    # sequential calls
     from concurrent.futures import ThreadPoolExecutor
     spec = load_spec("doors")
     jobs = [
@@ -289,3 +292,77 @@ def test_stuckat_output_realizable_implies_original_realizable_random():
         if checked >= 8:
             break
     assert checked >= 5
+
+
+# ----------------------------------------------------------------------
+# one shared session against a fresh session per analysis
+
+def _all_results(spec, robotics=False, fresh=False):
+    """Every analysis in report order, as the report renders it, run
+    either in one shared session or each in a fresh session.  Failures
+    are compared too: both ways must fail alike."""
+    config = ReportConfig(robotics=robotics)
+    shared = Session(spec, robotics=robotics)
+    out = {}
+    for name in ANALYSIS_ORDER:
+        session = Session(spec, robotics=robotics) if fresh else shared
+        try:
+            out[name] = _run_analysis(name, config, session)
+        except Exception as exc:
+            out[name] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
+def test_shared_session_matches_fresh_sessions_random():
+    for seed in range(30):
+        spec = random_boolean_spec(seed)
+        for robotics in (False, True):
+            assert (_all_results(spec, robotics)
+                    == _all_results(spec, robotics, fresh=True)), seed
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in
+                                        SPEC_DIR.glob("*.spec")))
+def test_shared_session_matches_fresh_sessions_corpus(name):
+    spec = load_spec(name)
+    assert _all_results(spec) == _all_results(spec, fresh=True)
+
+
+# ----------------------------------------------------------------------
+# assumption tests a-c against the explicit-state oracle
+
+def _oracle_tests_abc(spec, part):
+    """Tests a-c computed on oracle truth tables of the spec and of the
+    spec without `part`."""
+    full = explicit_solve(spec)
+    sub = explicit_solve(_variant(spec, drop=(part.kind, part.index)))
+    both = full.win & sub.win
+    goals = []
+    for j, (sf, sw) in enumerate(zip(full.strata, sub.strata)):
+        helped = 0
+        for d in range(max(len(sf), len(sw))):
+            a = sf[min(d, len(sf) - 1)] if sf else full.win
+            b = sw[min(d, len(sw) - 1)] if sw else sub.win
+            helped |= a & ~b & both
+        if helped:
+            goals.append(j)
+    return sub.realizable != "realizable", full.win != sub.win, goals
+
+
+def test_classification_tests_abc_match_oracle():
+    specs = [random_boolean_spec(seed) for seed in range(80)]
+    specs += [load_spec(n) for n in ("doors", "patrol", "mutex_fixed",
+                                     "request_grant")]
+    checked = 0
+    for spec in specs:
+        if explicit_solve(spec).realizable != "realizable":
+            continue
+        parts = {(p.kind, p.index): p
+                 for kind in ("env_init", "env_trans", "env_liveness")
+                 for p in spec.parts[kind] if not p.synthetic}
+        for v in classify_assumptions(spec):
+            want = _oracle_tests_abc(spec, parts[(v.kind, v.index)])
+            assert (v.test_a, v.test_b, v.test_c_goals) == want, v
+            assert v.test_c == bool(v.test_c_goals)
+            checked += 1
+    assert checked > 40

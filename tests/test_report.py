@@ -140,6 +140,10 @@ def test_cli_exit_codes(tmp_path):
     target = tmp_path / "m.spec"
     target.write_text(spec_path("tworobot").read_text())
     assert cli_main([str(target), "--node-budget", "64"]) == 2
+    dot = tmp_path / "w.dot"
+    assert cli_main([str(target), "--node-budget", "64",
+                     "--dump-bdd", str(dot)]) == 2
+    assert not dot.exists()
 
 
 def test_reports_validate_against_shipped_schema(tmp_path, specs_dir):
@@ -188,6 +192,46 @@ def test_cli_dump_bdd(tmp_path):
                      "--dump-bdd", str(dot)])
     assert code == 0
     assert dot.read_text().startswith("digraph")
+
+
+def test_cli_dump_bdd_follows_semantics(tmp_path):
+    from conftest import load_spec
+    from gr1report.game import build_game, solve_game
+    target = tmp_path / "p.spec"
+    target.write_text(spec_path("parity_tracker").read_text())
+    dot = tmp_path / "w.dot"
+    code = cli_main([str(target), "--semantics", "nonstrict",
+                     "--analyses", "positions", "--dump-bdd", str(dot)])
+    assert code == 0
+    dots = {}
+    for semantics in ("strict", "nonstrict"):
+        game = build_game(load_spec("parity_tracker"), semantics=semantics)
+        win = solve_game(game, record=False).win
+        dots[semantics] = game.mgr.to_dot(win, "winning_set")
+    assert dots["strict"] != dots["nonstrict"]
+    assert dot.read_text() == dots["nonstrict"]
+
+
+def test_failed_resilience_leaves_shared_game_clean(tmp_path, monkeypatch):
+    import gr1report.analyses as analyses_mod
+    from gr1report.bdd import ResourceLimitError
+    solve = analyses_mod.solve_game
+
+    def flaky(game, record=True, start=None):
+        # only the glitch loop of the resilience analysis filters
+        if game.position_filter is not None:
+            raise ResourceLimitError("deadline exceeded")
+        return solve(game, record=record, start=start)
+
+    others = tuple(a for a in ANALYSIS_ORDER if a != "resilience")
+    clean = run_report(spec_path("delivery"), ReportConfig(analyses=others),
+                       json_path=tmp_path / "a.json",
+                       html_path=tmp_path / "a.html", log=None)
+    monkeypatch.setattr(analyses_mod, "solve_game", flaky)
+    rep = run_report(spec_path("delivery"), json_path=tmp_path / "b.json",
+                     html_path=tmp_path / "b.html", log=None)
+    assert rep.analyses["resilience"]["status"] == "skipped"
+    assert {a: rep.analyses[a] for a in others} == clean.analyses
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
