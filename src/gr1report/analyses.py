@@ -340,8 +340,7 @@ def error_resilience(spec: BooleanSpec | Session, max_k: int = 16,
 
     w = session.region().win
     for k in range(1, max_k + 1):
-        canv = mgr.and_exists(game.trans_sys, game.prime(w),
-                              game.primed_outputs)
+        canv = game.can(game.trans_sys, w)
         hole = mgr.and_exists(glitch, ~canv, game.primed_inputs)
         game.position_filter = ~hole
         try:

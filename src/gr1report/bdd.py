@@ -261,17 +261,17 @@ class BddManager:
             marked.add(n)
             stack.append(lo[n])
             stack.append(hi[n])
-        freed = 0
-        for n in range(2, len(level)):
-            if n in marked or level[n] == _LEAF:
-                continue
+        # sweep the unique table, not every slot ever allocated, so the
+        # cost follows the nodes in use rather than the high-water mark;
+        # ascending order keeps slot reuse as it was
+        dead = sorted(n for n in self._unique.values() if n not in marked)
+        for n in dead:
             del self._unique[(level[n], lo[n], hi[n])]
             level[n] = _LEAF  # tombstone
-            self._free.append(n)
-            freed += 1
-        if freed:
+        self._free.extend(dead)
+        if dead:
             self._cache.clear()
-        return freed
+        return len(dead)
 
     def maybe_collect(self, pins: tuple[int, ...] = ()) -> int:
         """GC when the live node count crosses the threshold."""

@@ -6,22 +6,34 @@ reactivity(1).  Goals and liveness assumptions are transition predicates
 disjunction moves inside the controllable predecessor: the system may
 answer each environment move with a goal transition, a strict-progress
 transition, or an assumption-starving transition, independently per
-move:
+move.  With
 
-    cpre(T) = forall I' (trans_env -> exists O' (trans_sys & T))
+    can(R, V) = exists O' (R & V')          (system half)
+    cpre(C)   = !exists I' (trans_env & !C)  (environment half)
+
+the fixpoint is
 
     win = nu Z. AND_j mu Y. OR_i nu X.
-              cpre( (g_j & Z') | Y' | (!a_i & X') )
+              cpre( can(T_s & g_j, Z) | can(T_s, Y) | can(T_s & !a_i, X) )
 
-The mu-iterates of the final pass are kept as distance strata: a
+which equals cpre over exists O' (T_s & ((g_j & Z') | Y' | (!a_i & X')))
+because the existential quantifier distributes over the disjunction:
+the relations T_s & g_j and T_s & !a_i are built once per game, the
+goal term once per mu-Y evaluation and the progress term once per Y
+step, and the target relation itself is never built (early
+quantification over a partitioned relation, as in Burch, Clarke & Long,
+"Symbolic model checking with partitioned transition relations", 1991).
+
+The mu-iterates of the final sweep are kept as distance strata: a
 position's reactive distance to goal j is the index of the first
 stratum containing it, so that one iterate charges for one transition
 or one whole waiting phase.  To make that charge honest, each iterate
 first grows with stationary waiting only (assumption-starving moves
-that repeat the current output); the unrestricted waiting disjunct is
-used as a fallback when the stationary chain stalls, which keeps the
-winning-set limit exact.  The inner nu-fixpoints are kept per stratum
-and assumption for deterministic strategy extraction.
+that repeat the current output, T_s & !a_i & stay); the unrestricted
+waiting relation is used as a fallback when the stationary chain
+stalls, which keeps the winning-set limit exact.  The inner
+nu-fixpoints are kept per stratum and assumption for deterministic
+strategy extraction.
 """
 
 from __future__ import annotations
@@ -82,7 +94,7 @@ class SymbolicGame:
     live_sys: list[BddRef]
     trans_env_parts: list[tuple[BoolPart, BddRef]] = field(default_factory=list)
     trackers: list[str] = field(default_factory=list)
-    position_filter: BddRef | None = None   # conjoined into every cox
+    position_filter: BddRef | None = None   # conjoined into every cpre
     precommit: list[str] | None = None      # outputs fixed before inputs
 
     def __post_init__(self):
@@ -96,35 +108,39 @@ class SymbolicGame:
         stay = self.mgr.true
         for o in self.outputs:
             stay = stay & self.mgr.var(o).iff(self.mgr.var(o + "'"))
-        self.stay_outputs = stay
+        self._ts_nota_stay = [r & stay for r in self._ts_nota]
 
     # -- controllable predecessors -------------------------------------
 
     def prime(self, v: BddRef) -> BddRef:
         return self.mgr.rename(v, "prime")
 
-    def cpre(self, target: BddRef) -> BddRef:
-        """Positions where every legal env move has a legal sys reply whose
-        transition satisfies `target` (a predicate over current and next
-        variables).  A deadlocked environment counts as controllable."""
-        m = self.mgr
+    def can(self, rel: BddRef, v: BddRef) -> BddRef:
+        """exists O' (rel & v'): the system half of a controllable step.
+        Precommitted outputs stay free; `cpre` quantifies them."""
+        outs = self.primed_outputs
         if self.precommit:
-            fixed = [o + "'" for o in self.precommit]
-            rest = [o for o in self.primed_outputs if o not in fixed]
-            can = m.and_exists(self.trans_sys, target, rest)
-            bad = m.and_exists(self.trans_env, ~can, self.primed_inputs)
-            good = m.exists(fixed, ~bad)
-        else:
-            can = m.and_exists(self.trans_sys, target, self.primed_outputs)
-            bad = m.and_exists(self.trans_env, ~can, self.primed_inputs)
-            good = ~bad
+            fixed = {o + "'" for o in self.precommit}
+            outs = [o for o in outs if o not in fixed]
+        return self.mgr.and_exists(rel, self.prime(v), outs)
+
+    def cpre(self, can: BddRef) -> BddRef:
+        """Positions where every legal env move admits a sys reply in
+        `can` (over current variables, next inputs and precommitted next
+        outputs, as built by `can`): the environment half of a
+        controllable step.  A deadlocked environment counts as
+        controllable."""
+        m = self.mgr
+        good = ~m.and_exists(self.trans_env, ~can, self.primed_inputs)
+        if self.precommit:
+            good = m.exists([o + "'" for o in self.precommit], good)
         if self.position_filter is not None:
             good = good & self.position_filter
         return good
 
     def cox(self, v: BddRef) -> BddRef:
         """Positions where every legal env move has a legal sys reply into v."""
-        return self.cpre(self.prime(v))
+        return self.cpre(self.can(self.trans_sys, v))
 
     def env_pre(self, target: BddRef) -> BddRef:
         """Positions where some legal env move makes every legal sys reply
@@ -153,10 +169,11 @@ class WinningRegion:
         return float("inf")
 
 
-def _nu_x(game: SymbolicGame, base: BddRef, nota: BddRef) -> BddRef:
+def _nu_x(game: SymbolicGame, base: BddRef, wait: BddRef) -> BddRef:
+    """nu X. cpre(base | can(wait, X)) for a fixed system half `base`."""
     x = game.mgr.true
     while True:
-        xn = game.cpre(base | (nota & game.prime(x)))
+        xn = game.cpre(base | game.can(wait, x))
         if xn == x:
             return x
         x = xn
@@ -166,29 +183,21 @@ def _mu_y(game: SymbolicGame, z: BddRef, j: int):
     """One mu-Y evaluation for goal j against outer value z.
     Returns (y, strata list, xcore rows, stationary flags)."""
     mgr = game.mgr
-    goal_z = game.live_sys[j] & game.prime(z)
+    goal_z = game.can(game._ts_goal[j], z)
     y = mgr.false
     strata: list[BddRef] = []
     xrows: list[list[BddRef]] = []
     flags: list[bool] = []
     while True:
-        base = goal_z | game.prime(y)
-        ynew = mgr.false
-        xrow = []
-        for i in range(len(game.live_env)):
-            x = _nu_x(game, base, ~game.live_env[i] & game.stay_outputs)
-            xrow.append(x)
-            ynew = ynew | x
+        base = goal_z | game.can(game.trans_sys, y)
+        xrow = [_nu_x(game, base, w) for w in game._ts_nota_stay]
+        ynew = _union(mgr, xrow)
         stationary = True
         if ynew == y:
             # free waiting made no progress; allow moving waits so the
             # chain still converges to the exact winning set
-            ynew = mgr.false
-            xrow = []
-            for i in range(len(game.live_env)):
-                x = _nu_x(game, base, ~game.live_env[i])
-                xrow.append(x)
-                ynew = ynew | x
+            xrow = [_nu_x(game, base, w) for w in game._ts_nota]
+            ynew = _union(mgr, xrow)
             stationary = False
             if ynew == y:
                 break
@@ -199,9 +208,20 @@ def _mu_y(game: SymbolicGame, z: BddRef, j: int):
     return y, strata, xrows, flags
 
 
+def _union(mgr: BddManager, sets: list[BddRef]) -> BddRef:
+    out = mgr.false
+    for s in sets:
+        out = out | s
+    return out
+
+
 def solve_game(game: SymbolicGame, record: bool = True,
                start: BddRef | None = None) -> WinningRegion:
     """GR(1) fixpoint; resource limits surface as ResourceLimitError.
+
+    Sweeps the goals until one whole sweep leaves Z unchanged; the mu-Y
+    evaluations of that sweep all ran against the final Z, so their
+    strata, xcores and stationary flags are the recorded ones.
 
     `start` may give a known upper bound on the winning set (e.g. the
     previous element of a shrinking chain of games); correctness needs
@@ -211,25 +231,23 @@ def solve_game(game: SymbolicGame, record: bool = True,
     """
     mgr = game.mgr
     z = start if start is not None else mgr.true
+    strata, xcores, stat = [], [], []
     while True:
-        zprev = z
+        changed = False
         for j in range(len(game.live_sys)):
-            z, _, _, _ = _mu_y(game, z, j)
+            y, ys, xrows, flags = _mu_y(game, z, j)
+            if y != z:
+                changed = True
+                z = y
+            if record:
+                strata.append(ys)
+                xcores.append(xrows)
+                stat.append(flags)
+        if not changed:
+            break
+        strata, xcores, stat = [], [], []  # stale: Z moved during the sweep
         # safe point: everything the solver keeps is held through BddRefs
         mgr.maybe_collect()
-        if z == zprev:
-            break
-    if not record:
-        return WinningRegion(win=z, strata=[], xcores=[], stationary=[],
-                             game=game)
-    strata, xcores, stat = [], [], []
-    for j in range(len(game.live_sys)):
-        y, ys, xrows, flags = _mu_y(game, z, j)
-        if y != z:
-            raise GameError("fixpoint recording pass diverged")
-        strata.append(ys)
-        xcores.append(xrows)
-        stat.append(flags)
     return WinningRegion(win=z, strata=strata, xcores=xcores,
                          stationary=stat, game=game)
 
@@ -414,7 +432,9 @@ def extract_strategy(game: SymbolicGame, region: WinningRegion) -> MealyMachine:
     to goal j+1), else a stratum-decreasing transition, else a waiting
     move inside the first assumption-starving region containing the
     state.  Ties break to the lexicographically smallest next-output
-    cube in variable order.
+    cube in variable order.  Under robotics semantics an initial input
+    with no admissible initial output has no initial state: the
+    realizability condition holds vacuously there.
     """
     if check_realizability(game, region) != "realizable":
         raise GameError("extract_strategy on an unrealizable game")
@@ -442,9 +462,12 @@ def extract_strategy(game: SymbolicGame, region: WinningRegion) -> MealyMachine:
 
     initial: list[int] = []
     init_options = game.init_sys & region.win
+    admissible = game.init_env_user & game.init_sys_user
     for model in mgr.iter_models(game.init_env, inputs):
         opts = mgr.restrict(init_options, model)
         if opts.is_false():
+            if game.robotics and mgr.restrict(admissible, model).is_false():
+                continue  # no admissible initial output: vacuous
             raise GameError("initial input without a winning output")
         out_model = mgr.pick_min_model(opts, outputs)
         s = intern(_assign_tuple(model, inputs),
@@ -478,16 +501,15 @@ def extract_strategy(game: SymbolicGame, region: WinningRegion) -> MealyMachine:
                                         step)
                 if d == 0 or opts.is_false():
                     # waiting move in the first starving region holding pos
-                    wait_req = (game.stay_outputs if region.stationary[j][d]
-                                else mgr.true)
+                    wait = (game._ts_nota_stay if region.stationary[j][d]
+                            else game._ts_nota)
                     opts = mgr.false
                     for i in range(len(game.live_env)):
                         xcore = region.xcores[j][d][i]
                         if not mgr.eval(xcore, pos):
                             continue
                         cand = mgr.restrict(
-                            game._ts_nota[i] & wait_req & game.prime(xcore),
-                            step)
+                            wait[i] & game.prime(xcore), step)
                         if not cand.is_false():
                             opts = cand
                             break

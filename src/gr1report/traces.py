@@ -266,6 +266,12 @@ def abstract_strategy(spec: BooleanSpec | Session, horizon: int = 64,
 
 def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
                  h: int, attr: list[BddRef]) -> AbstractStrategy:
+    if h == 0:
+        # the loser's initial condition is already unsatisfiable: the
+        # table is the violation round alone
+        return AbstractStrategy(
+            winner=winner, horizon=0,
+            rounds=[{name: VIOLATION for name in spec.user_vars()}])
     mgr = game.mgr
     ir_memo: dict = {}
 

@@ -1,5 +1,7 @@
 """Game construction, the GR(1) fixpoint, extraction, realizability."""
 
+import random
+
 import pytest
 
 from conftest import load_spec, random_boolean_spec
@@ -189,6 +191,21 @@ def test_machine_states_have_at_most_one_per_label():
             seen.add(ivals)
 
 
+def test_robotics_extraction_skips_inputs_without_admissible_output():
+    # for r the initial guarantee admits no output: vacuous under robotics
+    text = ("[INPUT]\nr\n[OUTPUT]\ng\n[SYS_INIT]\n!r & g\n"
+            "[SYS_LIVENESS]\ng\n")
+    spec = compile_to_boolean(parse_spec(text))
+    game = build_game(spec)
+    region = solve_game(game)
+    assert check_realizability(game, region) == "unrealizable"
+    game = build_game(spec, robotics=True)
+    region = solve_game(game)
+    assert check_realizability(game, region) == "realizable"
+    machine = extract_strategy(game, region)
+    assert [machine.states[s].inputs for s in machine.initial] == [(False,)]
+
+
 def test_spec_without_outputs():
     spec, game, region = solve_text("[INPUT]\nr\ns\n[ENV_LIVENESS]\nr\n")
     assert check_realizability(game, region) == "realizable"
@@ -214,3 +231,149 @@ def test_machine_json_shape():
     assert "ints" in st["inputs"] and "sx" in st["inputs"]["ints"]
     tr = data["transitions"][0]
     assert set(tr) == {"from", "input", "to"}
+
+
+# ----------------------------------------------------------------------
+# differential check: the monolithic two-pass solver, kept only here
+
+def _old_cpre(game, target):
+    """force(exists O'. T_s & target) over the whole target relation."""
+    m = game.mgr
+    fixed = [o + "'" for o in game.precommit or []]
+    rest = [o for o in game.primed_outputs if o not in fixed]
+    can = m.and_exists(game.trans_sys, target, rest)
+    good = ~m.and_exists(game.trans_env, ~can, game.primed_inputs)
+    if fixed:
+        good = m.exists(fixed, good)
+    if game.position_filter is not None:
+        good = good & game.position_filter
+    return good
+
+
+def _stay(game):
+    mgr = game.mgr
+    stay = mgr.true
+    for o in game.outputs:
+        stay = stay & mgr.var(o).iff(mgr.var(o + "'"))
+    return stay
+
+
+def _old_mu_y(game, z, j):
+    mgr = game.mgr
+    stay = _stay(game)
+    goal_z = game.live_sys[j] & game.prime(z)
+    y, strata, xrows, flags = mgr.false, [], [], []
+
+    def nu_x(base, nota):
+        x = mgr.true
+        while True:
+            xn = _old_cpre(game, base | (nota & game.prime(x)))
+            if xn == x:
+                return x
+            x = xn
+
+    while True:
+        base = goal_z | game.prime(y)
+        for stationary in (True, False):
+            xrow = [nu_x(base, ~a & stay if stationary else ~a)
+                    for a in game.live_env]
+            ynew = mgr.false
+            for x in xrow:
+                ynew = ynew | x
+            if ynew != y:
+                break
+        else:
+            return y, strata, xrows, flags
+        y = ynew
+        strata.append(y)
+        xrows.append(xrow)
+        flags.append(stationary)
+
+
+def _old_solve(game, start=None):
+    """Sweep until Z is stable, then a separate recording pass."""
+    z = start if start is not None else game.mgr.true
+    while True:
+        zprev = z
+        for j in range(len(game.live_sys)):
+            z = _old_mu_y(game, z, j)[0]
+        if z == zprev:
+            break
+    rows = [_old_mu_y(game, z, j) for j in range(len(game.live_sys))]
+    assert all(r[0] == z for r in rows)
+    return z, [r[1] for r in rows], [r[2] for r in rows], [r[3] for r in rows]
+
+
+def _random_set(game, rng):
+    """A union of a few random cubes over the current positions."""
+    mgr = game.mgr
+    out = mgr.false
+    for _ in range(rng.randint(1, 3)):
+        cube = mgr.true
+        for p in rng.sample(game.positions, min(2, len(game.positions))):
+            cube = cube & (mgr.var(p) if rng.random() < 0.5 else mgr.nvar(p))
+        out = out | cube
+    return out
+
+
+def _assert_same_region(game, region, start=None):
+    win, strata, xcores, stationary = _old_solve(game, start)
+    assert region.win == win
+    assert region.strata == strata
+    assert region.xcores == xcores
+    assert region.stationary == stationary
+
+
+def test_decomposed_step_matches_monolithic_cpre():
+    checked = 0
+    for seed in range(40):
+        spec = random_boolean_spec(seed)
+        rng = random.Random(seed)
+        for semantics in ("strict", "nonstrict"):
+            game = build_game(spec, semantics=semantics)
+            stay = _stay(game)
+            outs = list(spec.output_props)
+            variants = ((None, None),
+                        (rng.sample(outs, rng.randint(1, len(outs))), None),
+                        (None, _random_set(game, rng)))
+            for game.precommit, game.position_filter in variants:
+                z, y, x = (_random_set(game, rng) for _ in range(3))
+                for j in range(len(game.live_sys)):
+                    for i, a in enumerate(game.live_env):
+                        waits = ((~a & stay, game._ts_nota_stay[i]),
+                                 (~a, game._ts_nota[i]))
+                        for nota, wait in waits:
+                            target = ((game.live_sys[j] & game.prime(z))
+                                      | game.prime(y)
+                                      | (nota & game.prime(x)))
+                            new = game.cpre(game.can(game._ts_goal[j], z)
+                                            | game.can(game.trans_sys, y)
+                                            | game.can(wait, x))
+                            assert new == _old_cpre(game, target), seed
+                            checked += 1
+                assert game.cox(z) == _old_cpre(game, game.prime(z))
+    assert checked > 300
+
+
+def test_one_pass_solver_matches_two_pass():
+    for case in ("mutex", "doors", "request_grant", *range(30)):
+        spec = (load_spec(case) if isinstance(case, str)
+                else random_boolean_spec(case))
+        rng = random.Random(case)
+        for semantics in ("strict", "nonstrict"):
+            game = build_game(spec, semantics=semantics)
+            cold = solve_game(game)
+            _assert_same_region(game, cold)
+            # re-recording from the exact winning set, as a session does
+            _assert_same_region(game, solve_game(game, start=cold.win),
+                                start=cold.win)
+            assert solve_game(game, record=False).win == cold.win
+            # less system power, started warm from the baseline
+            outs = list(spec.output_props)
+            variants = ((rng.sample(outs, rng.randint(1, len(outs))), None),
+                        (None, _random_set(game, rng)))
+            for game.precommit, game.position_filter in variants:
+                _assert_same_region(game, solve_game(game, start=cold.win),
+                                    start=cold.win)
+                _assert_same_region(game, solve_game(game))
+            game.precommit = game.position_filter = None

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import spec_path
+from conftest import random_spec_text, spec_path
 from gr1report.report import (
     ANALYSIS_ORDER, ReportConfig, ReportError, render_html, run_report,
 )
@@ -243,3 +243,36 @@ def test_cli_entrypoint_subprocess(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "realizable" in proc.stdout
+
+
+def _random_reports(tmp_path, seeds, config):
+    from gr1report.report import validate_report
+    for seed in seeds:
+        path = tmp_path / f"s{seed}.spec"
+        path.write_text(random_spec_text(seed))
+        rep = run_report(path, config, json_path=tmp_path / "r.json",
+                         html_path=tmp_path / "r.html", log=None)
+        data = json.loads((tmp_path / "r.json").read_text())
+        assert validate_report(data) == [], seed
+        yield seed, rep
+
+
+def test_unsatisfiable_initial_assumption_gives_zero_round_table(tmp_path):
+    # these seeds draw [ENV_INIT] (i0 & !i0): the system wins before the
+    # first move, so the abstract table is the violation round alone
+    for seed, rep in _random_reports(tmp_path, (9, 45, 51), ReportConfig()):
+        entry = rep.analyses["abstract"]
+        assert entry["status"] == "ok", seed
+        assert entry["result"]["winner"] == "system", seed
+        assert entry["result"]["horizon"] == 0, seed
+        assert entry["result"]["rounds"] == [
+            {name: "X" for name in entry["result"]["rounds"][0]}], seed
+
+
+def test_robotics_reports_on_random_specs_complete(tmp_path):
+    # seeds 0, 2, 20, 29, 37, 44 and 48 have initial inputs without an
+    # admissible initial output, which robotics realizability ignores
+    config = ReportConfig(robotics=True)
+    for seed, rep in _random_reports(tmp_path, range(60), config):
+        for name, entry in rep.analyses.items():
+            assert entry["status"] in ("ok", "skipped"), (seed, name)

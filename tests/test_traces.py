@@ -135,6 +135,16 @@ def test_abstract_strategy_for_system_safety_win():
     assert ab.rounds[0]["g"] is True
 
 
+def test_abstract_table_at_horizon_zero():
+    # an unsatisfiable initial assumption: the system has won already
+    spec = compile_text(
+        "[INPUT]\nr\n[OUTPUT]\ng\n[ENV_INIT]\nr & !r\n"
+        "[SYS_LIVENESS]\ng\n")
+    ab = abstract_strategy(spec)
+    assert ab.winner == "system" and ab.horizon == 0
+    assert ab.rounds == [{"r": VIOLATION, "g": VIOLATION}]
+
+
 def test_abstract_soundness_exhaustive_oscillator():
     # every legal play of the loser violates its safety parts no later
     # than the round marked X
