@@ -2,9 +2,12 @@
 
 The analyses of one report share a Session: one manager holding the
 baseline games, regions and machine, and every variant game, which is
-compared with the baseline as BDDs.  Called on a plain BooleanSpec, an
-analysis runs in a fresh session, so such calls may run concurrently.
-All results are deterministic functions of (specification, options).
+compared with the baseline as BDDs.  The session also carries the
+settings every analysis run in it uses (robotics realizability, the
+node budget and the timeout).  Called on a plain BooleanSpec, an
+analysis runs in a fresh Session(spec) with the default settings, so
+such calls may run concurrently.  All results are deterministic
+functions of (specification, options).
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ class AnalysisError(Exception):
 
 class Session:
     """One solving context for a specification, each part built on first
-    use.  The node budget bounds the one manager; entering an analysis
-    restarts the deadline and frees the nodes the previous one left."""
+    use, with the settings of every analysis run in it: robotics
+    realizability, a node budget bounding the one manager, and a
+    cooperative timeout whose deadline starts here (run_report restarts
+    it, and frees the nodes the previous step left, before the baseline
+    check and before each analysis)."""
 
     def __init__(self, spec: BooleanSpec, robotics=False, node_budget=None,
                  timeout=None):
@@ -38,22 +44,11 @@ class Session:
         self.robotics = robotics
         self.timeout = timeout
         self.mgr = BddManager(node_budget=node_budget)
+        self.mgr.deadline = (None if timeout is None
+                             else time.monotonic() + timeout)
         self._games: dict[str, SymbolicGame] = {}
         self._regions: dict[str, WinningRegion] = {}
         self._machine = None
-
-    @classmethod
-    def of(cls, spec, robotics=False, node_budget=None,
-           timeout=None) -> "Session":
-        """`spec` itself when it is a session (whose own settings then
-        apply), else a fresh session on it; entered for a new analysis
-        either way."""
-        session = (spec if isinstance(spec, Session)
-                   else cls(spec, robotics, node_budget, timeout))
-        session.mgr.deadline = (None if session.timeout is None
-                                else time.monotonic() + session.timeout)
-        session.mgr.collect()
-        return session
 
     def build(self, spec: BooleanSpec, semantics="strict") -> SymbolicGame:
         """Game of `spec` (the session's or a variant) in the session
@@ -66,15 +61,12 @@ class Session:
             self._games[semantics] = self.build(self.spec, semantics)
         return self._games[semantics]
 
-    def region(self, semantics="strict", record=False) -> WinningRegion:
-        """Baseline winning region; a recorded one also has strata."""
-        region = self._regions.get(semantics)
-        if region is None or (record and not region.strata):
-            start = None if region is None else region.win
-            region = solve_game(self.game(semantics), record=record,
-                                start=start)
-            self._regions[semantics] = region
-        return region
+    def region(self, semantics="strict") -> WinningRegion:
+        """Baseline winning region, recorded (strata, xcores and
+        stationary flags of the solver's last sweep)."""
+        if semantics not in self._regions:
+            self._regions[semantics] = solve_game(self.game(semantics))
+        return self._regions[semantics]
 
     def verdict(self, semantics="strict") -> str:
         return check_realizability(self.game(semantics),
@@ -87,9 +79,13 @@ class Session:
     def machine(self):
         """The canonical machine of the strict baseline."""
         if self._machine is None:
-            self._machine = extract_strategy(self.game(),
-                                             self.region(record=True))
+            self._machine = extract_strategy(self.game(), self.region())
         return self._machine
+
+
+def _session(spec: BooleanSpec | Session) -> Session:
+    """`spec` itself when it is a session, else a fresh session on it."""
+    return spec if isinstance(spec, Session) else Session(spec)
 
 
 def _variant(spec: BooleanSpec, drop: tuple[str, int] | None = None,
@@ -122,12 +118,11 @@ class SemanticsComparison:
         return self.strict != self.nonstrict
 
 
-def semantics_comparison(spec: BooleanSpec | Session, robotics=False,
-                         node_budget=None, timeout=None) -> SemanticsComparison:
+def semantics_comparison(spec: BooleanSpec | Session) -> SemanticsComparison:
     """Realizability under the native strict implication and under the
     classical implication; a difference flags specs whose auxiliary
     signals let the system provoke assumption violations."""
-    session = Session.of(spec, robotics, node_budget, timeout)
+    session = _session(spec)
     return SemanticsComparison(strict=session.verdict("strict"),
                                nonstrict=session.verdict("nonstrict"))
 
@@ -149,12 +144,11 @@ class PositionStats:
     realizable: str
 
 
-def position_statistics(spec: BooleanSpec | Session, max_cubes: int = 10,
-                        robotics=False, node_budget=None,
-                        timeout=None) -> PositionStats:
+def position_statistics(spec: BooleanSpec | Session,
+                        max_cubes: int = 10) -> PositionStats:
     """Counts of winning positions in four position classes plus the
     largest winning and losing cubes."""
-    session = Session.of(spec, robotics, node_budget, timeout)
+    session = _session(spec)
     game = session.game()
     mgr = game.mgr
     pos = game.positions
@@ -190,12 +184,11 @@ class FalsificationResult:
 
 
 def assumption_falsification(spec: BooleanSpec | Session,
-                             max_cubes: int = 10, node_budget=None,
-                             timeout=None) -> FalsificationResult:
+                             max_cubes: int = 10) -> FalsificationResult:
     """Winning set of the game whose only system goal is FALSE: exactly
     the positions from which the system can force an assumption
     violation."""
-    session = Session.of(spec, node_budget=node_budget, timeout=timeout)
+    session = _session(spec)
     impossible = BoolPart(ir=IR_FALSE, text="FALSE", kind="sys_liveness",
                           index=0, synthetic=True)
     variant = _variant(session.spec, add={"sys_liveness": []})
@@ -229,9 +222,8 @@ class AssumptionVerdict:
                              or self.test_d) else "superfluous")
 
 
-def classify_assumptions(spec: BooleanSpec | Session, robotics=False,
-                         node_budget=None,
-                         timeout=None) -> list[AssumptionVerdict]:
+def classify_assumptions(
+        spec: BooleanSpec | Session) -> list[AssumptionVerdict]:
     """Four-test classification of every user assumption.
 
     An assumption is superfluous when removing it neither changes
@@ -239,9 +231,9 @@ def classify_assumptions(spec: BooleanSpec | Session, robotics=False,
     (c), including distances at the reachable states of the canonically
     extracted machine (d).
     """
-    session = Session.of(spec, robotics, node_budget, timeout)
+    session = _session(spec)
     session.require_realizable("assumption classification")
-    region = session.region(record=True)
+    region = session.region()
     machine = session.machine()
     # positions the machine visits, split by pursued goal
     visited = [[machine.position(st) for st in machine.states
@@ -304,9 +296,8 @@ class ResilienceResult:
         return str(int(self.level))
 
 
-def error_resilience(spec: BooleanSpec | Session, max_k: int = 16,
-                     robotics=False, node_budget=None,
-                     timeout=None) -> ResilienceResult:
+def error_resilience(spec: BooleanSpec | Session,
+                     max_k: int = 16) -> ResilienceResult:
     """Largest glitch budget under which the specification stays
     realizable.
 
@@ -320,7 +311,7 @@ def error_resilience(spec: BooleanSpec | Session, max_k: int = 16,
     """
     if max_k < 1:
         raise AnalysisError("max_k must be at least 1")
-    session = Session.of(spec, robotics, node_budget, timeout)
+    session = _session(spec)
     session.require_realizable("error resilience")
     game = session.game()
     mgr = game.mgr
@@ -364,11 +355,10 @@ class PrecommitResult:
     maximal_set: list[str]
 
 
-def precommit_analysis(spec: BooleanSpec | Session, robotics=False,
-                       node_budget=None, timeout=None) -> PrecommitResult:
+def precommit_analysis(spec: BooleanSpec | Session) -> PrecommitResult:
     """Which outputs can have their next value fixed before the next
     input is observed, individually and greedily jointly."""
-    session = Session.of(spec, robotics, node_budget, timeout)
+    session = _session(spec)
     session.require_realizable("precommit analysis")
     game = session.game()
     win = session.region().win
@@ -403,8 +393,7 @@ class StuckAtTable:
     entries: dict[tuple[str, bool], str]  # (signal, value) -> verdict
 
 
-def stuck_at_analysis(spec: BooleanSpec | Session, robotics=False,
-                      node_budget=None, timeout=None) -> StuckAtTable:
+def stuck_at_analysis(spec: BooleanSpec | Session) -> StuckAtTable:
     """Realizability with one signal forced constant from power-on.
 
     Realizable specification: outputs are stuck one by one; a verdict of
@@ -412,7 +401,7 @@ def stuck_at_analysis(spec: BooleanSpec | Session, robotics=False,
     specification: inputs are stuck via added assumptions; persisting
     unrealizability means that input's freedom is not the cause.
     """
-    session = Session.of(spec, robotics, node_budget, timeout)
+    session = _session(spec)
     spec = session.spec
     baseline = session.verdict()
     if baseline == "realizable":

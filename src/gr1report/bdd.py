@@ -21,7 +21,6 @@ and essential primes of Boolean functions", DAC 1992.
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass
 
 FALSE = 0
@@ -58,9 +57,6 @@ class Cube:
 
     literals: tuple[tuple[str, bool], ...]
 
-    def as_dict(self) -> dict[str, bool]:
-        return dict(self.literals)
-
     def __len__(self) -> int:
         return len(self.literals)
 
@@ -71,15 +67,18 @@ class Cube:
 
 
 class BddRef:
-    """Handle to a node of one manager.  Valid only within that manager."""
+    """Handle to a node of one manager.  Valid only within that manager;
+    the node stays live for collection while some handle to it exists."""
 
-    __slots__ = ("mgr", "node", "__weakref__")
+    __slots__ = ("mgr", "node")
 
     def __init__(self, mgr: "BddManager", node: int):
         self.mgr = mgr
         self.node = node
         mgr._incref(node)
-        weakref.finalize(self, mgr._decref, node)
+
+    def __del__(self):
+        self.mgr._decref(self.node)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BddRef) and other.mgr is self.mgr
@@ -174,9 +173,6 @@ class BddManager:
         self.var_names.append(pname)
         self._var_level[pname] = lvl + 1
         return lvl, lvl + 1
-
-    def level_of(self, name: str) -> int:
-        return self._var_level[name]
 
     @property
     def false(self) -> BddRef:
@@ -498,18 +494,6 @@ class BddManager:
         return [self.var_names[lvl]
                 for lvl in sorted(self._support_levels(f.node))]
 
-    def size(self, f: BddRef) -> int:
-        seen = set()
-        stack = [f.node]
-        while stack:
-            n = stack.pop()
-            if n <= TRUE or n in seen:
-                continue
-            seen.add(n)
-            stack.append(self._lo[n])
-            stack.append(self._hi[n])
-        return len(seen)
-
     def eval(self, f: BddRef, assignment: dict[str, bool]) -> bool:
         """Evaluate under a total assignment of f's support."""
         self._check_same(f)
@@ -784,9 +768,16 @@ class BddManager:
     # export
 
     def to_dot(self, f: BddRef, name: str = "bdd") -> str:
-        """DOT text for one BDD: solid edge = true branch, dashed = false."""
+        """DOT text for one BDD: solid edge = true branch, dashed = false.
+        Nodes are named in first-visit order, so the text depends on the
+        function alone, not on where the manager stored its nodes."""
         self._check_same(f)
         lines = [f"digraph {name} {{", "  rankdir=TB;"]
+        ids: dict[int, str] = {}
+
+        def nid(n: int) -> str:
+            return ids.setdefault(n, f"n{len(ids)}")
+
         seen = set()
         stack = [f.node]
         while stack:
@@ -794,16 +785,13 @@ class BddManager:
             if n in seen:
                 continue
             seen.add(n)
-            if n == FALSE:
-                lines.append('  n0 [shape=box,label="0"];')
-                continue
-            if n == TRUE:
-                lines.append('  n1 [shape=box,label="1"];')
+            if n <= TRUE:
+                lines.append(f'  {nid(n)} [shape=box,label="{n}"];')
                 continue
             lbl = self.var_names[self._level[n]]
-            lines.append(f'  n{n} [shape=circle,label="{lbl}"];')
-            lines.append(f"  n{n} -> n{self._hi[n]} [style=solid];")
-            lines.append(f"  n{n} -> n{self._lo[n]} [style=dashed];")
+            lines.append(f'  {nid(n)} [shape=circle,label="{lbl}"];')
+            lines.append(f"  {nid(n)} -> {nid(self._hi[n])} [style=solid];")
+            lines.append(f"  {nid(n)} -> {nid(self._lo[n])} [style=dashed];")
             stack.append(self._lo[n])
             stack.append(self._hi[n])
         lines.append("}")

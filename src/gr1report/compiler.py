@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .syntax import (
     Add, And, Atom, BoolConst, Compare, Expr, Iff, Implies, IntConst, Next,
-    Not, Or, SpecDocument, SpecPart, Sub, PART_KINDS,
+    Not, Or, SpecDocument, SpecPart, Sub, PART_KINDS, _children,
 )
 
 
@@ -158,19 +158,6 @@ class BooleanSpec:
         default_factory=lambda: {k: [] for k in PART_KINDS})
     source: SpecDocument | None = None
 
-    def parts_of(self, kind: str) -> list[BoolPart]:
-        return self.parts[kind]
-
-    def assumption_parts(self) -> list[BoolPart]:
-        return (self.parts["env_init"] + self.parts["env_trans"]
-                + self.parts["env_liveness"])
-
-    def is_input_prop(self, prop: str) -> bool:
-        return prop in self._input_set
-
-    def __post_init__(self):
-        self._input_set = set(self.input_props)
-
     def decode(self, assignment: dict[str, bool]) -> dict[str, object]:
         """Map a proposition valuation to user-level variable values."""
         out: dict[str, object] = {}
@@ -200,11 +187,8 @@ class BooleanSpec:
 
 def _walk(e: Expr):
     yield e
-    if isinstance(e, (Not, Next)):
-        yield from _walk(e.sub)
-    elif isinstance(e, (And, Or, Implies, Iff, Add, Sub, Compare)):
-        yield from _walk(e.left)
-        yield from _walk(e.right)
+    for c in _children(e):
+        yield from _walk(c)
 
 
 def _expr_type(e: Expr, doc: SpecDocument) -> str:
@@ -263,14 +247,7 @@ def validate_gr1_shape(doc: SpecDocument) -> list[Violation]:
             if inside:
                 return True
             return nexts_nested(e.sub, True)
-        return any(nexts_nested(c, inside) for c in _subexprs(e))
-
-    def _subexprs(e: Expr):
-        if isinstance(e, (Not, Next)):
-            return (e.sub,)
-        if isinstance(e, (And, Or, Implies, Iff, Add, Sub, Compare)):
-            return (e.left, e.right)
-        return ()
+        return any(nexts_nested(c, inside) for c in _children(e))
 
     def has_next(e: Expr) -> bool:
         return any(isinstance(x, Next) for x in _walk(e))
@@ -279,7 +256,7 @@ def validate_gr1_shape(doc: SpecDocument) -> list[Violation]:
         if isinstance(e, Atom) and inside and e.name in outputs:
             return True
         nested = inside or isinstance(e, Next)
-        return any(outputs_under_next(c, nested) for c in _subexprs(e))
+        return any(outputs_under_next(c, nested) for c in _children(e))
 
     for part in doc.all_parts():
         if nexts_nested(part.formula, False):

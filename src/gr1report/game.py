@@ -276,7 +276,6 @@ def check_realizability(game: SymbolicGame, region) -> str:
         some = mgr.exists(rest, game.init_sys & win)
         cond = mgr.forall(game.inputs, game.init_env.implies(some))
         ok = mgr.exists(fixed, cond)
-        return "realizable" if ok.is_true() else "unrealizable"
     else:
         some = mgr.exists(game.outputs, game.init_sys & win)
         ok = mgr.forall(game.inputs, game.init_env.implies(some))
@@ -287,8 +286,7 @@ def check_realizability(game: SymbolicGame, region) -> str:
 # construction
 
 def build_game(spec: BooleanSpec, semantics: str = "strict",
-               robotics: bool = False, node_budget: int | None = None,
-               deadline: float | None = None,
+               robotics: bool = False,
                mgr: BddManager | None = None) -> SymbolicGame:
     """Build the synthesis game for a compiled specification.
 
@@ -297,9 +295,8 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
     implication, encoded with two violation-tracker bits and transformed
     liveness; solved by the same fixpoint.
 
-    The game goes into a fresh manager with the given node budget and
-    deadline, or into `mgr` (whose own limits apply), reusing the
-    signals it already has.
+    The game goes into a fresh manager without limits, or into `mgr`
+    (whose own limits apply), reusing the signals it already has.
     """
     if semantics not in ("strict", "nonstrict"):
         raise GameError(f"unknown semantics {semantics!r}")
@@ -308,8 +305,7 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
         if t in spec.props:
             raise GameError(f"proposition {t!r} is reserved")
     if mgr is None:
-        mgr = BddManager(node_budget=node_budget)
-        mgr.deadline = deadline
+        mgr = BddManager()
     declared = set(mgr.var_names)
     for p in list(spec.props) + trackers:
         if p not in declared:
@@ -382,9 +378,6 @@ class MealyMachine:
     initial: list[int]
     transitions: dict[int, list[tuple[tuple[bool, ...], int]]]
     n_goals: int
-
-    def state_key(self, s: MealyState):
-        return (s.inputs, s.outputs, s.goal)
 
     def position(self, s: MealyState) -> dict[str, bool]:
         pos = dict(zip(self.input_names, s.inputs))

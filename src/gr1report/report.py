@@ -256,8 +256,16 @@ def run_report(spec_path, config: ReportConfig | None = None,
     spec = compile_to_boolean(doc)
 
     base_sem = "nonstrict" if config.semantics == "nonstrict" else "strict"
-    session = Session.of(spec, config.robotics, config.node_budget,
-                         config.timeout_seconds)
+    session = Session(spec, config.robotics, config.node_budget,
+                      config.timeout_seconds)
+
+    def restart():
+        # each step gets the whole timeout; the step before leaves no garbage
+        if session.timeout is not None:
+            session.mgr.deadline = time.monotonic() + session.timeout
+        session.mgr.collect()
+
+    restart()
     try:
         verdict = session.verdict(base_sem)
     except ResourceLimitError as exc:
@@ -270,6 +278,7 @@ def run_report(spec_path, config: ReportConfig | None = None,
         if name not in config.analyses:
             continue
         t0 = time.monotonic()
+        restart()
         try:
             results[name] = {"status": "ok",
                              "result": _run_analysis(name, config,

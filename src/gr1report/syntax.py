@@ -414,9 +414,7 @@ def _check_declared(e: Expr, names: set[str], line_no: int):
 def _children(e: Expr):
     if isinstance(e, (Not, Next)):
         return (e.sub,)
-    if isinstance(e, (And, Or, Implies, Iff, Add, Sub)):
-        return (e.left, e.right)
-    if isinstance(e, Compare):
+    if isinstance(e, (And, Or, Implies, Iff, Add, Sub, Compare)):
         return (e.left, e.right)
     return ()
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analyses import Session
+from .analyses import Session, _session
 from .bdd import BddRef
 from .compiler import BooleanSpec
 from .game import SymbolicGame, ir_to_bdd
@@ -90,15 +90,14 @@ def _env_buchi(game: SymbolicGame):
     return w, iterates
 
 
-def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64,
-                  robotics=False, node_budget=None, timeout=None):
+def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64):
     """Annotated nominal-case run, or a finding dict when no suitable
     initial position exists or the environment cannot meet its liveness
     assumptions from it."""
-    session = Session.of(spec, robotics, node_budget, timeout)
+    session = _session(spec)
     session.require_realizable("nominal trace", TraceError)
     spec, game = session.spec, session.game()
-    region = session.region(record=True)
+    region = session.region()
     machine = session.machine()
     mgr = game.mgr
     starts = game.init_env & game.init_sys & region.win
@@ -240,14 +239,13 @@ def _env_start_ok(game: SymbolicGame, v: BddRef) -> bool:
     return not (game.init_env & every).is_false()
 
 
-def abstract_strategy(spec: BooleanSpec | Session, horizon: int = 64,
-                      node_budget=None, timeout=None):
+def abstract_strategy(spec: BooleanSpec | Session, horizon: int = 64):
     """Abstract strategy/counter-strategy for safety-decided games.
 
     Returns None unless one player forces the opponent into a safety
     dead end from the initial condition within the horizon.
     """
-    session = Session.of(spec, node_budget=node_budget, timeout=timeout)
+    session = _session(spec)
     spec, game = session.spec, session.game()
     a_sys = _attractor(game, game.cox, horizon)
     h_sys = next((h for h in range(len(a_sys))

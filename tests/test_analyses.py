@@ -9,6 +9,7 @@ from gr1report.analyses import (
     assumption_falsification, classify_assumptions, error_resilience,
     precommit_analysis, stuck_at_analysis, INFINITE, _variant,
 )
+from gr1report.bdd import ResourceLimitError
 from gr1report.game import build_game, solve_game, check_realizability
 from gr1report.oracle import explicit_solve
 from gr1report.report import ANALYSIS_ORDER, ReportConfig, _run_analysis
@@ -326,6 +327,35 @@ def test_shared_session_matches_fresh_sessions_random():
 def test_shared_session_matches_fresh_sessions_corpus(name):
     spec = load_spec(name)
     assert _all_results(spec) == _all_results(spec, fresh=True)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in
+                                        SPEC_DIR.glob("*.spec")))
+def test_recorded_baseline_matches_warm_rerecord(name):
+    # the old path solved the baseline unrecorded and recorded it with
+    # a second, warm solve from the winning set
+    spec = load_spec(name)
+    for semantics in ("strict", "nonstrict"):
+        session = Session(spec)
+        session.verdict(semantics)
+        region = session.region(semantics)
+        old = solve_game(session.game(semantics), record=True,
+                         start=region.win)
+        assert region.win == old.win, semantics
+        assert region.strata == old.strata, semantics
+        assert region.xcores == old.xcores, semantics
+        assert region.stationary == old.stationary, semantics
+
+
+def test_session_settings_reach_the_analyses():
+    spec = compile_text("[INPUT]\nr\n[OUTPUT]\ng\n[SYS_TRANS]\ng -> X(g)\n"
+                        "[SYS_LIVENESS]\n!g\n")
+    assert semantics_comparison(spec).strict == "realizable"
+    assert semantics_comparison(Session(spec)).strict == "realizable"
+    assert semantics_comparison(
+        Session(spec, robotics=True)).strict == "unrealizable"
+    with pytest.raises(ResourceLimitError, match="node budget"):
+        position_statistics(Session(load_spec("tworobot"), node_budget=64))
 
 
 # ----------------------------------------------------------------------

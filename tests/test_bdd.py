@@ -147,6 +147,19 @@ def test_garbage_collection_keeps_referenced_nodes():
     assert m.count_models(keep, ["a", "b", "c"]) == 5
 
 
+def test_collect_frees_a_node_once_its_last_handle_is_dropped():
+    m = fresh(2)
+    f = m.var("a") & m.var("b")
+    g = f & m.true  # a second handle to the same node
+    m.collect()     # frees the node of the dropped var("a") handle
+    assert len(m) == 4
+    del f
+    assert m.collect() == 0
+    del g
+    assert m.collect() == 2
+    assert len(m) == 2
+
+
 def test_node_budget():
     m = BddManager(node_budget=16)
     for v in VARS:
@@ -161,6 +174,19 @@ def test_to_dot():
     m = fresh(2)
     dot = m.to_dot(m.var("a") & m.var("b"))
     assert "digraph" in dot and "solid" in dot and "dashed" in dot
+
+
+def test_to_dot_ignores_allocation_history():
+    def build(m):
+        return (m.var("a") & m.var("b")) | (m.var("c") ^ m.var("b'"))
+
+    clean, used = fresh(3), fresh(3)
+    junk = [used.var(v) ^ used.var(v + "'") for v in ("a", "b", "c")]
+    del junk
+    used.collect()  # the freed slots are reused in another order
+    f, g = build(clean), build(used)
+    assert f.node != g.node
+    assert clean.to_dot(f, "w") == used.to_dot(g, "w")
 
 
 # ----------------------------------------------------------------------
