@@ -1,10 +1,13 @@
 """Specification debugging analyses.
 
 The analyses of one report share a Session: one manager holding the
-baseline games, regions and machine, and every variant game, which is
-compared with the baseline as BDDs.  The session also carries the
-settings every analysis run in it uses (robotics realizability, the
-node budget and the timeout).  Called on a plain BooleanSpec, an
+baseline games, regions and machine.  Every variant game (a goal set to
+FALSE, an assumption dropped, a signal pinned, outputs committed early,
+glitch positions filtered out) is a dataclasses.replace edit of the
+strict baseline game in that manager, compared with it as BDDs; no
+variant is built from a specification and no game is mutated.  The
+session also carries the settings every analysis run in it uses
+(robotics realizability, the node budget and the timeout).  Called on a plain BooleanSpec, an
 analysis runs in a fresh Session(spec) with the default settings, so
 such calls may run concurrently.  All results are deterministic
 functions of (specification, options).
@@ -13,14 +16,14 @@ functions of (specification, options).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from .bdd import BddManager, Cube
-from .compiler import BooleanSpec, BoolPart, ir_var, ir_not, IR_FALSE
+from .compiler import BooleanSpec, BoolPart
 from .game import (
     SymbolicGame, WinningRegion, build_game, solve_game,
-    check_realizability, extract_strategy,
+    check_realizability, extract_strategy, ir_to_bdd, _conj,
 )
 
 INFINITE = float("inf")
@@ -50,15 +53,12 @@ class Session:
         self._regions: dict[str, WinningRegion] = {}
         self._machine = None
 
-    def build(self, spec: BooleanSpec, semantics="strict") -> SymbolicGame:
-        """Game of `spec` (the session's or a variant) in the session
-        manager."""
-        return build_game(spec, semantics=semantics, robotics=self.robotics,
-                          mgr=self.mgr)
-
     def game(self, semantics="strict") -> SymbolicGame:
+        """Baseline game; the only games built from the specification."""
         if semantics not in self._games:
-            self._games[semantics] = self.build(self.spec, semantics)
+            self._games[semantics] = build_game(
+                self.spec, semantics=semantics, robotics=self.robotics,
+                mgr=self.mgr)
         return self._games[semantics]
 
     def region(self, semantics="strict") -> WinningRegion:
@@ -86,23 +86,6 @@ class Session:
 def _session(spec: BooleanSpec | Session) -> Session:
     """`spec` itself when it is a session, else a fresh session on it."""
     return spec if isinstance(spec, Session) else Session(spec)
-
-
-def _variant(spec: BooleanSpec, drop: tuple[str, int] | None = None,
-             add: dict[str, list[BoolPart]] | None = None) -> BooleanSpec:
-    """Copy of the spec with one part removed and/or parts appended."""
-    out = BooleanSpec(
-        input_props=spec.input_props, output_props=spec.output_props,
-        props=spec.props, groups=spec.groups, bool_vars=spec.bool_vars,
-        source=spec.source)
-    for kind, parts in spec.parts.items():
-        kept = [p for p in parts
-                if drop is None or (kind, p.index) != drop]
-        out.parts[kind] = kept
-    if add:
-        for kind, parts in add.items():
-            out.parts[kind] = out.parts[kind] + parts
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -188,12 +171,8 @@ def assumption_falsification(spec: BooleanSpec | Session,
     """Winning set of the game whose only system goal is FALSE: exactly
     the positions from which the system can force an assumption
     violation."""
-    session = _session(spec)
-    impossible = BoolPart(ir=IR_FALSE, text="FALSE", kind="sys_liveness",
-                          index=0, synthetic=True)
-    variant = _variant(session.spec, add={"sys_liveness": []})
-    variant.parts["sys_liveness"] = [impossible]
-    game = session.build(variant)
+    baseline = _session(spec).game()
+    game = replace(baseline, live_sys=[baseline.mgr.false])
     win = solve_game(game, record=False).win
     mgr = game.mgr
     return FalsificationResult(
@@ -248,12 +227,29 @@ def classify_assumptions(
     return verdicts
 
 
+def _without(session: Session, part: BoolPart) -> SymbolicGame:
+    """The strict baseline game without one assumption."""
+    game = session.game()
+    mgr = game.mgr
+    if part.kind == "env_trans":
+        kept = [(p, b) for (p, b) in game.trans_env_parts if p is not part]
+        return replace(game, trans_env=_conj(mgr, [b for _p, b in kept]),
+                       trans_env_parts=kept)
+    if part.kind == "env_liveness":
+        live = [a for p, a in zip(session.spec.parts["env_liveness"],
+                                  game.live_env) if p is not part]
+        return replace(game, live_env=live or [mgr.true])
+    init = _conj(mgr, [ir_to_bdd(mgr, p.ir)
+                       for p in session.spec.parts["env_init"]
+                       if p is not part])
+    return replace(game, init_env=init, init_env_user=init)
+
+
 def _drop_assumption(session: Session, region: WinningRegion,
                      visited: list[list[dict]],
                      part: BoolPart) -> AssumptionVerdict:
     # removing an assumption only takes power from the system
-    sub = _variant(session.spec, drop=(part.kind, part.index))
-    game = session.build(sub)
+    game = _without(session, part)
     sub_region = solve_game(game, record=True, start=region.win)
     mgr = game.mgr
     win, win_wo = region.win, sub_region.win
@@ -333,11 +329,8 @@ def error_resilience(spec: BooleanSpec | Session,
     for k in range(1, max_k + 1):
         canv = game.can(game.trans_sys, w)
         hole = mgr.and_exists(glitch, ~canv, game.primed_inputs)
-        game.position_filter = ~hole
-        try:
-            region_k = solve_game(game, record=False, start=w)
-        finally:
-            game.position_filter = None
+        region_k = solve_game(replace(game, position_filter=~hole),
+                              record=False, start=w)
         if region_k.win == w:
             return ResilienceResult(level=INFINITE)
         if check_realizability(game, region_k) != "realizable":
@@ -365,12 +358,9 @@ def precommit_analysis(spec: BooleanSpec | Session) -> PrecommitResult:
 
     def realizable_with(outs: list[str]) -> bool:
         # committing early only takes power from the system
-        game.precommit = outs
-        try:
-            r = solve_game(game, record=False, start=win)
-            return check_realizability(game, r) == "realizable"
-        finally:
-            game.precommit = None
+        committed = replace(game, precommit=outs)
+        r = solve_game(committed, record=False, start=win)
+        return check_realizability(committed, r) == "realizable"
 
     outputs = session.spec.output_props
     per_output = {}
@@ -402,32 +392,32 @@ def stuck_at_analysis(spec: BooleanSpec | Session) -> StuckAtTable:
     unrealizability means that input's freedom is not the cause.
     """
     session = _session(spec)
-    spec = session.spec
+    base = session.game()
+    mgr = base.mgr
     baseline = session.verdict()
     if baseline == "realizable":
         # a stuck output only takes power from the system
-        direction, signals = "outputs", spec.output_props
-        init_kind, safe_kind = "sys_init", "sys_trans"
+        direction, signals = "outputs", session.spec.output_props
         start = session.region().win
     else:
         # a stuck input gives the system power: solve from scratch
-        direction, signals = "inputs", spec.input_props
-        init_kind, safe_kind = "env_init", "env_trans"
+        direction, signals = "inputs", session.spec.input_props
         start = None
     entries = {}
     for sig in signals:
         for value in (False, True):
-            lit_now = ir_var(sig) if value else ir_not(ir_var(sig))
-            lit_next = (ir_var(sig, True) if value
-                        else ir_not(ir_var(sig, True)))
-            text = f"{sig} stuck at {'1' if value else '0'}"
-            variant = _variant(spec, add={
-                init_kind: [BoolPart(lit_now, text, init_kind, 10_000,
-                                     synthetic=True)],
-                safe_kind: [BoolPart(lit_next, text, safe_kind, 10_000,
-                                     synthetic=True)],
-            })
-            game = session.build(variant)
+            pin = mgr.var(sig) if value else mgr.nvar(sig)
+            step = base.prime(pin)
+            if direction == "outputs":
+                init = base.init_sys & pin
+                game = replace(base, init_sys=init, init_sys_user=init,
+                               trans_sys=base.trans_sys & step)
+            else:
+                init = base.init_env & pin
+                game = replace(
+                    base, init_env=init, init_env_user=init,
+                    trans_env=base.trans_env & step,
+                    trans_env_parts=base.trans_env_parts + [(None, step)])
             entries[(sig, value)] = check_realizability(
                 game, solve_game(game, record=False, start=start))
             del game  # so that the collection frees the variant

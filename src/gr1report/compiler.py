@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .syntax import (
     Add, And, Atom, BoolConst, Compare, Expr, Iff, Implies, IntConst, Next,
-    Not, Or, SpecDocument, SpecPart, Sub, PART_KINDS, _children,
+    Not, Or, SpecDocument, SpecPart, Sub, PART_KINDS, _children, format_expr,
 )
 
 
@@ -33,9 +33,11 @@ class Violation:
     index: int     # part index within its kind
     rule: str      # short rule name
     message: str
+    line: int = 0  # source line of the part (0 when unknown)
 
     def __str__(self) -> str:
-        return f"{self.kind}[{self.index}]: {self.rule}: {self.message}"
+        where = f"line {self.line}: " if self.line else ""
+        return f"{where}{self.kind}[{self.index}]: {self.rule}: {self.message}"
 
 
 # ----------------------------------------------------------------------
@@ -202,27 +204,28 @@ def _expr_type(e: Expr, doc: SpecDocument) -> str:
     return "bool"
 
 
-def _type_violations(part: SpecPart, doc: SpecDocument) -> list[Violation]:
-    out = []
+def _type_violations(part: SpecPart, doc: SpecDocument) -> dict[str, str]:
+    """Message per broken typing rule, naming the first offending term."""
+    out: dict[str, str] = {}
 
     def visit(e: Expr, under_compare: bool):
         t = _expr_type(e, doc)
         if t == "int" and not under_compare:
-            out.append(Violation(part.kind, part.index, "arithmetic outside comparison",
-                                 f"integer-valued term in boolean position: {part.text}"))
+            out.setdefault("arithmetic outside comparison",
+                           f"integer-valued term in boolean position: {format_expr(e)}")
             return
         if isinstance(e, Compare):
             for side in (e.left, e.right):
                 if _expr_type(side, doc) != "int":
-                    out.append(Violation(part.kind, part.index, "comparison on boolean",
-                                         f"comparison operand is not integer-valued: {part.text}"))
+                    out.setdefault("comparison on boolean",
+                                   f"comparison operand is not integer-valued: {format_expr(e)}")
                 visit(side, True)
             return
         if isinstance(e, (Add, Sub)):
             for side in (e.left, e.right):
                 if _expr_type(side, doc) != "int":
-                    out.append(Violation(part.kind, part.index, "boolean in arithmetic",
-                                         f"arithmetic over a boolean operand: {part.text}"))
+                    out.setdefault("boolean in arithmetic",
+                                   f"arithmetic over a boolean operand: {format_expr(e)}")
                 visit(side, True)
             return
         if isinstance(e, (Not, Next)):
@@ -238,7 +241,8 @@ def _type_violations(part: SpecPart, doc: SpecDocument) -> list[Violation]:
 
 
 def validate_gr1_shape(doc: SpecDocument) -> list[Violation]:
-    """Check every grammar restriction; violations are data, not errors."""
+    """Check every grammar restriction; violations are data, not errors,
+    at most one per rule and part."""
     out: list[Violation] = []
     outputs = {v.name for v in doc.outputs()}
 
@@ -259,23 +263,22 @@ def validate_gr1_shape(doc: SpecDocument) -> list[Violation]:
         return any(outputs_under_next(c, nested) for c in _children(e))
 
     for part in doc.all_parts():
+        found: dict[str, str] = {}  # rule -> message
         if nexts_nested(part.formula, False):
-            out.append(Violation(part.kind, part.index, "nested next",
-                                 f"X occurs inside X: {part.text}"))
+            found["nested next"] = f"X occurs inside X: {part.text}"
         if part.kind in ("env_init", "sys_init") and has_next(part.formula):
-            out.append(Violation(part.kind, part.index, "next in initial part",
-                                 f"X is not allowed in initial parts: {part.text}"))
+            found["next in initial part"] = f"X is not allowed in initial parts: {part.text}"
         if part.kind == "env_init":
             used = {x.name for x in _walk(part.formula) if isinstance(x, Atom)}
             if used & outputs:
-                out.append(Violation(part.kind, part.index,
-                                     "output in initial assumption",
-                                     f"outputs {sorted(used & outputs)} in: {part.text}"))
+                found["output in initial assumption"] = (
+                    f"outputs {sorted(used & outputs)} in: {part.text}")
         if part.kind == "env_trans" and outputs_under_next(part.formula, False):
-            out.append(Violation(part.kind, part.index,
-                                 "output under next in assumption",
-                                 f"an output proposition is in the scope of X: {part.text}"))
-        out.extend(_type_violations(part, doc))
+            found["output under next in assumption"] = (
+                f"an output proposition is in the scope of X: {part.text}")
+        found.update(_type_violations(part, doc))
+        out.extend(Violation(part.kind, part.index, rule, message, part.line)
+                   for rule, message in found.items())
     return out
 
 

@@ -78,8 +78,12 @@ def ir_to_bdd(mgr: BddManager, ir: IR, memo: dict | None = None) -> BddRef:
 
 @dataclass
 class SymbolicGame:
+    """Synthesis game; not mutated once built (a variant is a
+    `dataclasses.replace` of it).  In a strict game the `*_user` initial
+    conditions are the same BDDs as `init_env`/`init_sys`, and `trans_env`
+    is the conjunction of the `trans_env_parts` BDDs."""
+
     mgr: BddManager
-    spec: BooleanSpec
     semantics: str                 # strict | nonstrict
     robotics: bool
     inputs: list[str]              # unprimed input propositions
@@ -92,7 +96,8 @@ class SymbolicGame:
     trans_sys: BddRef
     live_env: list[BddRef]
     live_sys: list[BddRef]
-    trans_env_parts: list[tuple[BoolPart, BddRef]] = field(default_factory=list)
+    trans_env_parts: list[tuple[BoolPart | None, BddRef]] = field(
+        default_factory=list)   # part None: a conjunct an analysis added
     trackers: list[str] = field(default_factory=list)
     position_filter: BddRef | None = None   # conjoined into every cpre
     precommit: list[str] | None = None      # outputs fixed before inputs
@@ -142,12 +147,17 @@ class SymbolicGame:
         """Positions where every legal env move has a legal sys reply into v."""
         return self.cpre(self.can(self.trans_sys, v))
 
+    def forced(self, target: BddRef) -> BddRef:
+        """Positions and next inputs after which every legal sys reply
+        satisfies `target` (a stuck system counts as forced)."""
+        return ~self.mgr.and_exists(self.trans_sys, ~target,
+                                    self.primed_outputs)
+
     def env_pre(self, target: BddRef) -> BddRef:
         """Positions where some legal env move makes every legal sys reply
-        satisfy `target` (a stuck system counts as forced)."""
-        m = self.mgr
-        ok = ~m.and_exists(self.trans_sys, ~target, self.primed_outputs)
-        return m.and_exists(self.trans_env, ok, self.primed_inputs)
+        satisfy `target`."""
+        return self.mgr.and_exists(self.trans_env, self.forced(target),
+                                   self.primed_inputs)
 
     def pre_env(self, v: BddRef) -> BddRef:
         return self.env_pre(self.prime(v))
@@ -215,6 +225,13 @@ def _union(mgr: BddManager, sets: list[BddRef]) -> BddRef:
     return out
 
 
+def _conj(mgr: BddManager, sets: list[BddRef]) -> BddRef:
+    out = mgr.true
+    for s in sets:
+        out = out & s
+    return out
+
+
 def solve_game(game: SymbolicGame, record: bool = True,
                start: BddRef | None = None) -> WinningRegion:
     """GR(1) fixpoint; resource limits surface as ResourceLimitError.
@@ -263,10 +280,9 @@ def check_realizability(game: SymbolicGame, region) -> str:
     mgr = game.mgr
     win = region.win if isinstance(region, WinningRegion) else region
     if game.robotics:
-        trackers = [t for t in game.trackers]
         inner = game.init_sys & win
-        if trackers:
-            inner = mgr.exists(trackers, inner)
+        if game.trackers:
+            inner = mgr.exists(game.trackers, inner)
         user_outs = [o for o in game.outputs if o not in game.trackers]
         cond = (game.init_env_user & game.init_sys_user).implies(inner)
         ok = mgr.forall(game.inputs + user_outs, cond)
@@ -312,27 +328,20 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
             mgr.declare_signal(p)
     memo: dict = {}
 
-    def conj(kind: str) -> BddRef:
-        out = mgr.true
-        for part in spec.parts[kind]:
-            out = out & ir_to_bdd(mgr, part.ir, memo)
-        return out
+    def bdds(kind: str) -> list[BddRef]:
+        return [ir_to_bdd(mgr, p.ir, memo) for p in spec.parts[kind]]
 
-    init_env = conj("env_init")
-    init_sys = conj("sys_init")
-    trans_env = conj("env_trans")
-    trans_sys = conj("sys_trans")
-    live_env = [ir_to_bdd(mgr, p.ir, memo) for p in spec.parts["env_liveness"]]
-    live_sys = [ir_to_bdd(mgr, p.ir, memo) for p in spec.parts["sys_liveness"]]
-    if not live_env:
-        live_env = [mgr.true]
-    if not live_sys:
-        live_sys = [mgr.true]
-    te_parts = [(p, ir_to_bdd(mgr, p.ir, memo)) for p in spec.parts["env_trans"]]
+    init_env = _conj(mgr, bdds("env_init"))
+    init_sys = _conj(mgr, bdds("sys_init"))
+    te_parts = list(zip(spec.parts["env_trans"], bdds("env_trans")))
+    trans_env = _conj(mgr, [b for _p, b in te_parts])
+    trans_sys = _conj(mgr, bdds("sys_trans"))
+    live_env = bdds("env_liveness") or [mgr.true]
+    live_sys = bdds("sys_liveness") or [mgr.true]
 
     if semantics == "strict":
         return SymbolicGame(
-            mgr=mgr, spec=spec, semantics=semantics, robotics=robotics,
+            mgr=mgr, semantics=semantics, robotics=robotics,
             inputs=list(spec.input_props), outputs=list(spec.output_props),
             init_env=init_env, init_sys=init_sys,
             init_env_user=init_env, init_sys_user=init_sys,
@@ -349,7 +358,7 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
     live_env_ns = [a & ~ev for a in live_env]
     live_sys_ns = [g & ~sv for g in live_sys]
     return SymbolicGame(
-        mgr=mgr, spec=spec, semantics=semantics, robotics=robotics,
+        mgr=mgr, semantics=semantics, robotics=robotics,
         inputs=list(spec.input_props),
         outputs=list(spec.output_props) + trackers,
         init_env=mgr.true, init_sys=init_sys_ns,
@@ -387,13 +396,12 @@ class MealyMachine:
     def to_json(self, spec: BooleanSpec | None = None) -> dict:
         def val_map(names, values):
             m = dict(zip(names, values))
-            out = {k: v for k, v in m.items()}
             if spec is not None:
                 ints = {n: v for n, v in spec.decode(m).items()
                         if n in spec.groups}
                 if ints:
-                    return {"bits": out, "ints": ints}
-            return {"bits": out}
+                    return {"bits": m, "ints": ints}
+            return {"bits": m}
 
         states = []
         for s in self.states:

@@ -134,8 +134,7 @@ def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64):
         good = game.live_env[c] & game.prime(w_env)
         if rank > 0:
             good = good | game.prime(iterates[c][rank - 1])
-        ok = ~mgr.and_exists(game.trans_sys, ~good, game.primed_outputs)
-        got = game.trans_env & ok
+        got = game.trans_env & game.forced(good)
         move_ok_memo[key] = got
         return got
 
@@ -335,8 +334,7 @@ def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
     for s in range(1, h):
         prev = reach[-1]
         if winner == "environment":
-            good = game.prime(final[s])
-            ok = ~mgr.and_exists(game.trans_sys, ~good, game.primed_outputs)
+            ok = game.forced(game.prime(final[s]))
             img = mgr.and_exists(prev & ok, game.trans_env & game.trans_sys,
                                  game.positions)
         else:

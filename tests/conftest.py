@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from gr1report import parse_spec, compile_to_boolean
+from gr1report.compiler import BooleanSpec, BoolPart
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -20,6 +21,24 @@ def spec_path(name: str) -> Path:
 @pytest.fixture
 def specs_dir() -> Path:
     return SPEC_DIR
+
+
+def _variant(spec: BooleanSpec, drop: tuple[str, int] | None = None,
+             add: dict[str, list[BoolPart]] | None = None) -> BooleanSpec:
+    """Copy of the spec with one part removed and/or parts appended: the
+    reference for the analyses' edits of the baseline game."""
+    out = BooleanSpec(
+        input_props=spec.input_props, output_props=spec.output_props,
+        props=spec.props, groups=spec.groups, bool_vars=spec.bool_vars,
+        source=spec.source)
+    for kind, parts in spec.parts.items():
+        kept = [p for p in parts
+                if drop is None or (kind, p.index) != drop]
+        out.parts[kind] = kept
+    if add:
+        for kind, parts in add.items():
+            out.parts[kind] = out.parts[kind] + parts
+    return out
 
 
 # ----------------------------------------------------------------------

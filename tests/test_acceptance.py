@@ -171,7 +171,7 @@ def test_criterion_9_strategy_soundness():
 
 
 def test_criterion_10_monotonicity_suites():
-    from gr1report.analyses import _variant
+    from conftest import _variant
 
     # (a) assumption monotonicity of the winning set
     checked_a = 0

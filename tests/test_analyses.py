@@ -2,14 +2,15 @@
 
 import pytest
 
-from conftest import SPEC_DIR, load_spec, random_boolean_spec
+from conftest import SPEC_DIR, _variant, load_spec, random_boolean_spec
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.analyses import (
     AnalysisError, Session, semantics_comparison, position_statistics,
     assumption_falsification, classify_assumptions, error_resilience,
-    precommit_analysis, stuck_at_analysis, INFINITE, _variant,
+    precommit_analysis, stuck_at_analysis, INFINITE,
 )
 from gr1report.bdd import ResourceLimitError
+from gr1report.compiler import BoolPart
 from gr1report.game import build_game, solve_game, check_realizability
 from gr1report.oracle import explicit_solve
 from gr1report.report import ANALYSIS_ORDER, ReportConfig, _run_analysis
@@ -396,3 +397,94 @@ def test_classification_tests_abc_match_oracle():
             assert v.test_c == bool(v.test_c_goals)
             checked += 1
     assert checked > 40
+
+
+# ----------------------------------------------------------------------
+# variant games against games built from the variant specifications
+
+def _solved_games(monkeypatch, analysis, session):
+    """Every game `analysis` solves in `session`, in call order (the
+    baseline is solved before, so only variants are caught)."""
+    import gr1report.analyses as analyses_mod
+    session.region()
+    games = []
+
+    def spy(game, record=True, start=None):
+        games.append(game)
+        return solve_game(game, record=record, start=start)
+
+    with monkeypatch.context() as m:
+        m.setattr(analyses_mod, "solve_game", spy)
+        analysis(session)
+    return games
+
+
+def _reference_specs(spec, realizable):
+    """(what, variant spec) per variant game, in the analyses' order:
+    the falsify goal, each dropped user assumption, each stuck signal."""
+    from gr1report.compiler import IR_FALSE, ir_not, ir_var
+    falsify = _variant(spec)
+    falsify.parts["sys_liveness"] = [BoolPart(
+        IR_FALSE, "FALSE", "sys_liveness", 0, synthetic=True)]
+    out = [("falsify", falsify)]
+    if realizable:
+        out += [(f"drop {p.kind}", _variant(spec, drop=(p.kind, p.index)))
+                for kind in ("env_init", "env_trans", "env_liveness")
+                for p in spec.parts[kind] if not p.synthetic]
+        what, signals = "stuck output", spec.output_props
+        kinds = ("sys_init", "sys_trans")
+    else:
+        what, signals = "stuck input", spec.input_props
+        kinds = ("env_init", "env_trans")
+    for sig in signals:
+        for value in (False, True):
+            lits = [ir_var(sig, primed) for primed in (False, True)]
+            if not value:
+                lits = [ir_not(lit) for lit in lits]
+            out.append((what, _variant(spec, add={
+                kind: [BoolPart(lit, what, kind, 10_000, synthetic=True)]
+                for kind, lit in zip(kinds, lits)})))
+    return out
+
+
+def _check_variants(monkeypatch, spec, robotics):
+    """Kinds of variant checked; each game an analysis solves equals the
+    game built from the variant spec in the same manager: its parts, and
+    its winning set, strata and verdict."""
+    session = Session(spec, robotics=robotics)
+    realizable = session.verdict() == "realizable"
+    games = _solved_games(monkeypatch, assumption_falsification, session)
+    if realizable:
+        games += _solved_games(monkeypatch, classify_assumptions, session)
+    games += _solved_games(monkeypatch, stuck_at_analysis, session)
+    refs = _reference_specs(spec, realizable)
+    assert len(games) == len(refs)
+    for game, (what, ref_spec) in zip(games, refs):
+        ref = build_game(ref_spec, robotics=robotics, mgr=session.mgr)
+        for name in ("init_env", "init_sys", "init_env_user",
+                     "init_sys_user", "trans_env", "trans_sys", "live_env",
+                     "live_sys"):
+            assert getattr(game, name) == getattr(ref, name), (what, name)
+        assert ([b for _p, b in game.trans_env_parts]
+                == [b for _p, b in ref.trans_env_parts]), what
+        got, want = solve_game(game), solve_game(ref)
+        assert got.win == want.win, what
+        assert got.strata == want.strata, what
+        assert (check_realizability(game, got)
+                == check_realizability(ref, want)), what
+    return {what for what, _s in refs}
+
+
+def test_variant_games_match_rebuilt_variants_random(monkeypatch):
+    seen = set()
+    for seed in range(60):
+        spec = random_boolean_spec(seed)
+        for robotics in (False, True):
+            seen |= _check_variants(monkeypatch, spec, robotics)
+    assert seen == {"falsify", "drop env_init", "drop env_trans",
+                    "drop env_liveness", "stuck output", "stuck input"}
+
+
+@pytest.mark.parametrize("name", ["counter", "delivery", "doors"])
+def test_variant_games_match_rebuilt_variants_corpus(monkeypatch, name):
+    _check_variants(monkeypatch, load_spec(name), robotics=False)

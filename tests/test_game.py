@@ -97,7 +97,7 @@ def test_strata_are_increasing_and_cover_win(specs_dir):
 
 def test_assumption_monotonicity_random():
     # conjoining an assumption never shrinks the winning set
-    from gr1report.analyses import _variant
+    from conftest import _variant
     checked = 0
     for seed in range(60):
         spec = random_boolean_spec(seed)

@@ -139,3 +139,11 @@ def test_boolean_in_arithmetic_flagged():
 def test_comparison_on_boolean_flagged():
     v = _violations("[OUTPUT]\na\nb\n[SYS_TRANS]\na = b\n")
     assert any(x.rule == "comparison on boolean" for x in v)
+
+
+def test_type_violation_reported_once_with_line_and_subexpression():
+    v = _violations("[INPUT]\nr\n[OUTPUT]\ng\n[SYS_TRANS]\ng\nr = g & X(g)\n")
+    assert [(x.rule, x.kind, x.index, x.line) for x in v] == [
+        ("comparison on boolean", "sys_trans", 1, 7)]
+    assert v[0].message.endswith(": r = g")
+    assert str(v[0]).startswith("line 7: sys_trans[1]: ")
