@@ -5,8 +5,10 @@ symbolic game solving: boolean combinators, quantification, register
 renaming (current-state <-> next-state variables), exact model counting,
 and implicit prime-implicant enumeration through a meta-product BDD.
 
-No complement edges, no dynamic reordering: results are canonical and
-deterministic for a fixed declaration order.
+No complement edges, no dynamic reordering: BDDs are canonical for a
+fixed level order.  Model, cube and truth-table enumerations follow the
+order of the names they are given, not the level order, so their
+results do not depend on it.
 
 References
 ==========
@@ -118,10 +120,10 @@ class BddRef:
 class BddManager:
     """Unique-table / operation-cache BDD manager.
 
-    Variables live at consecutive levels in declaration order.  For game
-    arenas declare signals with `declare_signal`, which interleaves each
-    variable with its primed (next-state) copy so renaming is a level
-    shift and transition relations stay narrow.
+    Variables live at consecutive levels in the order they are declared
+    in.  For game arenas declare signals with `declare_signal`, which
+    interleaves each variable with its primed (next-state) copy so
+    renaming is a level shift and transition relations stay narrow.
 
     Confined to one thread at a time; independent managers may run on
     different threads.
@@ -445,29 +447,27 @@ class BddManager:
         if not self._paired:
             raise BddError("rename requires a signal-paired manager")
         if direction == "prime":
-            self._assert_register(f.node, 0, "prime")
             return BddRef(self, self._shift(f.node, _PRIME, +1))
         if direction == "unprime":
-            self._assert_register(f.node, 1, "unprime")
             return BddRef(self, self._shift(f.node, _UNPRIME, -1))
         raise BddError(f"unknown rename direction {direction!r}")
 
-    def _assert_register(self, f: int, parity: int, what: str):
-        for lvl in self._support_levels(f):
-            if lvl % 2 != parity:
-                raise BddError(
-                    f"{what}: variable {self.var_names[lvl]!r} is in the "
-                    "wrong register")
-
     def _shift(self, f: int, op: int, delta: int) -> int:
+        # every node is register-checked when it is first shifted; a
+        # cached result was checked then
         if f <= TRUE:
             return f
         key = (op, f)
         r = self._cache.get(key)
         if r is not None:
             return r
+        lvl = self._level[f]
+        if lvl % 2 != (delta < 0):
+            what = "prime" if delta > 0 else "unprime"
+            raise BddError(f"{what}: variable {self.var_names[lvl]!r} is "
+                           "in the wrong register")
         self._check_limits()
-        r = self._mk(self._level[f] + delta, self._shift(self._lo[f], op, delta),
+        r = self._mk(lvl + delta, self._shift(self._lo[f], op, delta),
                      self._shift(self._hi[f], op, delta))
         self._cache[key] = r
         return r
@@ -507,23 +507,58 @@ class BddManager:
         """Cofactor: fix some variables to constants."""
         self._check_same(f)
         fixed = {self._var_level[n]: v for n, v in assignment.items()}
-        memo: dict[int, int] = {}
+        return BddRef(self, self._cofactor(f.node, fixed, {}))
+
+    def _cofactor(self, f: int, fixed: dict[int, bool], memo: dict) -> int:
+        """f with the variables at the levels in `fixed` set to constants.
+        `memo` maps nodes to results for this `fixed` only; the walk
+        stops below the deepest fixed level."""
+        if not fixed:
+            return f
+        bottom = max(fixed)
+        level, lo, hi = self._level, self._lo, self._hi
 
         def walk(n: int) -> int:
-            if n <= TRUE:
+            if level[n] > bottom:  # terminals included
                 return n
             r = memo.get(n)
             if r is not None:
                 return r
-            lvl = self._level[n]
-            if lvl in fixed:
-                r = walk(self._hi[n] if fixed[lvl] else self._lo[n])
+            lvl = level[n]
+            v = fixed.get(lvl)
+            if v is None:
+                r = self._mk(lvl, walk(lo[n]), walk(hi[n]))
             else:
-                r = self._mk(lvl, walk(self._lo[n]), walk(self._hi[n]))
+                r = walk(hi[n] if v else lo[n])
             memo[n] = r
             return r
 
-        return BddRef(self, walk(f.node))
+        return walk(f)
+
+    def _splitter(self, names: list[str]):
+        """split(n, i) = (n with names[i] false, n with names[i] true).
+
+        The enumerations below walk `names` in the order given and
+        cofactor on each name's level wherever it sits, so their results
+        do not depend on the level order."""
+        levels = [self._var_level[n] for n in names]
+        memos: dict[tuple[int, bool], dict] = {}
+        level, lo, hi = self._level, self._lo, self._hi
+
+        def split(n: int, i: int) -> tuple[int, int]:
+            lvl = levels[i]
+            top = level[n]
+            if top > lvl:  # n does not depend on the name
+                return n, n
+            if top == lvl:
+                return lo[n], hi[n]
+            return (
+                self._cofactor(n, {lvl: False},
+                               memos.setdefault((lvl, False), {})),
+                self._cofactor(n, {lvl: True},
+                               memos.setdefault((lvl, True), {})))
+
+        return split
 
     # ------------------------------------------------------------------
     # model counting and model enumeration
@@ -561,35 +596,30 @@ class BddManager:
 
     def pick_min_model(self, f: BddRef, names) -> dict[str, bool]:
         """Lexicographically smallest satisfying assignment of `names`
-        (variable order, false < true).  f must be satisfiable and its
-        support contained in `names`."""
+        (in the order given, false < true).  f must be satisfiable and
+        its support contained in `names`."""
         self._check_same(f)
         if f.node == FALSE:
             raise BddError("pick_min_model of FALSE")
-        levels = sorted(self._var_level[n] for n in names)
-        if not self._support_levels(f.node) <= set(levels):
+        names = list(names)
+        if not self._support_levels(f.node) <= self._levels_for(names):
             raise BddError("support escapes the model variables")
+        split = self._splitter(names)
         out: dict[str, bool] = {}
         n = f.node
-        for lvl in levels:
-            name = self.var_names[lvl]
-            if n > TRUE and self._level[n] == lvl:
-                if self._lo[n] != FALSE:
-                    out[name] = False
-                    n = self._lo[n]
-                else:
-                    out[name] = True
-                    n = self._hi[n]
-            else:
-                out[name] = False
+        for i, name in enumerate(names):
+            n0, n1 = split(n, i)
+            out[name] = n0 == FALSE
+            n = n1 if out[name] else n0
         return out
 
     def iter_models(self, f: BddRef, names):
-        """All satisfying assignments over `names`, lexicographic order."""
+        """All satisfying assignments over `names`, in lexicographic
+        order over `names` as given."""
         self._check_same(f)
-        levels = sorted(self._var_level[n] for n in names)
-        lnames = [self.var_names[v] for v in levels]
-        total = len(levels)
+        names = list(names)
+        split = self._splitter(names)
+        total = len(names)
 
         def rec(n: int, i: int, acc: dict):
             if n == FALSE:
@@ -597,16 +627,12 @@ class BddManager:
             if i == total:
                 yield dict(acc)
                 return
-            lvl = levels[i]
-            if n > TRUE and self._level[n] == lvl:
-                lo, hi = self._lo[n], self._hi[n]
-            else:
-                lo = hi = n
-            acc[lnames[i]] = False
+            lo, hi = split(n, i)
+            acc[names[i]] = False
             yield from rec(lo, i + 1, acc)
-            acc[lnames[i]] = True
+            acc[names[i]] = True
             yield from rec(hi, i + 1, acc)
-            del acc[lnames[i]]
+            del acc[names[i]]
 
         yield from rec(f.node, 0, {})
 
@@ -618,13 +644,11 @@ class BddManager:
         names[j] = bit (len(names)-1-j) of i.
         """
         self._check_same(f)
-        levels = [self._var_level[n] for n in names]
-        if levels != sorted(levels):
-            raise BddError("truth-table variables must be in manager order")
-        sup = self._support_levels(f.node)
-        if not sup <= set(levels):
+        names = list(names)
+        if not self._support_levels(f.node) <= self._levels_for(names):
             raise BddError("support escapes the truth-table variables")
-        total = len(levels)
+        split = self._splitter(names)
+        total = len(names)
         memo: dict[tuple[int, int], int] = {}
 
         def rec(n: int, i: int) -> int:
@@ -638,10 +662,9 @@ class BddManager:
             if r is not None:
                 return r
             width = 1 << (total - i - 1)
-            if n > TRUE and self._level[n] == levels[i]:
-                lo, hi = rec(self._lo[n], i + 1), rec(self._hi[n], i + 1)
-            else:
-                lo = hi = rec(n, i + 1)
+            n0, n1 = split(n, i)
+            lo = rec(n0, i + 1)
+            hi = lo if n1 == n0 else rec(n1, i + 1)
             r = lo | (hi << width)
             memo[key] = r
             return r
@@ -661,14 +684,11 @@ class BddManager:
         """
         self._check_same(f)
         names = list(names)
-        levels = [self._var_level[n] for n in names]
-        if levels != sorted(levels):
-            raise BddError("prime_cubes variables must be in manager order")
-        sup = self._support_levels(f.node)
-        if not sup <= set(levels):
+        if not self._support_levels(f.node) <= self._levels_for(names):
             raise BddError("support escapes the cube variables")
         if f.node == FALSE:
             return
+        split = self._splitter(names)
         meta = BddManager()
         for n in names:
             meta.declare_var("o:" + n)
@@ -687,10 +707,7 @@ class BddManager:
             if r is not None:
                 return r
             olvl = 2 * i
-            if n > TRUE and self._level[n] == levels[i]:
-                f0, f1 = self._lo[n], self._hi[n]
-            else:
-                f0 = f1 = n
+            f0, f1 = split(n, i)
             if f0 == f1:
                 r = meta._mk(olvl, primes(f0, i + 1), FALSE)
             else:

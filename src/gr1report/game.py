@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bdd import BddManager, BddRef
-from .compiler import BooleanSpec, BoolPart, IR
+from .compiler import BooleanSpec, BoolPart, IR, ir_support
 
 ENV_VIOL = "__env_viol"
 SYS_VIOL = "__sys_viol"
@@ -88,6 +88,7 @@ class SymbolicGame:
     robotics: bool
     inputs: list[str]              # unprimed input propositions
     outputs: list[str]             # unprimed outputs (trackers included)
+    positions: list[str]           # inputs and outputs, declaration order
     init_env: BddRef
     init_sys: BddRef
     init_env_user: BddRef          # original init assumptions
@@ -101,19 +102,27 @@ class SymbolicGame:
     trackers: list[str] = field(default_factory=list)
     position_filter: BddRef | None = None   # conjoined into every cpre
     precommit: list[str] | None = None      # outputs fixed before inputs
+    # (key, _ts_goal, _ts_nota, _ts_nota_stay): carried over by `replace`
+    # and rebuilt only when trans_sys, live_sys or live_env changed (the
+    # key holds their node ids, which this game's own fields keep alive)
+    _relations: tuple | None = field(default=None, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
-        self.positions = self.inputs + self.outputs
-        order = {n: i for i, n in enumerate(self.mgr.var_names)}
-        self.positions.sort(key=order.__getitem__)
         self.primed_inputs = [n + "'" for n in self.inputs]
         self.primed_outputs = [n + "'" for n in self.outputs]
-        self._ts_goal = [self.trans_sys & g for g in self.live_sys]
-        self._ts_nota = [self.trans_sys & ~a for a in self.live_env]
-        stay = self.mgr.true
-        for o in self.outputs:
-            stay = stay & self.mgr.var(o).iff(self.mgr.var(o + "'"))
-        self._ts_nota_stay = [r & stay for r in self._ts_nota]
+        key = (self.trans_sys.node, tuple(g.node for g in self.live_sys),
+               tuple(a.node for a in self.live_env))
+        if self._relations is None or self._relations[0] != key:
+            ts_goal = [self.trans_sys & g for g in self.live_sys]
+            ts_nota = [self.trans_sys & ~a for a in self.live_env]
+            stay = self.mgr.true
+            for o in self.outputs:
+                stay = stay & self.mgr.var(o).iff(self.mgr.var(o + "'"))
+            self._relations = (key, ts_goal, ts_nota,
+                               [r & stay for r in ts_nota])
+        _key, self._ts_goal, self._ts_nota, self._ts_nota_stay = \
+            self._relations
 
     # -- controllable predecessors -------------------------------------
 
@@ -301,6 +310,64 @@ def check_realizability(game: SymbolicGame, region) -> str:
 # ----------------------------------------------------------------------
 # construction
 
+_FORCE_ROUNDS = 20
+
+
+def _level_order(spec: BooleanSpec, signals: list[str]) -> list[str]:
+    """Static BDD level order for `signals` (a sub-list of the spec's
+    propositions and trackers, in declaration order).
+
+    FORCE (Aloul, Markov & Sakallah, GLSVLSI 2003), started from the
+    declaration order with each integer's bits MSB first: every spec
+    part over two or more of the signals is a hyperedge over those in
+    its support (X(p) counts as p); a round moves each signal to the
+    mean centre of gravity of its edges (a signal without edges keeps
+    its place; the sort is stable) and is accepted only if it strictly
+    lowers the total edge span, so an order that is already local stays
+    as it is.
+    """
+    todo = set(signals)
+    group_of = {b: name for name, g in spec.groups.items() for b in g.bits}
+    order: list[str] = []
+    placed: set[str] = set()
+    for p in signals:
+        name = group_of.get(p)
+        if name is None:
+            order.append(p)
+        elif name not in placed:
+            placed.add(name)
+            order.extend(b for b in reversed(spec.groups[name].bits)
+                         if b in todo)
+    start = {v: i for i, v in enumerate(order)}
+    edges = []
+    for parts in spec.parts.values():
+        for part in parts:
+            edge = {name for name, _primed in ir_support(part.ir)} & todo
+            if len(edge) > 1:
+                edges.append(sorted(edge, key=start.__getitem__))
+
+    def span(pos: dict[str, int]) -> int:
+        return sum(max(pos[v] for v in e) - min(pos[v] for v in e)
+                   for e in edges)
+
+    pos = start
+    best = span(pos)
+    for _ in range(_FORCE_ROUNDS):
+        pull = {v: [] for v in order}
+        for e in edges:
+            cog = sum(pos[v] for v in e) / len(e)
+            for v in e:
+                pull[v].append(cog)
+        new = sorted(order, key=lambda v: (sum(pull[v]) / len(pull[v])
+                                           if pull[v] else pos[v]))
+        new_pos = {v: i for i, v in enumerate(new)}
+        cost = span(new_pos)
+        if cost >= best:
+            break
+        order, pos, best = new, new_pos, cost
+    return order
+
+
 def build_game(spec: BooleanSpec, semantics: str = "strict",
                robotics: bool = False,
                mgr: BddManager | None = None) -> SymbolicGame:
@@ -312,7 +379,10 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
     liveness; solved by the same fixpoint.
 
     The game goes into a fresh manager without limits, or into `mgr`
-    (whose own limits apply), reusing the signals it already has.
+    (whose own limits apply), reusing the signals it already has; the
+    others are declared in the order `_level_order` picks.  No result
+    depends on that order: `positions` and every enumeration follow the
+    declaration order.
     """
     if semantics not in ("strict", "nonstrict"):
         raise GameError(f"unknown semantics {semantics!r}")
@@ -322,10 +392,10 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
             raise GameError(f"proposition {t!r} is reserved")
     if mgr is None:
         mgr = BddManager()
+    positions = list(spec.props) + trackers
     declared = set(mgr.var_names)
-    for p in list(spec.props) + trackers:
-        if p not in declared:
-            mgr.declare_signal(p)
+    for p in _level_order(spec, [p for p in positions if p not in declared]):
+        mgr.declare_signal(p)
     memo: dict = {}
 
     def bdds(kind: str) -> list[BddRef]:
@@ -343,7 +413,7 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
         return SymbolicGame(
             mgr=mgr, semantics=semantics, robotics=robotics,
             inputs=list(spec.input_props), outputs=list(spec.output_props),
-            init_env=init_env, init_sys=init_sys,
+            positions=positions, init_env=init_env, init_sys=init_sys,
             init_env_user=init_env, init_sys_user=init_sys,
             trans_env=trans_env, trans_sys=trans_sys,
             live_env=live_env, live_sys=live_sys,
@@ -360,7 +430,7 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
     return SymbolicGame(
         mgr=mgr, semantics=semantics, robotics=robotics,
         inputs=list(spec.input_props),
-        outputs=list(spec.output_props) + trackers,
+        outputs=list(spec.output_props) + trackers, positions=positions,
         init_env=mgr.true, init_sys=init_sys_ns,
         init_env_user=init_env, init_sys_user=init_sys,
         trans_env=mgr.true, trans_sys=ts_ns,
@@ -433,7 +503,7 @@ def extract_strategy(game: SymbolicGame, region: WinningRegion) -> MealyMachine:
     to goal j+1), else a stratum-decreasing transition, else a waiting
     move inside the first assumption-starving region containing the
     state.  Ties break to the lexicographically smallest next-output
-    cube in variable order.  Under robotics semantics an initial input
+    cube in declaration order.  Under robotics semantics an initial input
     with no admissible initial output has no initial state: the
     realizability condition holds vacuously there.
     """

@@ -488,3 +488,41 @@ def test_variant_games_match_rebuilt_variants_random(monkeypatch):
 @pytest.mark.parametrize("name", ["counter", "delivery", "doors"])
 def test_variant_games_match_rebuilt_variants_corpus(monkeypatch, name):
     _check_variants(monkeypatch, load_spec(name), robotics=False)
+
+
+def _first_variant(monkeypatch, analysis, session):
+    """The first variant game `analysis` would solve, left unsolved."""
+    import gr1report.analyses as analyses_mod
+    session.region()
+
+    class Caught(Exception):
+        pass
+
+    def spy(game, record=True, start=None):
+        raise Caught(game)
+
+    with monkeypatch.context() as m:
+        m.setattr(analyses_mod, "solve_game", spy)
+        with pytest.raises(Caught) as caught:
+            analysis(session)
+    return caught.value.args[0]
+
+
+def test_variants_carry_the_baseline_relations_only_when_unchanged(
+        monkeypatch):
+    session = Session(load_spec("delivery"))
+    base = session.game()
+    relations = ("_ts_goal", "_ts_nota", "_ts_nota_stay")
+    for analysis in (precommit_analysis, error_resilience):
+        game = _first_variant(monkeypatch, analysis, session)
+        assert game.precommit or game.position_filter is not None
+        for name in relations:
+            assert getattr(game, name) is getattr(base, name), name
+    for analysis in (assumption_falsification, stuck_at_analysis):
+        game = _first_variant(monkeypatch, analysis, session)
+        assert (game.trans_sys, game.live_sys) != (base.trans_sys,
+                                                   base.live_sys)
+        for name in relations:
+            assert getattr(game, name) is not getattr(base, name), name
+        assert game._ts_goal == [game.trans_sys & g for g in game.live_sys]
+        assert game._ts_nota == [game.trans_sys & ~a for a in game.live_env]

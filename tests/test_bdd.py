@@ -109,6 +109,24 @@ def test_rename_register_checks():
         m.rename(ap, "prime")
 
 
+def test_rename_register_check_reaches_below_a_cached_rename():
+    m = fresh(3)
+    a, b, c = m.var("a"), m.var("b"), m.var("c")
+    m.rename(b, "prime")  # the sub-BDD b is now a cache hit
+    f = (a & b) | (~a & m.var("c'"))  # c' sits below b, on the other branch
+    with pytest.raises(BddError, match="prime: variable \"c'\" is in the "
+                                       "wrong register"):
+        m.rename(f, "prime")
+    bp = m.var("b'")
+    m.rename(bp, "unprime")
+    g = (m.var("a'") & bp) | (~m.var("a'") & c)
+    with pytest.raises(BddError, match="unprime: variable 'c' is in the "
+                                       "wrong register"):
+        m.rename(g, "unprime")
+    # nothing half-renamed was cached: the valid parts still rename
+    assert m.rename(a & b, "prime") == m.var("a'") & bp
+
+
 def test_manager_mismatch_rejected():
     m1, m2 = fresh(1), fresh(1)
     with pytest.raises(BddError, match="different manager"):
@@ -127,6 +145,57 @@ def test_pick_min_model_is_lexicographic():
     f = (a & c) | (b & c)
     assert m.pick_min_model(f, ["a", "b", "c"]) == {
         "a": False, "b": True, "c": True}
+
+
+def test_enumerations_follow_names_not_levels():
+    m = BddManager()
+    for v in ("c", "b", "a"):  # levels in reverse of the names below
+        m.declare_signal(v)
+    a, b, c = m.var("a"), m.var("b"), m.var("c")
+    f = (a & c) | (b & c)
+    names = ["a", "b", "c"]
+    assert list(m.pick_min_model(f, names).items()) == [
+        ("a", False), ("b", True), ("c", True)]
+    assert [list(d.items()) for d in m.iter_models(f, names)] == [
+        [("a", False), ("b", True), ("c", True)],
+        [("a", True), ("b", False), ("c", True)],
+        [("a", True), ("b", True), ("c", True)]]
+    # index bits: a is the most significant
+    assert m.to_truthtable(f, names) == (1 << 0b011) | (1 << 0b101) | (
+        1 << 0b111)
+    assert [str(q) for q in m.prime_cubes(f, names)] == ["b & c", "a & c"]
+    with pytest.raises(BddError, match="escapes"):
+        m.pick_min_model(f, ["a", "b"])
+    with pytest.raises(BddError, match="escapes"):
+        m.to_truthtable(f, ["b", "c"])
+    with pytest.raises(BddError, match="escapes"):
+        list(m.prime_cubes(f, ["c", "a"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees(), st.permutations(VARS), st.permutations(VARS))
+def test_enumerations_do_not_depend_on_the_level_order(t, levels, names):
+    ordered, permuted = fresh(), BddManager()
+    for v in levels:
+        permuted.declare_signal(v)
+    results = []
+    for m in (ordered, permuted):
+        f = build_bdd(m, t)
+        models = [list(d.items()) for d in m.iter_models(f, names)]
+        results.append((
+            m.to_truthtable(f, names), models,
+            list(m.pick_min_model(f, names).items()) if models else None,
+            list(m.prime_cubes(f, names))))
+    assert results[0] == results[1]
+    table, models, least, _cubes = results[0]
+    want = [list(zip(names, bits))
+            for bits in itertools.product([False, True], repeat=5)
+            if eval_tree(t, dict(zip(names, bits)))]
+    assert models == want
+    assert least == (want[0] if want else None)
+    assert table == sum(1 << i for i, bits in enumerate(
+        itertools.product([False, True], repeat=5))
+        if eval_tree(t, dict(zip(names, bits))))
 
 
 def test_garbage_collection_keeps_referenced_nodes():

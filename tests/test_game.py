@@ -8,7 +8,7 @@ from conftest import load_spec, random_boolean_spec
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.game import (
     build_game, solve_game, check_realizability, extract_strategy,
-    reactive_distance, GameError, _mu_y,
+    reactive_distance, GameError, _mu_y, _level_order,
 )
 
 
@@ -17,6 +17,40 @@ def solve_text(text, **kw):
     game = build_game(spec, **kw)
     region = solve_game(game)
     return spec, game, region
+
+
+def test_level_order_keeps_local_orders_and_places_bits_msb_first():
+    n = 40
+    chain = compile_to_boolean(parse_spec("\n".join(
+        ["[INPUT]", "d", "[OUTPUT]", *(f"s{i}" for i in range(n)),
+         "[SYS_TRANS]", "X(s0) <-> d",
+         *(f"X(s{i + 1}) <-> s{i}" for i in range(n - 1))]) + "\n"))
+    assert _level_order(chain, chain.props) == chain.props
+    ids = range(4)
+    arbiter = compile_to_boolean(parse_spec("\n".join(
+        ["[INPUT]", *(f"r{i}" for i in ids),
+         "[OUTPUT]", *(f"g{i}" for i in ids),
+         "[ENV_TRANS]", *(f"(r{i} & !g{i}) -> X(r{i})" for i in ids),
+         "[SYS_TRANS]",
+         *(f"!(X(g{i}) & X(g{j}))" for i in ids for j in range(i + 1, 4)),
+         *(f"(r{i} & g{i}) -> X(g{i})" for i in ids),
+         *(f"(!r{i} & !g{i}) -> !X(g{i})" for i in ids),
+         "[ENV_LIVENESS]", *(f"!(r{i} & g{i})" for i in ids),
+         "[SYS_LIVENESS]", *(f"r{i} <-> g{i}" for i in ids)]) + "\n"))
+    assert _level_order(arbiter, arbiter.props) == [
+        "r0", "g0", "r1", "g1", "g2", "r2", "g3", "r3"]
+    spec = load_spec("counter")
+    assert spec.props == ["r", "counter@0", "counter@1", "x@0", "x@1",
+                          "y@0", "y@1"]
+    order = _level_order(spec, spec.props)
+    assert order == ["r", "counter@1", "counter@0", "x@1", "x@0",
+                     "y@1", "y@0"]
+    assert build_game(spec).mgr.var_names[::2] == order
+    # build_game places only the signals the manager does not have yet,
+    # and the game's positions stay in declaration order
+    game = build_game(spec, semantics="nonstrict")
+    assert game.mgr.var_names[::2] == order + ["__env_viol", "__sys_viol"]
+    assert game.positions == spec.props + ["__env_viol", "__sys_viol"]
 
 
 def test_empty_assumptions_normalize():

@@ -293,3 +293,42 @@ def test_benchmark_tracer_leaves_report_bytes_unchanged(tmp_path,
         traced = report_bytes(tmp_path / "traced.json")
     assert traced == plain
     assert tracer.calls["game.solve"] == 1
+
+
+@pytest.mark.parametrize("permute", ["reversed", "shuffled"])
+def test_report_does_not_depend_on_the_level_order(tmp_path, monkeypatch,
+                                                   permute):
+    import random
+    import gr1report.report as report_mod
+    from gr1report.analyses import Session
+    from gr1report.game import ENV_VIOL, SYS_VIOL
+
+    paths = [spec_path(name) for name in ("counter", "doors", "mutex",
+                                          "parity_tracker", "patrol")]
+    for seed in range(20):
+        paths.append(tmp_path / f"s{seed}.spec")
+        paths[-1].write_text(random_spec_text(seed))
+
+    def report_json(path):
+        out = tmp_path / "r.json"
+        run_report(path, json_path=out, html_path=tmp_path / "r.html",
+                   log=None)
+        return out.read_bytes()
+
+    plain = [report_json(p) for p in paths]
+
+    class PermutedSession(Session):
+        # build_game keeps signals that are already declared
+        def __init__(self, spec, *args, **kwargs):
+            super().__init__(spec, *args, **kwargs)
+            names = list(spec.props) + [ENV_VIOL, SYS_VIOL]
+            if permute == "reversed":
+                names.reverse()
+            else:
+                random.Random(len(names)).shuffle(names)
+            for name in names:
+                self.mgr.declare_signal(name)
+
+    monkeypatch.setattr(report_mod, "Session", PermutedSession)
+    for path, want in zip(paths, plain):
+        assert report_json(path) == want, path.name
