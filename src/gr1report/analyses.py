@@ -37,9 +37,8 @@ class Session:
     """One solving context for a specification, each part built on first
     use, with the settings of every analysis run in it: robotics
     realizability, a node budget bounding the one manager, and a
-    cooperative timeout whose deadline starts here (run_report restarts
-    it, and frees the nodes the previous step left, before the baseline
-    check and before each analysis)."""
+    cooperative timeout whose deadline starts here and again at each
+    `restart` (run_report restarts before each analysis)."""
 
     def __init__(self, spec: BooleanSpec, robotics=False, node_budget=None,
                  timeout=None):
@@ -47,11 +46,17 @@ class Session:
         self.robotics = robotics
         self.timeout = timeout
         self.mgr = BddManager(node_budget=node_budget)
-        self.mgr.deadline = (None if timeout is None
-                             else time.monotonic() + timeout)
         self._games: dict[str, SymbolicGame] = {}
         self._regions: dict[str, WinningRegion] = {}
         self._machine = None
+        self.restart()
+
+    def restart(self):
+        """Give the next step the whole timeout, and free the nodes the
+        step before left behind."""
+        if self.timeout is not None:
+            self.mgr.deadline = time.monotonic() + self.timeout
+        self.mgr.collect()
 
     def game(self, semantics="strict") -> SymbolicGame:
         """Baseline game; the only games built from the specification."""
@@ -173,7 +178,7 @@ def assumption_falsification(spec: BooleanSpec | Session,
     violation."""
     baseline = _session(spec).game()
     game = replace(baseline, live_sys=[baseline.mgr.false])
-    win = solve_game(game, record=False).win
+    win = solve_game(game).win
     mgr = game.mgr
     return FalsificationResult(
         count=mgr.count_models(win, game.positions),
@@ -250,7 +255,7 @@ def _drop_assumption(session: Session, region: WinningRegion,
                      part: BoolPart) -> AssumptionVerdict:
     # removing an assumption only takes power from the system
     game = _without(session, part)
-    sub_region = solve_game(game, record=True, start=region.win)
+    sub_region = solve_game(game, start=region.win)
     mgr = game.mgr
     win, win_wo = region.win, sub_region.win
     both = win & win_wo
@@ -329,8 +334,7 @@ def error_resilience(spec: BooleanSpec | Session,
     for k in range(1, max_k + 1):
         canv = game.can(game.trans_sys, w)
         hole = mgr.and_exists(glitch, ~canv, game.primed_inputs)
-        region_k = solve_game(replace(game, position_filter=~hole),
-                              record=False, start=w)
+        region_k = solve_game(replace(game, position_filter=~hole), start=w)
         if region_k.win == w:
             return ResilienceResult(level=INFINITE)
         if check_realizability(game, region_k) != "realizable":
@@ -359,7 +363,7 @@ def precommit_analysis(spec: BooleanSpec | Session) -> PrecommitResult:
     def realizable_with(outs: list[str]) -> bool:
         # committing early only takes power from the system
         committed = replace(game, precommit=outs)
-        r = solve_game(committed, record=False, start=win)
+        r = solve_game(committed, start=win)
         return check_realizability(committed, r) == "realizable"
 
     outputs = session.spec.output_props
@@ -419,7 +423,7 @@ def stuck_at_analysis(spec: BooleanSpec | Session) -> StuckAtTable:
                     trans_env=base.trans_env & step,
                     trans_env_parts=base.trans_env_parts + [(None, step)])
             entries[(sig, value)] = check_realizability(
-                game, solve_game(game, record=False, start=start))
+                game, solve_game(game, start=start))
             del game  # so that the collection frees the variant
             session.mgr.collect()
     return StuckAtTable(direction=direction, baseline=baseline,

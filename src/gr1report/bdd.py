@@ -129,8 +129,9 @@ class BddManager:
     different threads.
     """
 
-    def __init__(self, node_budget: int | None = None,
-                 gc_threshold: int = 1 << 20):
+    gc_threshold = 1 << 20  # live nodes at which `maybe_collect` collects
+
+    def __init__(self, node_budget: int | None = None):
         # node 0 = FALSE, node 1 = TRUE
         self._level = [_LEAF, _LEAF]
         self._lo = [0, 1]
@@ -139,36 +140,22 @@ class BddManager:
         self._cache: dict[tuple, int] = {}
         self.var_names: list[str] = []
         self._var_level: dict[str, int] = {}
-        self._paired = True  # all vars declared via declare_signal
         self._qsets: dict[frozenset, int] = {}
         self._qset_levels: list[frozenset] = []
         self._extref: dict[int, int] = {}
         self._free: list[int] = []
         self.node_budget = node_budget
-        self.gc_threshold = gc_threshold
         self.deadline: float | None = None
         self._tick = 0
 
     # ------------------------------------------------------------------
     # variables
 
-    def declare_var(self, name: str) -> int:
-        """Add a single variable at the next level; returns its level."""
-        if name in self._var_level:
-            raise BddError(f"variable {name!r} already declared")
-        lvl = len(self.var_names)
-        self.var_names.append(name)
-        self._var_level[name] = lvl
-        self._paired = False
-        return lvl
-
     def declare_signal(self, name: str) -> tuple[int, int]:
         """Add `name` and its primed copy at adjacent levels."""
         if name in self._var_level:
             raise BddError(f"variable {name!r} already declared")
         lvl = len(self.var_names)
-        if lvl % 2 != 0:
-            raise BddError("signal declaration on an unpaired manager")
         self.var_names.append(name)
         self._var_level[name] = lvl
         pname = name + "'"
@@ -241,16 +228,16 @@ class BddManager:
         else:
             self._extref[node] = c
 
-    def collect(self, pins: tuple[int, ...] = ()) -> int:
+    def collect(self) -> int:
         """Mark-sweep from external references; returns nodes freed.
 
         Live node identities are preserved (freed slots go to a free
         list for reuse), so existing BddRef handles stay valid.  Only
         call between operations: in-flight intermediate results that are
-        not wrapped in a BddRef (or pinned) are reclaimed.
+        not wrapped in a BddRef are reclaimed.
         """
         marked = {FALSE, TRUE}
-        stack = [n for n in self._extref] + list(pins)
+        stack = list(self._extref)
         level, lo, hi = self._level, self._lo, self._hi
         while stack:
             n = stack.pop()
@@ -271,10 +258,10 @@ class BddManager:
             self._cache.clear()
         return len(dead)
 
-    def maybe_collect(self, pins: tuple[int, ...] = ()) -> int:
+    def maybe_collect(self) -> int:
         """GC when the live node count crosses the threshold."""
         if len(self) >= self.gc_threshold:
-            return self.collect(pins)
+            return self.collect()
         return 0
 
     # ------------------------------------------------------------------
@@ -444,8 +431,6 @@ class BddManager:
     def rename(self, f: BddRef, direction: str) -> BddRef:
         """Substitute every variable with its primed/unprimed counterpart."""
         self._check_same(f)
-        if not self._paired:
-            raise BddError("rename requires a signal-paired manager")
         if direction == "prime":
             return BddRef(self, self._shift(f.node, _PRIME, +1))
         if direction == "unprime":
@@ -689,10 +674,9 @@ class BddManager:
         if f.node == FALSE:
             return
         split = self._splitter(names)
+        # names[i] gets occurrence level 2i and sign level 2i+1; the meta
+        # manager only builds nodes on those levels and declares no names
         meta = BddManager()
-        for n in names:
-            meta.declare_var("o:" + n)
-            meta.declare_var("s:" + n)
         total = len(names)
         memo: dict[tuple[int, int], int] = {}
 

@@ -26,15 +26,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analyses", metavar="LIST",
                    help="comma-separated subset of: " + ",".join(ANALYSIS_ORDER))
     p.add_argument("--semantics", choices=["strict", "nonstrict", "both"],
-                   default="strict")
+                   default=ReportConfig.semantics)
     p.add_argument("--robotics", action="store_true",
                    help="require every admissible initial output to be winning")
-    p.add_argument("--max-k", type=int, default=16,
+    p.add_argument("--max-k", type=int, default=ReportConfig.max_k,
                    help="largest glitch budget tried by the resilience "
-                        "analysis (default 16)")
-    p.add_argument("--max-cubes", type=int, default=10)
-    p.add_argument("--max-trace-steps", type=int, default=64)
-    p.add_argument("--abstract-horizon", type=int, default=64)
+                        f"analysis (default {ReportConfig.max_k})")
+    p.add_argument("--max-cubes", type=int, default=ReportConfig.max_cubes)
+    p.add_argument("--max-trace-steps", type=int,
+                   default=ReportConfig.max_trace_steps)
+    p.add_argument("--abstract-horizon", type=int,
+                   default=ReportConfig.abstract_horizon)
     p.add_argument("--timeout", type=float, metavar="SECONDS",
                    help="cooperative timeout, restarted for the baseline "
                         "check and for each analysis")

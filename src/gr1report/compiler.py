@@ -41,9 +41,9 @@ class Violation:
 
 
 # ----------------------------------------------------------------------
-# boolean IR: hashable nested tuples over propositions
-#   ('var', name, primed) ('const', b) ('not', f)
-#   ('and'|'or'|'xor'|'iff'|'imp', f, g)
+# boolean IR: hashable nested tuples over propositions, six tags only
+#   ('var', name, primed) ('const', b) ('not', f) ('and'|'or'|'xor', f, g)
+# (ir_iff and ir_imp rewrite to these)
 
 IR = tuple
 IR_TRUE: IR = ("const", True)

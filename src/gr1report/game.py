@@ -39,6 +39,7 @@ strategy extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bdd import BddManager, BddRef
 from .compiler import BooleanSpec, BoolPart, IR, ir_support
@@ -66,22 +67,21 @@ def ir_to_bdd(mgr: BddManager, ir: IR, memo: dict | None = None) -> BddRef:
             r = mgr.var(e[1] + "'" if e[2] else e[1])
         elif tag == "not":
             r = ~rec(e[1])
-        else:
-            a, b = rec(e[1]), rec(e[2])
-            r = mgr.apply({"and": "and", "or": "or", "xor": "xor",
-                           "iff": "iff", "imp": "implies"}[tag], a, b)
+        else:  # and | or | xor
+            r = mgr.apply(tag, rec(e[1]), rec(e[2]))
         memo[e] = r
         return r
 
     return rec(ir)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymbolicGame:
-    """Synthesis game; not mutated once built (a variant is a
-    `dataclasses.replace` of it).  In a strict game the `*_user` initial
-    conditions are the same BDDs as `init_env`/`init_sys`, and `trans_env`
-    is the conjunction of the `trans_env_parts` BDDs."""
+    """Synthesis game, a frozen value: a variant is a `dataclasses.replace`
+    of it, and each game computes its derived relations on first use.  In
+    a strict game the `*_user` initial conditions are the same BDDs as
+    `init_env`/`init_sys`, and `trans_env` is the conjunction of the
+    `trans_env_parts` BDDs."""
 
     mgr: BddManager
     semantics: str                 # strict | nonstrict
@@ -102,27 +102,37 @@ class SymbolicGame:
     trackers: list[str] = field(default_factory=list)
     position_filter: BddRef | None = None   # conjoined into every cpre
     precommit: list[str] | None = None      # outputs fixed before inputs
-    # (key, _ts_goal, _ts_nota, _ts_nota_stay): carried over by `replace`
-    # and rebuilt only when trans_sys, live_sys or live_env changed (the
-    # key holds their node ids, which this game's own fields keep alive)
-    _relations: tuple | None = field(default=None, repr=False,
-                                     compare=False)
 
-    def __post_init__(self):
-        self.primed_inputs = [n + "'" for n in self.inputs]
-        self.primed_outputs = [n + "'" for n in self.outputs]
-        key = (self.trans_sys.node, tuple(g.node for g in self.live_sys),
-               tuple(a.node for a in self.live_env))
-        if self._relations is None or self._relations[0] != key:
-            ts_goal = [self.trans_sys & g for g in self.live_sys]
-            ts_nota = [self.trans_sys & ~a for a in self.live_env]
-            stay = self.mgr.true
-            for o in self.outputs:
-                stay = stay & self.mgr.var(o).iff(self.mgr.var(o + "'"))
-            self._relations = (key, ts_goal, ts_nota,
-                               [r & stay for r in ts_nota])
-        _key, self._ts_goal, self._ts_nota, self._ts_nota_stay = \
-            self._relations
+    # -- derived relations ------------------------------------------------
+
+    @cached_property
+    def primed_inputs(self) -> list[str]:
+        return [n + "'" for n in self.inputs]
+
+    @cached_property
+    def primed_outputs(self) -> list[str]:
+        return [n + "'" for n in self.outputs]
+
+    @cached_property
+    def _chosen_outputs(self) -> list[str]:
+        """The primed outputs `can` quantifies: all but the precommitted."""
+        fixed = set(self.precommit or ())
+        return [o + "'" for o in self.outputs if o not in fixed]
+
+    @cached_property
+    def _ts_goal(self) -> list[BddRef]:
+        return [self.trans_sys & g for g in self.live_sys]
+
+    @cached_property
+    def _ts_nota(self) -> list[BddRef]:
+        return [self.trans_sys & ~a for a in self.live_env]
+
+    @cached_property
+    def _ts_nota_stay(self) -> list[BddRef]:
+        stay = self.mgr.true
+        for o in self.outputs:
+            stay = stay & self.mgr.var(o).iff(self.mgr.var(o + "'"))
+        return [r & stay for r in self._ts_nota]
 
     # -- controllable predecessors -------------------------------------
 
@@ -132,11 +142,8 @@ class SymbolicGame:
     def can(self, rel: BddRef, v: BddRef) -> BddRef:
         """exists O' (rel & v'): the system half of a controllable step.
         Precommitted outputs stay free; `cpre` quantifies them."""
-        outs = self.primed_outputs
-        if self.precommit:
-            fixed = {o + "'" for o in self.precommit}
-            outs = [o for o in outs if o not in fixed]
-        return self.mgr.and_exists(rel, self.prime(v), outs)
+        return self.mgr.and_exists(rel, self.prime(v),
+                                   self._chosen_outputs)
 
     def cpre(self, can: BddRef) -> BddRef:
         """Positions where every legal env move admits a sys reply in
@@ -241,8 +248,8 @@ def _conj(mgr: BddManager, sets: list[BddRef]) -> BddRef:
     return out
 
 
-def solve_game(game: SymbolicGame, record: bool = True,
-               start: BddRef | None = None) -> WinningRegion:
+def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
+               record: bool = True) -> WinningRegion:
     """GR(1) fixpoint; resource limits surface as ResourceLimitError.
 
     Sweeps the goals until one whole sweep leaves Z unchanged; the mu-Y
@@ -254,6 +261,9 @@ def solve_game(game: SymbolicGame, record: bool = True,
     one sweep to be deflationary from it, which holds whenever `start`
     is the winning set of an otherwise identical game with more system
     power.
+
+    `record` changes nothing and is ignored: the last sweep is always
+    recorded.  It is still accepted because `bench/selftest.py` passes it.
     """
     mgr = game.mgr
     z = start if start is not None else mgr.true
@@ -265,10 +275,9 @@ def solve_game(game: SymbolicGame, record: bool = True,
             if y != z:
                 changed = True
                 z = y
-            if record:
-                strata.append(ys)
-                xcores.append(xrows)
-                stat.append(flags)
+            strata.append(ys)
+            xcores.append(xrows)
+            stat.append(flags)
         if not changed:
             break
         strata, xcores, stat = [], [], []  # stale: Z moved during the sweep
@@ -278,16 +287,17 @@ def solve_game(game: SymbolicGame, record: bool = True,
                          stationary=stat, game=game)
 
 
-def check_realizability(game: SymbolicGame, region) -> str:
-    """'realizable' or 'unrealizable' for a solved region (or plain
-    winning-set BDD).
+def check_realizability(game: SymbolicGame, region: WinningRegion) -> str:
+    """'realizable' or 'unrealizable' for a solved region.
 
-    Standard semantics: every initial input admitted by the assumptions
-    has some initial output satisfying the guarantees inside the winning
-    set.  Robotics semantics: every such output must be winning.
+    Standard semantics: for some value of the precommitted outputs (none
+    outside the precommit analysis), every initial input admitted by the
+    assumptions has some initial output satisfying the guarantees inside
+    the winning set.  Robotics semantics: every such output must be
+    winning.
     """
     mgr = game.mgr
-    win = region.win if isinstance(region, WinningRegion) else region
+    win = region.win
     if game.robotics:
         inner = game.init_sys & win
         if game.trackers:
@@ -295,15 +305,12 @@ def check_realizability(game: SymbolicGame, region) -> str:
         user_outs = [o for o in game.outputs if o not in game.trackers]
         cond = (game.init_env_user & game.init_sys_user).implies(inner)
         ok = mgr.forall(game.inputs + user_outs, cond)
-    elif game.precommit:
-        fixed = list(game.precommit)
+    else:
+        fixed = list(game.precommit or ())
         rest = [o for o in game.outputs if o not in fixed]
         some = mgr.exists(rest, game.init_sys & win)
         cond = mgr.forall(game.inputs, game.init_env.implies(some))
         ok = mgr.exists(fixed, cond)
-    else:
-        some = mgr.exists(game.outputs, game.init_sys & win)
-        ok = mgr.forall(game.inputs, game.init_env.implies(some))
     return "realizable" if ok.is_true() else "unrealizable"
 
 

@@ -80,10 +80,8 @@ class Space:
                     r = a | b
                 elif tag == "xor":
                     r = a ^ b
-                elif tag == "iff":
-                    r = self.mask ^ (a ^ b)
-                else:  # imp
-                    r = (self.mask ^ a) | b
+                else:
+                    raise OracleError(f"unknown IR tag {tag!r}")
             memo[e] = r
             return r
 
@@ -128,12 +126,9 @@ def eval_ir(ir: IR, env) -> bool:
         return a and eval_ir(ir[2], env)
     if tag == "or":
         return a or eval_ir(ir[2], env)
-    b = eval_ir(ir[2], env)
     if tag == "xor":
-        return a != b
-    if tag == "iff":
-        return a == b
-    return (not a) or b  # imp
+        return a != eval_ir(ir[2], env)
+    raise OracleError(f"unknown IR tag {tag!r}")
 
 
 # ----------------------------------------------------------------------
@@ -229,12 +224,6 @@ class _ExplicitGame:
         can = sp.exists(self.ts & target, self.pout)
         bad = sp.exists(self.te & (sp.mask ^ can), self.pin)
         return self._drop_primed(sp.mask ^ bad)
-
-    def pre_env(self, v: int) -> int:
-        sp = self.tspace
-        ok = sp.mask ^ sp.exists(self.ts & (sp.mask ^ self.spread(v)),
-                                 self.pout)
-        return self._drop_primed(sp.exists(self.te & ok, self.pin))
 
 
 def explicit_solve(spec: BooleanSpec,

@@ -237,6 +237,15 @@ def _run_analysis(name: str, config: ReportConfig, session: Session):
     raise ReportError(f"unknown analysis {name!r}")
 
 
+def _limit_reason(exc: Exception) -> str:
+    """Which limit a ResourceLimitError or RecursionError hit."""
+    if isinstance(exc, RecursionError):
+        # the BDD kernel recurses about once per variable level
+        return (f"recursion depth exceeded (interpreter limit "
+                f"{sys.getrecursionlimit()})")
+    return str(exc)
+
+
 def run_report(spec_path, config: ReportConfig | None = None,
                json_path=None, html_path=None, log=sys.stderr,
                dot_path=None) -> Report:
@@ -258,18 +267,10 @@ def run_report(spec_path, config: ReportConfig | None = None,
     base_sem = "nonstrict" if config.semantics == "nonstrict" else "strict"
     session = Session(spec, config.robotics, config.node_budget,
                       config.timeout_seconds)
-
-    def restart():
-        # each step gets the whole timeout; the step before leaves no garbage
-        if session.timeout is not None:
-            session.mgr.deadline = time.monotonic() + session.timeout
-        session.mgr.collect()
-
-    restart()
     try:
         verdict = session.verdict(base_sem)
-    except ResourceLimitError as exc:
-        raise BaselineResourceError(str(exc)) from exc
+    except (ResourceLimitError, RecursionError) as exc:
+        raise BaselineResourceError(_limit_reason(exc)) from exc
     baseline = {"semantics": base_sem, "realizable": verdict}
 
     results: dict[str, dict] = {}
@@ -278,16 +279,16 @@ def run_report(spec_path, config: ReportConfig | None = None,
         if name not in config.analyses:
             continue
         t0 = time.monotonic()
-        restart()
+        session.restart()
         try:
             results[name] = {"status": "ok",
                              "result": _run_analysis(name, config,
                                                      session)}
         except (AnalysisError, TraceError) as exc:
             results[name] = {"status": "skipped", "reason": str(exc)}
-        except ResourceLimitError as exc:
+        except (ResourceLimitError, RecursionError) as exc:
             results[name] = {"status": "skipped",
-                             "reason": f"resource limit: {exc}"}
+                             "reason": f"resource limit: {_limit_reason(exc)}"}
         timings[name] = time.monotonic() - t0
         if log is not None:
             print(f"gr1report: {name}: {results[name]['status']} "

@@ -6,6 +6,7 @@ soundness, monotonicity, cube correctness, report determinism).
 """
 
 import time
+from dataclasses import replace
 
 from conftest import load_spec, spec_path, random_boolean_spec
 from gr1report.analyses import (
@@ -55,7 +56,7 @@ def test_criterion_1_mutex():
 def test_criterion_2_two_robot_falsification():
     spec = load_spec("tworobot")
     game = build_game(spec)
-    region = solve_game(game, record=False)
+    region = solve_game(game)
     assert check_realizability(game, region) == "realizable"
     res = assumption_falsification(spec)
     assert res.count > 0
@@ -68,7 +69,7 @@ def test_criterion_2_two_robot_falsification():
 
     weak = load_spec("tworobot_weak")
     gw = build_game(weak)
-    rw = solve_game(gw, record=False)
+    rw = solve_game(gw)
     assert check_realizability(gw, rw) == "realizable"
     res_w = assumption_falsification(weak)
     assert res_w.count == 0
@@ -182,9 +183,9 @@ def test_criterion_10_monotonicity_suites():
         sub = _variant(spec, drop=("env_trans",
                                    spec.parts["env_trans"][0].index))
         gf, gs = build_game(spec), build_game(sub)
-        tf = gf.mgr.to_truthtable(solve_game(gf, record=False).win,
+        tf = gf.mgr.to_truthtable(solve_game(gf).win,
                                   gf.positions)
-        tsub = gs.mgr.to_truthtable(solve_game(gs, record=False).win,
+        tsub = gs.mgr.to_truthtable(solve_game(gs).win,
                                     gs.positions)
         assert tsub & ~tf == 0, seed
         checked_a += 1
@@ -192,7 +193,7 @@ def test_criterion_10_monotonicity_suites():
     # (b) resilience monotone in the budget
     spec = load_spec("delivery")
     game = build_game(spec)
-    region = solve_game(game, record=False)
+    region = solve_game(game)
     mgr = game.mgr
     parts = [b for (_p, b) in game.trans_env_parts]
     glitch = mgr.false
@@ -208,9 +209,7 @@ def test_criterion_10_monotonicity_suites():
         canv = mgr.and_exists(game.trans_sys, game.prime(w),
                               game.primed_outputs)
         hole = mgr.and_exists(glitch, ~canv, game.primed_inputs)
-        game.position_filter = ~hole
-        r = solve_game(game, record=False, start=w)
-        game.position_filter = None
+        r = solve_game(replace(game, position_filter=~hole), start=w)
         flags.append(check_realizability(game, r) == "realizable")
         w = r.win
     assert flags == sorted(flags, reverse=True)
@@ -220,12 +219,9 @@ def test_criterion_10_monotonicity_suites():
     game = build_game(spec)
 
     def realizable_with(sub):
-        game.precommit = list(sub)
-        try:
-            return check_realizability(
-                game, solve_game(game, record=False)) == "realizable"
-        finally:
-            game.precommit = None
+        committed = replace(game, precommit=list(sub))
+        return check_realizability(
+            committed, solve_game(committed)) == "realizable"
 
     full = ["r1", "r2", "r3", "r4", "r5"]
     assert realizable_with(full)

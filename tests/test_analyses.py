@@ -1,5 +1,7 @@
 """The seven debugging analyses and their invariants."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import SPEC_DIR, _variant, load_spec, random_boolean_spec
@@ -91,7 +93,7 @@ def test_falsification_region_subset_of_win():
     for name in ("tworobot", "request_grant", "doors"):
         spec = load_spec(name)
         game = build_game(spec)
-        region = solve_game(game, record=False)
+        region = solve_game(game)
         win_tt = game.mgr.to_truthtable(region.win, game.positions)
         res = assumption_falsification(spec)
         reg_tt = res.game.mgr.to_truthtable(res.region_bdd, res.game.positions)
@@ -128,7 +130,7 @@ def test_test_d_implies_test_c_random():
     for seed in range(40):
         spec = random_boolean_spec(seed)
         game = build_game(spec)
-        region = solve_game(game, record=False)
+        region = solve_game(game)
         if check_realizability(game, region) != "realizable":
             continue
         for v in classify_assumptions(spec):
@@ -155,7 +157,7 @@ def test_resilience_monotone_chain():
     # monotone along the chain
     spec = load_spec("delivery")
     game = build_game(spec)
-    region = solve_game(game, record=False)
+    region = solve_game(game)
     from gr1report.analyses import error_resilience as er
     level = er(spec, max_k=8).level
     assert level == 5
@@ -175,9 +177,7 @@ def test_resilience_monotone_chain():
         canv = mgr.and_exists(game.trans_sys, game.prime(w),
                               game.primed_outputs)
         hole = mgr.and_exists(glitch, ~canv, game.primed_inputs)
-        game.position_filter = ~hole
-        r = solve_game(game, record=False, start=w)
-        game.position_filter = None
+        r = solve_game(replace(game, position_filter=~hole), start=w)
         assert (r.win & ~w).is_false()  # shrinking chain
         verdicts.append(check_realizability(game, r) == "realizable")
         w = r.win
@@ -215,7 +215,7 @@ def test_precommit_subset_closure_random():
     for seed in range(30):
         spec = random_boolean_spec(seed)
         game = build_game(spec)
-        region = solve_game(game, record=False)
+        region = solve_game(game)
         if check_realizability(game, region) != "realizable":
             continue
         if len(spec.output_props) < 2:
@@ -223,12 +223,9 @@ def test_precommit_subset_closure_random():
         outs = spec.output_props
 
         def realizable_with(sub):
-            game.precommit = list(sub)
-            try:
-                r = sg(game, record=False)
-                return check_realizability(game, r) == "realizable"
-            finally:
-                game.precommit = None
+            committed = replace(game, precommit=list(sub))
+            r = sg(committed)
+            return check_realizability(committed, r) == "realizable"
 
         full = [o for o in outs if realizable_with(outs)]
         if full:
@@ -284,7 +281,7 @@ def test_stuckat_output_realizable_implies_original_realizable_random():
     for seed in range(40):
         spec = random_boolean_spec(seed)
         game = build_game(spec)
-        region = solve_game(game, record=False)
+        region = solve_game(game)
         baseline = check_realizability(game, region)
         if baseline != "realizable":
             continue
@@ -340,7 +337,7 @@ def test_recorded_baseline_matches_warm_rerecord(name):
         session = Session(spec)
         session.verdict(semantics)
         region = session.region(semantics)
-        old = solve_game(session.game(semantics), record=True,
+        old = solve_game(session.game(semantics),
                          start=region.win)
         assert region.win == old.win, semantics
         assert region.strata == old.strata, semantics
@@ -409,9 +406,9 @@ def _solved_games(monkeypatch, analysis, session):
     session.region()
     games = []
 
-    def spy(game, record=True, start=None):
+    def spy(game, start=None):
         games.append(game)
-        return solve_game(game, record=record, start=start)
+        return solve_game(game, start=start)
 
     with monkeypatch.context() as m:
         m.setattr(analyses_mod, "solve_game", spy)
@@ -498,7 +495,7 @@ def _first_variant(monkeypatch, analysis, session):
     class Caught(Exception):
         pass
 
-    def spy(game, record=True, start=None):
+    def spy(game, start=None):
         raise Caught(game)
 
     with monkeypatch.context() as m:
@@ -517,7 +514,7 @@ def test_variants_carry_the_baseline_relations_only_when_unchanged(
         game = _first_variant(monkeypatch, analysis, session)
         assert game.precommit or game.position_filter is not None
         for name in relations:
-            assert getattr(game, name) is getattr(base, name), name
+            assert getattr(game, name) == getattr(base, name), name
     for analysis in (assumption_falsification, stuck_at_analysis):
         game = _first_variant(monkeypatch, analysis, session)
         assert (game.trans_sys, game.live_sys) != (base.trans_sys,

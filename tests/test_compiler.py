@@ -13,6 +13,29 @@ def compile_text(text):
     return compile_to_boolean(parse_spec(text))
 
 
+def _ir_tags(ir):
+    tags, stack = set(), [ir]
+    while stack:
+        e = stack.pop()
+        tags.add(e[0])
+        if e[0] not in ("const", "var"):
+            stack.extend(e[1:])
+    return tags
+
+
+def test_compiled_parts_use_only_the_six_ir_tags():
+    from conftest import SPEC_DIR, load_spec, random_boolean_spec
+    specs = ([load_spec(p.stem) for p in sorted(SPEC_DIR.glob("*.spec"))]
+             + [random_boolean_spec(seed) for seed in range(60)])
+    assert len(specs) == 72
+    tags = set()
+    for spec in specs:
+        for parts in spec.parts.values():
+            for part in parts:
+                tags |= _ir_tags(part.ir)
+    assert tags == {"const", "var", "not", "and", "or", "xor"}
+
+
 def test_bit_allocation_exact_power_of_two():
     spec = compile_text("[INPUT]\nx: 0...7\n")
     assert len(spec.groups["x"].bits) == 3

@@ -1,6 +1,7 @@
 """Game construction, the GR(1) fixpoint, extraction, realizability."""
 
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -139,9 +140,9 @@ def test_assumption_monotonicity_random():
             continue
         sub = _variant(spec, drop=("env_trans", spec.parts["env_trans"][0].index))
         g_full = build_game(spec)
-        r_full = solve_game(g_full, record=False)
+        r_full = solve_game(g_full)
         g_sub = build_game(sub)
-        r_sub = solve_game(g_sub, record=False)
+        r_sub = solve_game(g_sub)
         t_full = g_full.mgr.to_truthtable(r_full.win, g_full.positions)
         t_sub = g_sub.mgr.to_truthtable(r_sub.win, g_sub.positions)
         assert t_sub & ~t_full == 0, seed  # win(without) subset of win(full)
@@ -153,9 +154,9 @@ def test_strict_winning_set_inside_nonstrict():
     for seed in range(60):
         spec = random_boolean_spec(seed)
         g_s = build_game(spec, semantics="strict")
-        r_s = solve_game(g_s, record=False)
+        r_s = solve_game(g_s)
         g_n = build_game(spec, semantics="nonstrict")
-        r_n = solve_game(g_n, record=False)
+        r_n = solve_game(g_n)
         clean = g_n.mgr.restrict(
             r_n.win, {"__env_viol": False, "__sys_viol": False})
         t_s = g_s.mgr.to_truthtable(r_s.win, g_s.positions)
@@ -191,6 +192,16 @@ def test_solver_correct_under_aggressive_gc():
     assert (game.mgr.to_truthtable(region.win, game.positions)
             == game2.mgr.to_truthtable(region2.win, game2.positions))
     assert check_realizability(game, region) == "realizable"
+
+
+def test_built_game_is_frozen():
+    for semantics in ("strict", "nonstrict"):
+        game = build_game(load_spec("doors"), semantics=semantics)
+        for f in fields(game):
+            with pytest.raises(FrozenInstanceError):
+                setattr(game, f.name, getattr(game, f.name))
+        variant = replace(game, precommit=game.outputs[:1])
+        assert variant.precommit == game.outputs[:1] and not game.precommit
 
 
 def test_extraction_requires_realizability():
@@ -364,13 +375,15 @@ def test_decomposed_step_matches_monolithic_cpre():
         spec = random_boolean_spec(seed)
         rng = random.Random(seed)
         for semantics in ("strict", "nonstrict"):
-            game = build_game(spec, semantics=semantics)
-            stay = _stay(game)
+            base = build_game(spec, semantics=semantics)
+            stay = _stay(base)
             outs = list(spec.output_props)
             variants = ((None, None),
                         (rng.sample(outs, rng.randint(1, len(outs))), None),
-                        (None, _random_set(game, rng)))
-            for game.precommit, game.position_filter in variants:
+                        (None, _random_set(base, rng)))
+            for precommit, position_filter in variants:
+                game = replace(base, precommit=precommit,
+                               position_filter=position_filter)
                 z, y, x = (_random_set(game, rng) for _ in range(3))
                 for j in range(len(game.live_sys)):
                     for i, a in enumerate(game.live_env):
@@ -401,13 +414,15 @@ def test_one_pass_solver_matches_two_pass():
             # re-recording from the exact winning set, as a session does
             _assert_same_region(game, solve_game(game, start=cold.win),
                                 start=cold.win)
-            assert solve_game(game, record=False).win == cold.win
+            assert solve_game(game).win == cold.win
             # less system power, started warm from the baseline
             outs = list(spec.output_props)
             variants = ((rng.sample(outs, rng.randint(1, len(outs))), None),
                         (None, _random_set(game, rng)))
-            for game.precommit, game.position_filter in variants:
-                _assert_same_region(game, solve_game(game, start=cold.win),
+            for precommit, position_filter in variants:
+                variant = replace(game, precommit=precommit,
+                                  position_filter=position_filter)
+                _assert_same_region(variant,
+                                    solve_game(variant, start=cold.win),
                                     start=cold.win)
-                _assert_same_region(game, solve_game(game))
-            game.precommit = game.position_filter = None
+                _assert_same_region(variant, solve_game(variant))

@@ -11,7 +11,8 @@ from gr1report.game import (
     build_game, solve_game, check_realizability, extract_strategy,
 )
 from gr1report.oracle import (
-    Space, explicit_solve, model_check, brute_force_primes, OracleError,
+    Space, explicit_solve, eval_ir, model_check, brute_force_primes,
+    OracleError,
 )
 from gr1report.game import MealyMachine, MealyState
 
@@ -26,6 +27,17 @@ def test_space_tables_match_direct_evaluation():
                            ("c", False): bits[2]})
         want = (bits[0] and not bits[1]) or bits[2]
         assert sp.bit(t, idx) == want
+
+
+def test_unknown_ir_tags_raise():
+    a, b = ("var", "a", False), ("var", "b", False)
+    sp = Space([("a", False), ("b", False)])
+    env = {("a", False): True, ("b", False): False}
+    for tag in ("imp", "iff"):
+        with pytest.raises(OracleError, match="unknown IR tag"):
+            eval_ir((tag, a, b), env)
+        with pytest.raises(OracleError, match="unknown IR tag"):
+            sp.table((tag, a, b))
 
 
 def test_space_quantifiers():

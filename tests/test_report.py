@@ -105,6 +105,58 @@ def test_analysis_resource_limit_reported_as_skip(tmp_path, monkeypatch):
     assert rep.analyses["positions"]["status"] == "ok"
 
 
+def test_analysis_recursion_error_reported_as_skip(tmp_path, monkeypatch):
+    import gr1report.report as report_mod
+
+    def explode(*a, **k):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    others = tuple(a for a in ANALYSIS_ORDER if a != "resilience")
+    clean = run_report(spec_path("delivery"), ReportConfig(analyses=others),
+                       json_path=tmp_path / "a.json",
+                       html_path=tmp_path / "a.html", log=None)
+    monkeypatch.setattr(report_mod, "error_resilience", explode)
+    rep = run_report(spec_path("delivery"), json_path=tmp_path / "b.json",
+                     html_path=tmp_path / "b.html", log=None)
+    entry = rep.analyses["resilience"]
+    assert entry["status"] == "skipped"
+    assert entry["reason"].startswith("resource limit: recursion depth")
+    assert {a: rep.analyses[a] for a in others} == clean.analyses
+
+
+def _chain_text(n):
+    """n-stage shift chain: X(s0) <-> d, X(s_i+1) <-> s_i, GF d -> GF s_n-1."""
+    return "\n".join(
+        ["[INPUT]", "d", "[OUTPUT]", *(f"s{i}" for i in range(n)),
+         "[SYS_INIT]", *(f"!s{i}" for i in range(n)),
+         "[SYS_TRANS]", "X(s0) <-> d",
+         *(f"X(s{i + 1}) <-> s{i}" for i in range(n - 1)),
+         "[ENV_LIVENESS]", "d", "[SYS_LIVENESS]", f"s{n - 1}"]) + "\n"
+
+
+def test_cli_recursion_limit_exits_2_without_traceback(tmp_path):
+    # the BDD kernel recurses about once per variable level, so building
+    # a 600-stage chain exceeds the interpreter's default limit of 1000
+    target = tmp_path / "chain.spec"
+    target.write_text(_chain_text(600))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gr1report.cli", str(target)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert "recursion depth exceeded" in proc.stderr
+
+
+def test_cli_defaults_are_the_report_config_defaults():
+    from gr1report.cli import build_parser
+    args = build_parser().parse_args(["x.spec"])
+    config = ReportConfig()
+    for name in ("semantics", "robotics", "max_k", "max_cubes",
+                 "max_trace_steps", "abstract_horizon", "node_budget"):
+        assert getattr(args, name) == getattr(config, name), name
+    assert args.timeout == config.timeout_seconds
+
+
 def test_report_rejects_invalid_shape(tmp_path):
     bad = tmp_path / "bad.spec"
     bad.write_text("[OUTPUT]\na\n[SYS_TRANS]\nX(X(a))\n")
@@ -201,7 +253,7 @@ def test_cli_dump_bdd_follows_semantics(tmp_path):
     dots = {}
     for semantics in ("strict", "nonstrict"):
         game = build_game(load_spec("parity_tracker"), semantics=semantics)
-        win = solve_game(game, record=False).win
+        win = solve_game(game).win
         dots[semantics] = game.mgr.to_dot(win, "winning_set")
     assert dots["strict"] != dots["nonstrict"]
     assert dot.read_text() == dots["nonstrict"]
@@ -212,11 +264,11 @@ def test_failed_resilience_leaves_shared_game_clean(tmp_path, monkeypatch):
     from gr1report.bdd import ResourceLimitError
     solve = analyses_mod.solve_game
 
-    def flaky(game, record=True, start=None):
+    def flaky(game, start=None):
         # only the glitch loop of the resilience analysis filters
         if game.position_filter is not None:
             raise ResourceLimitError("deadline exceeded")
-        return solve(game, record=record, start=start)
+        return solve(game, start=start)
 
     others = tuple(a for a in ANALYSIS_ORDER if a != "resilience")
     clean = run_report(spec_path("delivery"), ReportConfig(analyses=others),
