@@ -15,15 +15,16 @@ functions of (specification, options).
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import accumulate, islice
 
-from .bdd import BddManager, Cube
+from .bdd import BddManager, BddRef, Cube
 from .compiler import BooleanSpec, BoolPart
 from .game import (
     SymbolicGame, WinningRegion, build_game, solve_game,
-    check_realizability, extract_strategy, ir_to_bdd, _conj,
+    check_realizability, extract_strategy, ir_to_bdd, _conj, _union,
 )
 
 INFINITE = float("inf")
@@ -265,12 +266,10 @@ def _drop_assumption(session: Session, region: WinningRegion,
                                                 sub_region.strata)):
         # a position's distance is the first stratum holding it; past
         # the last stratum every winning position is in
-        helped = mgr.false
-        for d in range(max(len(strata), len(strata_wo))):
-            sf = strata[d] if d < len(strata) else win
-            sw = strata_wo[d] if d < len(strata_wo) else win_wo
-            helped = helped | (sf & ~sw)
-        helped = helped & both
+        depth = max(len(strata), len(strata_wo))
+        sf = strata + [win] * (depth - len(strata))
+        sw = strata_wo + [win_wo] * (depth - len(strata_wo))
+        helped = _union(mgr, [f & ~w for f, w in zip(sf, sw)]) & both
         if not helped.is_false():
             test_c_goals.append(j)
             test_d = test_d or any(mgr.eval(helped, p) for p in visited[j])
@@ -297,6 +296,19 @@ class ResilienceResult:
         return str(int(self.level))
 
 
+def _exactly_one_violated(mgr: BddManager,
+                          parts: list[BddRef]) -> BddRef:
+    """Transitions violating exactly one of `parts`: the union over l of
+    !p_l & p_0 & .. & p_{l-1} & p_{l+1} & .. & p_{k-1}, from prefix and
+    suffix conjunctions built once each (k conjunctions, not k * (k-1))."""
+    prefix = list(accumulate(parts, operator.and_, initial=mgr.true))
+    suffix = list(accumulate(reversed(parts), operator.and_,
+                             initial=mgr.true))[::-1]
+    # prefix[l] = p_0 & .. & p_{l-1}; suffix[l] = p_l & .. & p_{k-1}
+    return _union(mgr, [~p & prefix[ell] & suffix[ell + 1]
+                        for ell, p in enumerate(parts)])
+
+
 def error_resilience(spec: BooleanSpec | Session,
                      max_k: int = 16) -> ResilienceResult:
     """Largest glitch budget under which the specification stays
@@ -319,14 +331,7 @@ def error_resilience(spec: BooleanSpec | Session,
     parts = [b for (_p, b) in game.trans_env_parts]
     if not parts:
         return ResilienceResult(level=INFINITE)
-    # transitions violating exactly one assumption conjunct
-    glitch = mgr.false
-    for ell in range(len(parts)):
-        term = ~parts[ell]
-        for m in range(len(parts)):
-            if m != ell:
-                term = term & parts[m]
-        glitch = glitch | term
+    glitch = _exactly_one_violated(mgr, parts)
     if glitch.is_false():
         return ResilienceResult(level=INFINITE)
 

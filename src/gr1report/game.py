@@ -129,9 +129,8 @@ class SymbolicGame:
 
     @cached_property
     def _ts_nota_stay(self) -> list[BddRef]:
-        stay = self.mgr.true
-        for o in self.outputs:
-            stay = stay & self.mgr.var(o).iff(self.mgr.var(o + "'"))
+        m = self.mgr
+        stay = _conj(m, [m.var(o).iff(m.var(o + "'")) for o in self.outputs])
         return [r & stay for r in self._ts_nota]
 
     # -- controllable predecessors -------------------------------------
@@ -234,18 +233,27 @@ def _mu_y(game: SymbolicGame, z: BddRef, j: int):
     return y, strata, xrows, flags
 
 
+def _balanced(op: str, unit: BddRef, sets: list[BddRef]) -> BddRef:
+    """`op` over `sets` (`unit` when empty), combining neighbours in pairs
+    until one is left.  A left fold builds every prefix, so a relation of
+    linear size costs quadratic node allocation; the pairwise tree's
+    intermediate BDDs are the conjunctions or disjunctions of neighbouring
+    runs of operands.  BDDs are canonical, so the result is the fold's."""
+    mgr = unit.mgr
+    while len(sets) > 1:
+        paired = [mgr.apply(op, a, b) for a, b in zip(sets[::2], sets[1::2])]
+        sets = paired + sets[len(paired) * 2:]
+    return sets[0] if sets else unit
+
+
 def _union(mgr: BddManager, sets: list[BddRef]) -> BddRef:
-    out = mgr.false
-    for s in sets:
-        out = out | s
-    return out
+    """Disjunction of `sets` as a balanced tree; FALSE when empty."""
+    return _balanced("or", mgr.false, sets)
 
 
 def _conj(mgr: BddManager, sets: list[BddRef]) -> BddRef:
-    out = mgr.true
-    for s in sets:
-        out = out & s
-    return out
+    """Conjunction of `sets` as a balanced tree; TRUE when empty."""
+    return _balanced("and", mgr.true, sets)
 
 
 def solve_game(game: SymbolicGame, start: BddRef | None = None, *,

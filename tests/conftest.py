@@ -18,6 +18,16 @@ def spec_path(name: str) -> Path:
     return SPEC_DIR / f"{name}.spec"
 
 
+def chain_text(n: int) -> str:
+    """n-stage shift chain: X(s0) <-> d, X(s_i+1) <-> s_i, GF d -> GF s_n-1."""
+    return "\n".join(
+        ["[INPUT]", "d", "[OUTPUT]", *(f"s{i}" for i in range(n)),
+         "[SYS_INIT]", *(f"!s{i}" for i in range(n)),
+         "[SYS_TRANS]", "X(s0) <-> d",
+         *(f"X(s{i + 1}) <-> s{i}" for i in range(n - 1)),
+         "[ENV_LIVENESS]", "d", "[SYS_LIVENESS]", f"s{n - 1}"]) + "\n"
+
+
 @pytest.fixture
 def specs_dir() -> Path:
     return SPEC_DIR

@@ -3,19 +3,21 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import SPEC_DIR, _variant, load_spec, random_boolean_spec
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.analyses import (
     AnalysisError, Session, semantics_comparison, position_statistics,
     assumption_falsification, classify_assumptions, error_resilience,
-    precommit_analysis, stuck_at_analysis, INFINITE,
+    precommit_analysis, stuck_at_analysis, INFINITE, _exactly_one_violated,
 )
 from gr1report.bdd import ResourceLimitError
 from gr1report.compiler import BoolPart
 from gr1report.game import build_game, solve_game, check_realizability
 from gr1report.oracle import explicit_solve
 from gr1report.report import ANALYSIS_ORDER, ReportConfig, _run_analysis
+from test_bdd import build_bdd, fresh, trees
 
 
 def compile_text(text):
@@ -152,6 +154,39 @@ def test_resilience_requires_realizable():
         error_resilience(load_spec("counter"))
 
 
+def _glitch_reference(mgr, parts):
+    """Transitions violating exactly one of `parts`, by the double loop."""
+    glitch = mgr.false
+    for ell in range(len(parts)):
+        term = ~parts[ell]
+        for m in range(len(parts)):
+            if m != ell:
+                term = term & parts[m]
+        glitch = glitch | term
+    return glitch
+
+
+def test_exactly_one_violated_matches_double_loop_corpus():
+    checked = 0
+    for path in sorted(SPEC_DIR.glob("*.spec")):
+        game = build_game(load_spec(path.stem))
+        parts = [b for (_p, b) in game.trans_env_parts]
+        if len(parts) >= 2:
+            assert (_exactly_one_violated(game.mgr, parts)
+                    == _glitch_reference(game.mgr, parts)), path.stem
+            checked += 1
+    assert checked > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(trees(), max_size=7))
+def test_exactly_one_violated_matches_double_loop_random(ts):
+    mgr = fresh()
+    parts = [build_bdd(mgr, t) for t in ts]
+    assert (_exactly_one_violated(mgr, parts)
+            == _glitch_reference(mgr, parts))
+
+
 def test_resilience_monotone_chain():
     # the budget-indexed winning sets shrink and realizability is
     # monotone along the chain
@@ -163,14 +198,7 @@ def test_resilience_monotone_chain():
     assert level == 5
     # recompute manually, asserting monotonicity
     mgr = game.mgr
-    parts = [b for (_p, b) in game.trans_env_parts]
-    glitch = mgr.false
-    for ell in range(len(parts)):
-        term = ~parts[ell]
-        for m in range(len(parts)):
-            if m != ell:
-                term = term & parts[m]
-        glitch = glitch | term
+    glitch = _glitch_reference(mgr, [b for (_p, b) in game.trans_env_parts])
     w = region.win
     verdicts = []
     for k in range(1, 8):

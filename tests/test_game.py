@@ -4,13 +4,15 @@ import random
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import load_spec, random_boolean_spec
+from conftest import chain_text, load_spec, random_boolean_spec
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.game import (
     build_game, solve_game, check_realizability, extract_strategy,
-    reactive_distance, GameError, _mu_y, _level_order,
+    reactive_distance, GameError, _mu_y, _level_order, _conj, _union,
 )
+from test_bdd import build_bdd, fresh, trees
 
 
 def solve_text(text, **kw):
@@ -192,6 +194,36 @@ def test_solver_correct_under_aggressive_gc():
     assert (game.mgr.to_truthtable(region.win, game.positions)
             == game2.mgr.to_truthtable(region2.win, game2.positions))
     assert check_realizability(game, region) == "realizable"
+
+
+def test_empty_conjunction_and_disjunction():
+    mgr = fresh()
+    assert _conj(mgr, []).is_true() and _union(mgr, []).is_false()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(trees(), max_size=9))
+def test_balanced_reduction_equals_left_fold(ts):
+    mgr = fresh()
+    sets = [build_bdd(mgr, t) for t in ts]
+    conj, disj = mgr.true, mgr.false
+    for b in sets:
+        conj, disj = conj & b, disj | b
+    assert _conj(mgr, sets) == conj and _union(mgr, sets) == disj
+
+
+def _chain_build_slots(n):
+    """Node slots a fresh manager allocates for the n-stage chain game and
+    its stationary waiting relation."""
+    game = build_game(compile_to_boolean(parse_spec(chain_text(n))))
+    game._ts_nota_stay
+    return len(game.mgr._level)
+
+
+def test_chain_game_build_allocation_grows_near_linearly():
+    # the chain's relations are linear in n; a left fold allocates each
+    # prefix and so about 4x the slots for twice the stages
+    assert _chain_build_slots(400) < 2.5 * _chain_build_slots(200)
 
 
 def test_built_game_is_frozen():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import random_spec_text, spec_path
+from conftest import chain_text, random_spec_text, spec_path
 from gr1report.report import (
     ANALYSIS_ORDER, ReportConfig, ReportError, render_html, run_report,
 )
@@ -124,21 +124,11 @@ def test_analysis_recursion_error_reported_as_skip(tmp_path, monkeypatch):
     assert {a: rep.analyses[a] for a in others} == clean.analyses
 
 
-def _chain_text(n):
-    """n-stage shift chain: X(s0) <-> d, X(s_i+1) <-> s_i, GF d -> GF s_n-1."""
-    return "\n".join(
-        ["[INPUT]", "d", "[OUTPUT]", *(f"s{i}" for i in range(n)),
-         "[SYS_INIT]", *(f"!s{i}" for i in range(n)),
-         "[SYS_TRANS]", "X(s0) <-> d",
-         *(f"X(s{i + 1}) <-> s{i}" for i in range(n - 1)),
-         "[ENV_LIVENESS]", "d", "[SYS_LIVENESS]", f"s{n - 1}"]) + "\n"
-
-
 def test_cli_recursion_limit_exits_2_without_traceback(tmp_path):
     # the BDD kernel recurses about once per variable level, so building
     # a 600-stage chain exceeds the interpreter's default limit of 1000
     target = tmp_path / "chain.spec"
-    target.write_text(_chain_text(600))
+    target.write_text(chain_text(600))
     proc = subprocess.run(
         [sys.executable, "-m", "gr1report.cli", str(target)],
         capture_output=True, text=True)
