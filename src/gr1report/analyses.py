@@ -229,7 +229,7 @@ def classify_assumptions(
             if not part.synthetic:
                 verdicts.append(_drop_assumption(session, region, visited,
                                                  part))
-                session.mgr.collect()
+                session.mgr.maybe_collect()
     return verdicts
 
 
@@ -429,7 +429,7 @@ def stuck_at_analysis(spec: BooleanSpec | Session) -> StuckAtTable:
                     trans_env_parts=base.trans_env_parts + [(None, step)])
             entries[(sig, value)] = check_realizability(
                 game, solve_game(game, start=start))
-            del game  # so that the collection frees the variant
-            session.mgr.collect()
+            del game  # a collection here, if any, frees the variant's nodes
+            session.mgr.maybe_collect()
     return StuckAtTable(direction=direction, baseline=baseline,
                         entries=entries)

@@ -129,7 +129,9 @@ class BddManager:
     different threads.
     """
 
-    gc_threshold = 1 << 20  # live nodes at which `maybe_collect` collects
+    # node count (live plus dead not yet freed, i.e. `len(self)`) at
+    # which `maybe_collect` collects when no node budget is set
+    gc_threshold = 1 << 20
 
     def __init__(self, node_budget: int | None = None):
         # node 0 = FALSE, node 1 = TRUE
@@ -259,8 +261,15 @@ class BddManager:
         return len(dead)
 
     def maybe_collect(self) -> int:
-        """GC when the live node count crosses the threshold."""
-        if len(self) >= self.gc_threshold:
+        """Collect at a safe point only when memory calls for it.
+
+        A collection that frees anything clears the computed table, so
+        without a node budget it runs only once `len(self)` -- the nodes
+        in use, dead ones not yet freed included -- reaches
+        `gc_threshold`.  A node budget counts every allocated slot, dead
+        or alive, so under a budget every safe point collects.
+        """
+        if self.node_budget is not None or len(self) >= self.gc_threshold:
             return self.collect()
         return 0
 

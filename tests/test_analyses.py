@@ -12,11 +12,12 @@ from gr1report.analyses import (
     assumption_falsification, classify_assumptions, error_resilience,
     precommit_analysis, stuck_at_analysis, INFINITE, _exactly_one_violated,
 )
-from gr1report.bdd import ResourceLimitError
+from gr1report.bdd import BddManager, ResourceLimitError
 from gr1report.compiler import BoolPart
 from gr1report.game import build_game, solve_game, check_realizability
 from gr1report.oracle import explicit_solve
-from gr1report.report import ANALYSIS_ORDER, ReportConfig, _run_analysis
+from gr1report.report import (ANALYSIS_ORDER, ReportConfig, _run_analysis,
+                              run_report)
 from test_bdd import build_bdd, fresh, trees
 
 
@@ -422,6 +423,93 @@ def test_classification_tests_abc_match_oracle():
             assert v.test_c == bool(v.test_c_goals)
             checked += 1
     assert checked > 40
+
+
+# ----------------------------------------------------------------------
+# collection between the variants of one analysis
+
+def _collections(monkeypatch, analysis, session):
+    """How many times `analysis` collects garbage in `session`, with the
+    baseline region and machine already built."""
+    session.machine()
+    collect = BddManager.collect
+    calls = []
+
+    def counting(mgr):
+        calls.append(mgr)
+        return collect(mgr)
+
+    with monkeypatch.context() as m:
+        m.setattr(BddManager, "collect", counting)
+        analysis(session)
+    return len(calls)
+
+
+def _variant_count(session, analysis):
+    spec = session.spec
+    if analysis is classify_assumptions:
+        return sum(not p.synthetic for kind in ("env_init", "env_trans",
+                                                "env_liveness")
+                   for p in spec.parts[kind])
+    signals = (spec.output_props if session.verdict() == "realizable"
+               else spec.input_props)
+    return 2 * len(signals)
+
+
+@pytest.mark.parametrize("name", ["doors", "delivery"])
+@pytest.mark.parametrize("analysis", [stuck_at_analysis,
+                                      classify_assumptions])
+def test_variants_keep_the_computed_table_below_the_threshold(
+        monkeypatch, name, analysis):
+    # a collection that frees anything clears the computed table, which
+    # holds what sibling variants share with the baseline and each other
+    session = Session(load_spec(name))
+    assert _variant_count(session, analysis) > 0
+    assert _collections(monkeypatch, analysis, session) == 0
+
+
+@pytest.mark.parametrize("name", ["doors", "delivery"])
+@pytest.mark.parametrize("analysis", [stuck_at_analysis,
+                                      classify_assumptions])
+def test_variants_collect_under_a_node_budget(monkeypatch, name, analysis):
+    # the budget counts dead slots too, so every safe point collects
+    session = Session(load_spec(name), node_budget=10**6)
+    variants = _variant_count(session, analysis)
+    assert _collections(monkeypatch, analysis, session) >= variants > 0
+
+
+@pytest.mark.parametrize("name,budget", [("doors", 3000),
+                                         ("delivery", 12000)])
+def test_tight_budget_still_completes_the_variant_analyses(
+        tmp_path, name, budget):
+    rep = run_report(SPEC_DIR / f"{name}.spec",
+                     ReportConfig(analyses=("assumptions", "stuckat"),
+                                  node_budget=budget),
+                     json_path=tmp_path / "r.json",
+                     html_path=tmp_path / "r.html", log=None)
+    for analysis in ("assumptions", "stuckat"):
+        assert rep.analyses[analysis]["status"] == "ok", (
+            analysis, rep.analyses[analysis])
+
+
+def _variant_results(spec, collect_always):
+    """Assumption verdicts and stuck-at entries in a fresh session;
+    `collect_always` collects at every safe point, as the analyses did
+    between all their variants before they kept the computed table."""
+    session = Session(spec)
+    if collect_always:
+        session.mgr.gc_threshold = 1
+    verdicts = (classify_assumptions(session)
+                if session.verdict() == "realizable" else None)
+    return verdicts, stuck_at_analysis(session).entries
+
+
+def test_kept_computed_table_matches_collecting_every_variant():
+    specs = [load_spec(p.stem) for p in sorted(SPEC_DIR.glob("*.spec"))]
+    specs += [random_boolean_spec(seed) for seed in range(30)]
+    for k, spec in enumerate(specs):
+        assert (_variant_results(spec, collect_always=False)
+                == _variant_results(spec, collect_always=True)), k
 
 
 # ----------------------------------------------------------------------
