@@ -10,11 +10,25 @@ fixed level order.  Model, cube and truth-table enumerations follow the
 order of the names they are given, not the level order, so their
 results do not depend on it.
 
+The kernel is recursive Python, so it is kept specialised.  AND and OR,
+which make nearly all of the game solver's calls, have recursions of
+their own; each orders its operands into a standard triple (the lower
+node id first), so `a & b` and `b & a` share one computed-table entry.
+The relational product `and_exists` hands off to AND once both
+operands lie below the deepest quantified level, and merges quantified
+cofactors with OR.  On a computed-table miss each recursion looks its
+result up in the unique table itself and calls `_mk` only for a new
+node.  The deadline is checked only when one is set, once every 8192
+misses.
+
 References
 ==========
 
 R. E. Bryant, "Graph-based algorithms for Boolean function manipulation",
 IEEE Trans. Computers C-35(8), 1986.
+
+K. S. Brace, R. L. Rudell, R. E. Bryant, "Efficient implementation of a
+BDD package", DAC 1990.
 
 O. Coudert, J. C. Madre, "Implicit and incremental computation of primes
 and essential primes of Boolean functions", DAC 1992.
@@ -144,6 +158,7 @@ class BddManager:
         self._var_level: dict[str, int] = {}
         self._qsets: dict[frozenset, int] = {}
         self._qset_levels: list[frozenset] = []
+        self._qset_bottom: list[int] = []   # deepest level of each set
         self._extref: dict[int, int] = {}
         self._free: list[int] = []
         self.node_budget = node_budget
@@ -212,10 +227,11 @@ class BddManager:
         return n
 
     def _check_limits(self):
+        # called on computed-table misses only when a deadline is set;
+        # reads the clock every 8192 of them
         self._tick += 1
-        if self.deadline is not None and (self._tick & 0x1FFF) == 0:
-            if time.monotonic() > self.deadline:
-                raise ResourceLimitError("deadline exceeded")
+        if (self._tick & 0x1FFF) == 0 and time.monotonic() > self.deadline:
+            raise ResourceLimitError("deadline exceeded")
 
     # ------------------------------------------------------------------
     # reference counting / garbage collection
@@ -238,26 +254,34 @@ class BddManager:
         call between operations: in-flight intermediate results that are
         not wrapped in a BddRef are reclaimed.
         """
-        marked = {FALSE, TRUE}
-        stack = list(self._extref)
         level, lo, hi = self._level, self._lo, self._hi
+        marked = bytearray(len(level))
+        marked[FALSE] = marked[TRUE] = 1
+        stack = list(self._extref)
+        for n in stack:
+            marked[n] = 1
+        # a node is marked when it is pushed, so each is pushed once
         while stack:
             n = stack.pop()
-            if n in marked:
-                continue
-            marked.add(n)
-            stack.append(lo[n])
-            stack.append(hi[n])
+            c = lo[n]
+            if not marked[c]:
+                marked[c] = 1
+                stack.append(c)
+            c = hi[n]
+            if not marked[c]:
+                marked[c] = 1
+                stack.append(c)
         # sweep the unique table, not every slot ever allocated, so the
         # cost follows the nodes in use rather than the high-water mark;
         # ascending order keeps slot reuse as it was
-        dead = sorted(n for n in self._unique.values() if n not in marked)
-        for n in dead:
-            del self._unique[(level[n], lo[n], hi[n])]
-            level[n] = _LEAF  # tombstone
-        self._free.extend(dead)
+        unique = self._unique
+        dead = sorted(n for n in unique.values() if not marked[n])
         if dead:
-            self._cache.clear()
+            for n in dead:
+                level[n] = _LEAF  # tombstone
+            self._free.extend(dead)
+            self._unique = {k: n for k, n in unique.items() if marked[n]}
+            self._cache = {}
         return len(dead)
 
     def maybe_collect(self) -> int:
@@ -290,38 +314,113 @@ class BddManager:
         self._check_same(f)
         return BddRef(self, self._not(f.node))
 
+    # The hot recursions below share one shape: terminal rules, a
+    # computed-table lookup, a deadline check only when a deadline is
+    # set, the recursive calls, and then the unique-table lookup made in
+    # place, with `_mk` called only to allocate a node that is new.
+
     def _not(self, f: int) -> int:
-        if f == FALSE:
-            return TRUE
-        if f == TRUE:
-            return FALSE
+        if f <= TRUE:
+            return TRUE - f
         key = (_NOT, f)
         r = self._cache.get(key)
         if r is not None:
             return r
-        self._check_limits()
-        r = self._mk(self._level[f], self._not(self._lo[f]),
-                     self._not(self._hi[f]))
+        if self.deadline is not None:
+            self._check_limits()
+        top = self._level[f]
+        r0 = self._not(self._lo[f])
+        r1 = self._not(self._hi[f])
+        # negation is injective, so r0 != r1
+        r = self._unique.get((top, r0, r1))
+        if r is None:
+            r = self._mk(top, r0, r1)
+        self._cache[key] = r
+        return r
+
+    def _and(self, f: int, g: int) -> int:
+        # standard triple: f < g, so a & b and b & a share one entry and
+        # a terminal operand can only be f
+        if f == g:
+            return f
+        if f > g:
+            f, g = g, f
+        if f <= TRUE:
+            return FALSE if f == FALSE else g
+        key = (_AND, f, g)
+        r = self._cache.get(key)
+        if r is not None:
+            return r
+        if self.deadline is not None:
+            self._check_limits()
+        level = self._level
+        lf, lg = level[f], level[g]
+        if lf == lg:
+            top = lf
+            r0 = self._and(self._lo[f], self._lo[g])
+            r1 = self._and(self._hi[f], self._hi[g])
+        elif lf < lg:
+            top = lf
+            r0 = self._and(self._lo[f], g)
+            r1 = self._and(self._hi[f], g)
+        else:
+            top = lg
+            r0 = self._and(f, self._lo[g])
+            r1 = self._and(f, self._hi[g])
+        if r0 == r1:
+            r = r0
+        else:
+            r = self._unique.get((top, r0, r1))
+            if r is None:
+                r = self._mk(top, r0, r1)
+        self._cache[key] = r
+        return r
+
+    def _or(self, f: int, g: int) -> int:
+        # standard triple, as in `_and`
+        if f == g:
+            return f
+        if f > g:
+            f, g = g, f
+        if f <= TRUE:
+            return g if f == FALSE else TRUE
+        key = (_OR, f, g)
+        r = self._cache.get(key)
+        if r is not None:
+            return r
+        if self.deadline is not None:
+            self._check_limits()
+        level = self._level
+        lf, lg = level[f], level[g]
+        if lf == lg:
+            top = lf
+            r0 = self._or(self._lo[f], self._lo[g])
+            r1 = self._or(self._hi[f], self._hi[g])
+        elif lf < lg:
+            top = lf
+            r0 = self._or(self._lo[f], g)
+            r1 = self._or(self._hi[f], g)
+        else:
+            top = lg
+            r0 = self._or(f, self._lo[g])
+            r1 = self._or(f, self._hi[g])
+        if r0 == r1:
+            r = r0
+        else:
+            r = self._unique.get((top, r0, r1))
+            if r is None:
+                r = self._mk(top, r0, r1)
         self._cache[key] = r
         return r
 
     def _apply(self, op: int, f: int, g: int) -> int:
-        # terminal shortcuts
         if op == _AND:
-            if f == FALSE or g == FALSE:
-                return FALSE
-            if f == TRUE:
-                return g
-            if g == TRUE or f == g:
-                return f
-        elif op == _OR:
-            if f == TRUE or g == TRUE:
-                return TRUE
-            if f == FALSE:
-                return g
-            if g == FALSE or f == g:
-                return f
-        elif op == _XOR:
+            return self._and(f, g)
+        if op == _OR:
+            return self._or(f, g)
+        # the other operators are rare; terminal shortcuts, then the
+        # generic recursion
+        if op == _XOR:
             if f == g:
                 return FALSE
             if f == FALSE:
@@ -361,7 +460,8 @@ class BddManager:
         r = self._cache.get(key)
         if r is not None:
             return r
-        self._check_limits()
+        if self.deadline is not None:
+            self._check_limits()
         lf, lg = self._level[f], self._level[g]
         top = lf if lf < lg else lg
         f0, f1 = (self._lo[f], self._hi[f]) if lf == top else (f, f)
@@ -379,6 +479,7 @@ class BddManager:
             qid = len(self._qset_levels)
             self._qsets[levels] = qid
             self._qset_levels.append(levels)
+            self._qset_bottom.append(max(levels, default=-1))
         return qid
 
     def _levels_for(self, names) -> frozenset:
@@ -409,17 +510,23 @@ class BddManager:
         return BddRef(self, self._and_exists(f.node, g.node, qid))
 
     def _and_exists(self, f: int, g: int, qid: int) -> int:
-        if f == FALSE or g == FALSE:
+        if f > g:
+            f, g = g, f
+        if f == FALSE:
             return FALSE
-        if f == TRUE and g == TRUE:
-            return TRUE
-        key = (_QBASE + qid, f, g) if f <= g else (_QBASE + qid, g, f)
+        level = self._level
+        lf, lg = level[f], level[g]
+        top = lf if lf < lg else lg
+        if top > self._qset_bottom[qid]:
+            # nothing left to quantify (terminals included): a plain AND,
+            # which shares its computed-table entries with `apply`
+            return self._and(f, g)
+        key = (_QBASE + qid, f, g)
         r = self._cache.get(key)
         if r is not None:
             return r
-        self._check_limits()
-        lf, lg = self._level[f], self._level[g]
-        top = lf if lf < lg else lg
+        if self.deadline is not None:
+            self._check_limits()
         f0, f1 = (self._lo[f], self._hi[f]) if lf == top else (f, f)
         g0, g1 = (self._lo[g], self._hi[g]) if lg == top else (g, g)
         if top in self._qset_levels[qid]:
@@ -427,10 +534,16 @@ class BddManager:
             if r0 == TRUE:
                 r = TRUE
             else:
-                r = self._apply(_OR, r0, self._and_exists(f1, g1, qid))
+                r = self._or(r0, self._and_exists(f1, g1, qid))
         else:
-            r = self._mk(top, self._and_exists(f0, g0, qid),
-                         self._and_exists(f1, g1, qid))
+            r0 = self._and_exists(f0, g0, qid)
+            r1 = self._and_exists(f1, g1, qid)
+            if r0 == r1:
+                r = r0
+            else:
+                r = self._unique.get((top, r0, r1))
+                if r is None:
+                    r = self._mk(top, r0, r1)
         self._cache[key] = r
         return r
 
@@ -460,9 +573,15 @@ class BddManager:
             what = "prime" if delta > 0 else "unprime"
             raise BddError(f"{what}: variable {self.var_names[lvl]!r} is "
                            "in the wrong register")
-        self._check_limits()
-        r = self._mk(lvl + delta, self._shift(self._lo[f], op, delta),
-                     self._shift(self._hi[f], op, delta))
+        if self.deadline is not None:
+            self._check_limits()
+        top = lvl + delta
+        r0 = self._shift(self._lo[f], op, delta)
+        r1 = self._shift(self._hi[f], op, delta)
+        # shifting is injective, so r0 != r1
+        r = self._unique.get((top, r0, r1))
+        if r is None:
+            r = self._mk(top, r0, r1)
         self._cache[key] = r
         return r
 
@@ -509,25 +628,26 @@ class BddManager:
         stops below the deepest fixed level."""
         if not fixed:
             return f
-        bottom = max(fixed)
-        level, lo, hi = self._level, self._lo, self._hi
+        return self._cofactor_rec(f, fixed, max(fixed), memo)
 
-        def walk(n: int) -> int:
-            if level[n] > bottom:  # terminals included
-                return n
-            r = memo.get(n)
-            if r is not None:
-                return r
-            lvl = level[n]
-            v = fixed.get(lvl)
-            if v is None:
-                r = self._mk(lvl, walk(lo[n]), walk(hi[n]))
-            else:
-                r = walk(hi[n] if v else lo[n])
-            memo[n] = r
+    def _cofactor_rec(self, n: int, fixed: dict[int, bool], bottom: int,
+                      memo: dict) -> int:
+        lvl = self._level[n]
+        if lvl > bottom:  # terminals included
+            return n
+        r = memo.get(n)
+        if r is not None:
             return r
-
-        return walk(f)
+        v = fixed.get(lvl)
+        if v is None:
+            r = self._mk(lvl,
+                         self._cofactor_rec(self._lo[n], fixed, bottom, memo),
+                         self._cofactor_rec(self._hi[n], fixed, bottom, memo))
+        else:
+            r = self._cofactor_rec(self._hi[n] if v else self._lo[n],
+                                   fixed, bottom, memo)
+        memo[n] = r
+        return r
 
     def _splitter(self, names: list[str]):
         """split(n, i) = (n with names[i] false, n with names[i] true).
@@ -554,6 +674,11 @@ class BddManager:
 
         return split
 
+    # The recursions over `names` below are methods, not nested functions:
+    # a nested function that calls itself holds itself through its cell,
+    # so it and its memo would wait for the cyclic garbage collector, and
+    # `collect` would count the nodes they reach as live until then.
+
     # ------------------------------------------------------------------
     # model counting and model enumeration
 
@@ -566,27 +691,26 @@ class BddManager:
             extra = [self.var_names[v] for v in sorted(sup - set(levels))]
             raise BddError(f"support escapes the counting variables: {extra}")
         pos = {lvl: i for i, lvl in enumerate(levels)}
-        total = len(levels)
-        memo: dict[tuple[int, int], int] = {}
+        return self._count(f.node, 0, pos, len(levels), {})
 
-        def cnt(n: int, i: int) -> int:
-            # assignments to levels[i:] satisfying n
-            if n == FALSE:
-                return 0
-            if i == total:
-                return 1
-            key = (n, i)
-            r = memo.get(key)
-            if r is not None:
-                return r
-            if n == TRUE or pos[self._level[n]] > i:
-                r = 2 * cnt(n, i + 1)
-            else:
-                r = cnt(self._lo[n], i + 1) + cnt(self._hi[n], i + 1)
-            memo[key] = r
+    def _count(self, n: int, i: int, pos: dict[int, int], total: int,
+               memo: dict[tuple[int, int], int]) -> int:
+        # assignments to the counting levels from position i on satisfying n
+        if n == FALSE:
+            return 0
+        if i == total:
+            return 1
+        key = (n, i)
+        r = memo.get(key)
+        if r is not None:
             return r
-
-        return cnt(f.node, 0)
+        if n == TRUE or pos[self._level[n]] > i:
+            r = 2 * self._count(n, i + 1, pos, total, memo)
+        else:
+            r = (self._count(self._lo[n], i + 1, pos, total, memo)
+                 + self._count(self._hi[n], i + 1, pos, total, memo))
+        memo[key] = r
+        return r
 
     def pick_min_model(self, f: BddRef, names) -> dict[str, bool]:
         """Lexicographically smallest satisfying assignment of `names`
@@ -612,23 +736,20 @@ class BddManager:
         order over `names` as given."""
         self._check_same(f)
         names = list(names)
-        split = self._splitter(names)
-        total = len(names)
+        yield from self._models(f.node, 0, names, self._splitter(names), {})
 
-        def rec(n: int, i: int, acc: dict):
-            if n == FALSE:
-                return
-            if i == total:
-                yield dict(acc)
-                return
-            lo, hi = split(n, i)
-            acc[names[i]] = False
-            yield from rec(lo, i + 1, acc)
-            acc[names[i]] = True
-            yield from rec(hi, i + 1, acc)
-            del acc[names[i]]
-
-        yield from rec(f.node, 0, {})
+    def _models(self, n: int, i: int, names: list[str], split, acc: dict):
+        if n == FALSE:
+            return
+        if i == len(names):
+            yield dict(acc)
+            return
+        lo, hi = split(n, i)
+        acc[names[i]] = False
+        yield from self._models(lo, i + 1, names, split, acc)
+        acc[names[i]] = True
+        yield from self._models(hi, i + 1, names, split, acc)
+        del acc[names[i]]
 
     def to_truthtable(self, f: BddRef, names) -> int:
         """Truth table of f over `names` as a big integer.
@@ -641,29 +762,26 @@ class BddManager:
         names = list(names)
         if not self._support_levels(f.node) <= self._levels_for(names):
             raise BddError("support escapes the truth-table variables")
-        split = self._splitter(names)
-        total = len(names)
-        memo: dict[tuple[int, int], int] = {}
+        return self._table(f.node, 0, self._splitter(names), len(names), {})
 
-        def rec(n: int, i: int) -> int:
-            # table over names[i:], little-endian in the index
-            if n == FALSE:
-                return 0
-            if i == total:
-                return 1
-            key = (n, i)
-            r = memo.get(key)
-            if r is not None:
-                return r
-            width = 1 << (total - i - 1)
-            n0, n1 = split(n, i)
-            lo = rec(n0, i + 1)
-            hi = lo if n1 == n0 else rec(n1, i + 1)
-            r = lo | (hi << width)
-            memo[key] = r
+    def _table(self, n: int, i: int, split, total: int,
+               memo: dict[tuple[int, int], int]) -> int:
+        # table over names[i:], little-endian in the index
+        if n == FALSE:
+            return 0
+        if i == total:
+            return 1
+        key = (n, i)
+        r = memo.get(key)
+        if r is not None:
             return r
-
-        return rec(f.node, 0)
+        width = 1 << (total - i - 1)
+        n0, n1 = split(n, i)
+        lo = self._table(n0, i + 1, split, total, memo)
+        hi = lo if n1 == n0 else self._table(n1, i + 1, split, total, memo)
+        r = lo | (hi << width)
+        memo[key] = r
+        return r
 
     # ------------------------------------------------------------------
     # prime implicant enumeration (meta-product)
@@ -682,97 +800,10 @@ class BddManager:
             raise BddError("support escapes the cube variables")
         if f.node == FALSE:
             return
-        split = self._splitter(names)
-        # names[i] gets occurrence level 2i and sign level 2i+1; the meta
-        # manager only builds nodes on those levels and declares no names
-        meta = BddManager()
-        total = len(names)
-        memo: dict[tuple[int, int], int] = {}
-
-        def primes(n: int, i: int) -> int:
-            # meta-product of the primes of n over names[i:]
-            if n == FALSE:
-                return FALSE
-            if i == total:
-                return TRUE
-            key = (n, i)
-            r = memo.get(key)
-            if r is not None:
-                return r
-            olvl = 2 * i
-            f0, f1 = split(n, i)
-            if f0 == f1:
-                r = meta._mk(olvl, primes(f0, i + 1), FALSE)
-            else:
-                pboth = primes(self._apply(_AND, f0, f1), i + 1)
-                p1 = meta._apply(_DIFF, primes(f1, i + 1), pboth)
-                p0 = meta._apply(_DIFF, primes(f0, i + 1), pboth)
-                r = meta._mk(olvl, pboth, meta._mk(olvl + 1, p0, p1))
-            memo[key] = r
-            return r
-
-        root = primes(f.node, 0)
-
-        # minimal number of occurrence literals below each node
-        mincost: dict[tuple[int, int], int] = {}
-
-        def mc(n: int, i: int) -> int:
-            if n == FALSE:
-                return 1 << 30
-            if i == total:
-                return 0
-            key = (n, i)
-            r = mincost.get(key)
-            if r is not None:
-                return r
-            olvl = 2 * i
-            if n > TRUE and meta._level[n] == olvl:
-                absent, present = meta._lo[n], meta._hi[n]
-            else:
-                absent = present = n
-            best = mc(absent, i + 1)
-            if present != FALSE:
-                # cost through the sign node (or don't-care sign)
-                if present > TRUE and meta._level[present] == olvl + 1:
-                    s0, s1 = meta._lo[present], meta._hi[present]
-                else:
-                    s0 = s1 = present
-                sub = min(mc(s0, i + 1), mc(s1, i + 1))
-                best = min(best, 1 + sub)
-            mincost[key] = best
-            return best
-
-        def walk(n: int, i: int, budget: int, acc: list):
-            if n == FALSE or budget < 0:
-                return
-            if i == total:
-                if budget == 0:
-                    yield Cube(tuple(acc))
-                return
-            if mc(n, i) > budget:
-                return
-            olvl = 2 * i
-            if n > TRUE and meta._level[n] == olvl:
-                absent, present = meta._lo[n], meta._hi[n]
-            else:
-                absent = present = n
-            # variable absent from the cube
-            yield from walk(absent, i + 1, budget, acc)
-            # variable present with a sign
-            if present != FALSE and budget >= 1:
-                if present > TRUE and meta._level[present] == olvl + 1:
-                    s0, s1 = meta._lo[present], meta._hi[present]
-                else:
-                    s0 = s1 = present
-                acc.append((names[i], False))
-                yield from walk(s0, i + 1, budget - 1, acc)
-                acc.pop()
-                acc.append((names[i], True))
-                yield from walk(s1, i + 1, budget - 1, acc)
-                acc.pop()
-
-        for k in range(total + 1):
-            yield from walk(root, 0, k, [])
+        walk = _PrimeWalk(self, names)
+        root = walk.primes(f.node, 0)
+        for k in range(len(names) + 1):
+            yield from walk.cubes(root, 0, k, [])
 
     # ------------------------------------------------------------------
     # export
@@ -806,3 +837,99 @@ class BddManager:
             stack.append(self._hi[n])
         lines.append("}")
         return "\n".join(lines)
+
+
+class _PrimeWalk:
+    """State of one `prime_cubes` enumeration, with its recursions as
+    methods (see the note above `count_models`).
+
+    names[i] gets occurrence level 2i and sign level 2i+1 in the meta
+    manager, which only builds nodes on those levels and declares no
+    names."""
+
+    def __init__(self, mgr: BddManager, names: list[str]):
+        self.mgr = mgr
+        self.names = names
+        self.total = len(names)
+        self.split = mgr._splitter(names)
+        self.meta = BddManager()
+        self.memo: dict[tuple[int, int], int] = {}
+        self.mincost: dict[tuple[int, int], int] = {}
+
+    def primes(self, n: int, i: int) -> int:
+        """Meta-product of the primes of n over names[i:]."""
+        if n == FALSE:
+            return FALSE
+        if i == self.total:
+            return TRUE
+        key = (n, i)
+        r = self.memo.get(key)
+        if r is not None:
+            return r
+        meta = self.meta
+        olvl = 2 * i
+        f0, f1 = self.split(n, i)
+        if f0 == f1:
+            r = meta._mk(olvl, self.primes(f0, i + 1), FALSE)
+        else:
+            pboth = self.primes(self.mgr._and(f0, f1), i + 1)
+            p1 = meta._apply(_DIFF, self.primes(f1, i + 1), pboth)
+            p0 = meta._apply(_DIFF, self.primes(f0, i + 1), pboth)
+            r = meta._mk(olvl, pboth, meta._mk(olvl + 1, p0, p1))
+        self.memo[key] = r
+        return r
+
+    def _branches(self, n: int, i: int) -> tuple[int, int, int]:
+        """(absent, sign false, sign true): the meta node n at position i
+        with names[i] left out of the cube or present with either sign;
+        a skipped level is a don't-care."""
+        meta = self.meta
+        olvl = 2 * i
+        if n > TRUE and meta._level[n] == olvl:
+            absent, present = meta._lo[n], meta._hi[n]
+        else:
+            absent = present = n
+        if present > TRUE and meta._level[present] == olvl + 1:
+            return absent, meta._lo[present], meta._hi[present]
+        return absent, present, present
+
+    def cost(self, n: int, i: int) -> int:
+        """Minimal number of occurrence literals below n."""
+        if n == FALSE:
+            return 1 << 30
+        if i == self.total:
+            return 0
+        key = (n, i)
+        r = self.mincost.get(key)
+        if r is not None:
+            return r
+        absent, s0, s1 = self._branches(n, i)
+        best = self.cost(absent, i + 1)
+        if s0 != FALSE or s1 != FALSE:
+            best = min(best, 1 + min(self.cost(s0, i + 1),
+                                     self.cost(s1, i + 1)))
+        self.mincost[key] = best
+        return best
+
+    def cubes(self, n: int, i: int, budget: int, acc: list):
+        """The cubes below n with exactly `budget` more literals."""
+        if n == FALSE or budget < 0:
+            return
+        if i == self.total:
+            if budget == 0:
+                yield Cube(tuple(acc))
+            return
+        if self.cost(n, i) > budget:
+            return
+        absent, s0, s1 = self._branches(n, i)
+        # variable absent from the cube
+        yield from self.cubes(absent, i + 1, budget, acc)
+        # variable present with a sign
+        if budget >= 1:
+            name = self.names[i]
+            acc.append((name, False))
+            yield from self.cubes(s0, i + 1, budget - 1, acc)
+            acc.pop()
+            acc.append((name, True))
+            yield from self.cubes(s1, i + 1, budget - 1, acc)
+            acc.pop()

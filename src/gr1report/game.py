@@ -53,26 +53,25 @@ class GameError(Exception):
 
 
 def ir_to_bdd(mgr: BddManager, ir: IR, memo: dict | None = None) -> BddRef:
+    # recurses through the module function, not a nested one, so no
+    # reference cycle keeps the memo's handles alive past the call
     if memo is None:
         memo = {}
-
-    def rec(e: IR) -> BddRef:
-        r = memo.get(e)
-        if r is not None:
-            return r
-        tag = e[0]
-        if tag == "const":
-            r = mgr.true if e[1] else mgr.false
-        elif tag == "var":
-            r = mgr.var(e[1] + "'" if e[2] else e[1])
-        elif tag == "not":
-            r = ~rec(e[1])
-        else:  # and | or | xor
-            r = mgr.apply(tag, rec(e[1]), rec(e[2]))
-        memo[e] = r
+    r = memo.get(ir)
+    if r is not None:
         return r
-
-    return rec(ir)
+    tag = ir[0]
+    if tag == "const":
+        r = mgr.true if ir[1] else mgr.false
+    elif tag == "var":
+        r = mgr.var(ir[1] + "'" if ir[2] else ir[1])
+    elif tag == "not":
+        r = ~ir_to_bdd(mgr, ir[1], memo)
+    else:  # and | or | xor
+        r = mgr.apply(tag, ir_to_bdd(mgr, ir[1], memo),
+                      ir_to_bdd(mgr, ir[2], memo))
+    memo[ir] = r
+    return r
 
 
 @dataclass(frozen=True)

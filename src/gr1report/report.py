@@ -246,13 +246,21 @@ def _limit_reason(exc: Exception) -> str:
     return str(exc)
 
 
+# `run_report`'s default log: `sys.stderr` as it is at call time, so a
+# caller that redirects it later still captures the per-analysis lines
+_STDERR = object()
+
+
 def run_report(spec_path, config: ReportConfig | None = None,
-               json_path=None, html_path=None, log=sys.stderr,
+               json_path=None, html_path=None, log=_STDERR,
                dot_path=None) -> Report:
     """Run all requested analyses on a specification file in one solving
     session and write the JSON and HTML reports next to it (or to the
     given paths), plus the baseline winning-set BDD as DOT text when
-    `dot_path` is given."""
+    `dot_path` is given.  Progress lines go to `log`, by default the
+    current `sys.stderr`; `log=None` is silent."""
+    if log is _STDERR:
+        log = sys.stderr
     config = config or ReportConfig()
     spec_path = Path(spec_path)
     text = spec_path.read_text(encoding="utf-8")

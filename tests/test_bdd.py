@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,15 +46,15 @@ def build_bdd(m, tree):
 
 
 @st.composite
-def trees(draw, depth=3):
+def trees(draw, depth=3, names=VARS):
     if depth == 0 or draw(st.booleans()):
         if draw(st.integers(0, 6)) == 0:
             return ("const", draw(st.booleans()))
-        return ("var", draw(st.sampled_from(VARS)))
+        return ("var", draw(st.sampled_from(names)))
     op = draw(st.sampled_from(["and", "or", "xor", "implies", "iff", "not"]))
     if op == "not":
-        return ("not", draw(trees(depth=depth - 1)))
-    return (op, draw(trees(depth=depth - 1)), draw(trees(depth=depth - 1)))
+        return ("not", draw(trees(depth - 1, names)))
+    return (op, draw(trees(depth - 1, names)), draw(trees(depth - 1, names)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,6 +257,146 @@ def test_to_dot_ignores_allocation_history():
     f, g = build(clean), build(used)
     assert f.node != g.node
     assert clean.to_dot(f, "w") == used.to_dot(g, "w")
+
+
+# ----------------------------------------------------------------------
+# kernel: AND/OR, relational product, quantification, renaming, collection
+
+# four signals with their primed copies, in level order
+KVARS = VARS[:4]
+LEVELS = [v + p for v in KVARS for p in ("", "'")]
+
+
+def table(pred, names=LEVELS):
+    """Truth table of pred over names, in to_truthtable's convention."""
+    return sum(1 << i for i, bits in enumerate(
+        itertools.product([False, True], repeat=len(names)))
+        if pred(dict(zip(names, bits))))
+
+
+FULL = (1 << (1 << len(LEVELS))) - 1
+
+
+def exists_table(t, quantified):
+    """Truth table of (exists quantified: t), on truth tables."""
+    for name in quantified:
+        step = 1 << (len(LEVELS) - 1 - LEVELS.index(name))
+        ones = sum(1 << i for i in range(1 << len(LEVELS)) if i & step)
+        e = (t & ~ones) | ((t & ones) >> step)  # indices with name false
+        t = e | (e << step)
+    return t
+
+
+@st.composite
+def quantified_names(draw, support):
+    """A quantification set above, below or straddling the support levels
+    (or any set at all)."""
+    idx = sorted(LEVELS.index(n) for n in support)
+    top, bottom = (idx[0], idx[-1]) if idx else (len(LEVELS), -1)
+    where = draw(st.sampled_from(["above", "below", "straddling", "any"]))
+    if where == "above":
+        return LEVELS[:top]
+    if where == "below":
+        return LEVELS[bottom + 1:]
+    if where == "straddling":
+        i = draw(st.integers(0, len(LEVELS)))
+        return LEVELS[i:draw(st.integers(i, len(LEVELS)))]
+    return draw(st.lists(st.sampled_from(LEVELS), unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees(names=LEVELS), trees(names=LEVELS), trees(names=KVARS),
+       st.data())
+def test_kernel_matches_truth_tables(t1, t2, t3, data):
+    m = fresh(len(KVARS))
+    f, g = build_bdd(m, t1), build_bdd(m, t2)
+    tf = table(lambda env: eval_tree(t1, env))
+    tg = table(lambda env: eval_tree(t2, env))
+    tt = lambda h: m.to_truthtable(h, LEVELS)  # noqa: E731
+    # both operand orders give the same node
+    assert (f & g) == (g & f) and tt(f & g) == tf & tg
+    assert (f | g) == (g | f) and tt(f | g) == tf | tg
+    q = data.draw(quantified_names(set(m.support(f)) | set(m.support(g))))
+    r = m.and_exists(f, g, q)
+    assert r == m.and_exists(g, f, q) and tt(r) == exists_table(tf & tg, q)
+    assert tt(m.exists(q, f)) == exists_table(tf, q)
+    assert tt(m.forall(q, f)) == FULL & ~exists_table(FULL & ~tf, q)
+    # renaming a function of the unprimed register
+    h = build_bdd(m, t3)
+    hp = m.rename(h, "prime")
+    assert tt(hp) == table(lambda env: eval_tree(
+        t3, {v: env[v + "'"] for v in KVARS}))
+    assert m.rename(hp, "unprime") == h
+
+
+def test_and_in_either_order_shares_one_computed_table_entry():
+    m = fresh(4)
+    f = (m.var("a") | m.var("c")) ^ m.var("d'")
+    g = (m.var("b") ^ m.var("c'")) | m.var("d")
+    fg = f & g
+    entries = len(m._cache)
+    assert (g & f) == fg
+    assert len(m._cache) == entries
+    # a relational product with nothing to quantify at or below the
+    # operands' top is the AND, and reuses its entries
+    assert m.and_exists(g, f, []) == fg
+    assert len(m._cache) == entries
+
+
+def test_a_past_deadline_stops_a_large_relational_product():
+    def operands(n):
+        # f pairs x_i with the primed copy of x_(n-1-i): exponential size
+        # in the interleaved order, so the product misses the computed
+        # table far more often than the deadline check's period
+        m = BddManager()
+        names = [f"x{i}" for i in range(n)]
+        for v in names:
+            m.declare_signal(v)
+        f = g = m.true
+        for i in range(n):
+            f = f & (m.var(names[i]) | m.var(names[n - 1 - i] + "'"))
+            g = g & (m.var(names[i] + "'") | m.var(names[(i + 3) % n]))
+        return m, f, g, [v + "'" for v in names]
+
+    m, f, g, primed = operands(14)
+    m.deadline = float("inf")
+    m.and_exists(f, g, primed)
+    assert m._tick >= 2 * 0x2000
+    m, f, g, primed = operands(14)
+    m.deadline = time.monotonic() - 1.0
+    with pytest.raises(ResourceLimitError, match="deadline exceeded"):
+        m.and_exists(f, g, primed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(trees(names=LEVELS), st.booleans()), min_size=1,
+                max_size=8))
+def test_collect_matches_a_reference_mark_sweep(items):
+    m = fresh(len(KVARS))
+    # the second round allocates into the slots the first one freed
+    for _ in range(2):
+        refs = [(t, build_bdd(m, t)) for t, _keep in items]
+        kept = [(t, r) for (t, r), (_t, k) in zip(refs, items) if k]
+        del refs
+        live = {0, 1}
+        stack = [r.node for _t, r in kept]
+        while stack:
+            n = stack.pop()
+            if n not in live:
+                live.add(n)
+                stack += [m._lo[n], m._hi[n]]
+        used = set(m._unique.values())
+        dead = sorted(used - live)
+        free_before = list(m._free)
+        assert m.collect() == len(dead)
+        assert m._free == free_before + dead
+        assert set(m._unique.values()) == used - set(dead)
+        assert all(m._unique[(m._level[n], m._lo[n], m._hi[n])] == n
+                   for n in m._unique.values())
+        for t, r in kept:
+            assert m.to_truthtable(r, LEVELS) == table(
+                lambda env: eval_tree(t, env))
+            assert build_bdd(m, t) == r  # canonical: found, not rebuilt
 
 
 # ----------------------------------------------------------------------

@@ -374,3 +374,45 @@ def test_report_does_not_depend_on_the_level_order(tmp_path, monkeypatch,
     monkeypatch.setattr(report_mod, "Session", PermutedSession)
     for path, want in zip(paths, plain):
         assert report_json(path) == want, path.name
+
+
+def test_cli_progress_lines_follow_a_redirected_stderr(tmp_path):
+    import contextlib
+    import io
+
+    target = tmp_path / "m.spec"
+    target.write_text(spec_path("mutex").read_text())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli_main([str(target), "--analyses", "positions,falsify"]) == 0
+    lines = err.getvalue().splitlines()
+    assert [line.split(" (")[0] for line in lines] == [
+        "gr1report: positions: ok", "gr1report: falsify: ok"]
+
+
+def test_report_leaves_no_bdd_handles_in_reference_cycles(tmp_path):
+    # a recursive nested function holds itself through its cell, so its
+    # memo of handles (and of nodes) lives until the cyclic collector
+    # runs; the kernel and ir_to_bdd recurse without such closures
+    import gc
+    import types
+    from gr1report.bdd import BddRef
+
+    def ours(obj):
+        return (isinstance(obj, types.FunctionType)
+                and (obj.__code__.co_filename.endswith("bdd.py")
+                     or obj.__qualname__.startswith("ir_to_bdd")))
+
+    gc.collect()
+    gc.disable()
+    try:
+        run_report(spec_path("tworobot"), json_path=tmp_path / "r.json",
+                   html_path=tmp_path / "r.html", log=None)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, BddRef) or ours(o)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []
