@@ -14,12 +14,16 @@ The kernel is recursive Python, so it is kept specialised.  AND and OR,
 which make nearly all of the game solver's calls, have recursions of
 their own; each orders its operands into a standard triple (the lower
 node id first), so `a & b` and `b & a` share one computed-table entry.
-The relational product `and_exists` hands off to AND once both
-operands lie below the deepest quantified level, and merges quantified
-cofactors with OR.  On a computed-table miss each recursion looks its
-result up in the unique table itself and calls `_mk` only for a new
-node.  The deadline is checked only when one is set, once every 8192
-misses.
+The relational product `and_exists` (exists Q: f & g, Burch, Clarke &
+Long 1991) hands off to AND once both operands lie below the deepest
+quantified level, and merges quantified cofactors with OR.  Its dual
+`or_forall` (forall Q: f | g) hands off to OR and merges with AND; it
+gives universal quantification, and the game's predecessors from a
+negated transition relation built once, without negating a BDD per
+call (what complement edges would give for free).  On a computed-table
+miss each recursion looks its result up in the unique table itself and
+calls `_mk` only for a new node.  The deadline is checked only when one
+is set, once every 8192 misses.
 
 References
 ==========
@@ -29,6 +33,9 @@ IEEE Trans. Computers C-35(8), 1986.
 
 K. S. Brace, R. L. Rudell, R. E. Bryant, "Efficient implementation of a
 BDD package", DAC 1990.
+
+J. R. Burch, E. M. Clarke, D. E. Long, "Symbolic model checking with
+partitioned transition relations", VLSI 1991.
 
 O. Coudert, J. C. Madre, "Implicit and incremental computation of primes
 and essential primes of Boolean functions", DAC 1992.
@@ -53,7 +60,10 @@ _DIFF = 5
 _NOT = 6
 _PRIME = 7
 _UNPRIME = 8
-_QBASE = 16  # and_exists / and_forall caches start here
+# computed-table keys of the quantifying recursions, per quantifier set
+# id qid: `_and_exists` uses (_QBASE + qid, f, g), above every op code;
+# `_or_forall` uses (-1 - qid, f, g), below every op code
+_QBASE = 16
 
 OP_NAMES = {"and": _AND, "or": _OR, "xor": _XOR,
             "implies": _IMP, "iff": _IFF, "diff": _DIFF}
@@ -492,9 +502,8 @@ class BddManager:
             return BddRef(self, self._and_exists(f.node, TRUE,
                                                  self._qset_id(levels)))
         if kind == "forall":
-            inner = self._and_exists(self._not(f.node), TRUE,
-                                     self._qset_id(levels))
-            return BddRef(self, self._not(inner))
+            return BddRef(self, self._or_forall(FALSE, f.node,
+                                                self._qset_id(levels)))
         raise BddError(f"unknown quantifier kind {kind!r}")
 
     def exists(self, names, f: BddRef) -> BddRef:
@@ -508,6 +517,12 @@ class BddManager:
         self._check_same(f, g)
         qid = self._qset_id(self._levels_for(names))
         return BddRef(self, self._and_exists(f.node, g.node, qid))
+
+    def or_forall(self, f: BddRef, g: BddRef, names) -> BddRef:
+        """forall names: f | g  (the dual of `and_exists`)."""
+        self._check_same(f, g)
+        qid = self._qset_id(self._levels_for(names))
+        return BddRef(self, self._or_forall(f.node, g.node, qid))
 
     def _and_exists(self, f: int, g: int, qid: int) -> int:
         if f > g:
@@ -538,6 +553,43 @@ class BddManager:
         else:
             r0 = self._and_exists(f0, g0, qid)
             r1 = self._and_exists(f1, g1, qid)
+            if r0 == r1:
+                r = r0
+            else:
+                r = self._unique.get((top, r0, r1))
+                if r is None:
+                    r = self._mk(top, r0, r1)
+        self._cache[key] = r
+        return r
+
+    def _or_forall(self, f: int, g: int, qid: int) -> int:
+        # `_and_exists` with FALSE and TRUE, AND and OR swapped
+        if f > g:
+            f, g = g, f
+        if f == TRUE:
+            return TRUE
+        level = self._level
+        lf, lg = level[f], level[g]
+        top = lf if lf < lg else lg
+        if top > self._qset_bottom[qid]:
+            return self._or(f, g)
+        key = (-1 - qid, f, g)
+        r = self._cache.get(key)
+        if r is not None:
+            return r
+        if self.deadline is not None:
+            self._check_limits()
+        f0, f1 = (self._lo[f], self._hi[f]) if lf == top else (f, f)
+        g0, g1 = (self._lo[g], self._hi[g]) if lg == top else (g, g)
+        if top in self._qset_levels[qid]:
+            r0 = self._or_forall(f0, g0, qid)
+            if r0 == FALSE:
+                r = FALSE
+            else:
+                r = self._and(r0, self._or_forall(f1, g1, qid))
+        else:
+            r0 = self._or_forall(f0, g0, qid)
+            r1 = self._or_forall(f1, g1, qid)
             if r0 == r1:
                 r = r0
             else:

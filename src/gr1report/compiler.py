@@ -207,37 +207,61 @@ def _expr_type(e: Expr, doc: SpecDocument) -> str:
 def _type_violations(part: SpecPart, doc: SpecDocument) -> dict[str, str]:
     """Message per broken typing rule, naming the first offending term."""
     out: dict[str, str] = {}
-
-    def visit(e: Expr, under_compare: bool):
-        t = _expr_type(e, doc)
-        if t == "int" and not under_compare:
-            out.setdefault("arithmetic outside comparison",
-                           f"integer-valued term in boolean position: {format_expr(e)}")
-            return
-        if isinstance(e, Compare):
-            for side in (e.left, e.right):
-                if _expr_type(side, doc) != "int":
-                    out.setdefault("comparison on boolean",
-                                   f"comparison operand is not integer-valued: {format_expr(e)}")
-                visit(side, True)
-            return
-        if isinstance(e, (Add, Sub)):
-            for side in (e.left, e.right):
-                if _expr_type(side, doc) != "int":
-                    out.setdefault("boolean in arithmetic",
-                                   f"arithmetic over a boolean operand: {format_expr(e)}")
-                visit(side, True)
-            return
-        if isinstance(e, (Not, Next)):
-            visit(e.sub, under_compare and isinstance(e, Next)
-                  and _expr_type(e.sub, doc) == "int")
-            return
-        if isinstance(e, (And, Or, Implies, Iff)):
-            visit(e.left, False)
-            visit(e.right, False)
-
-    visit(part.formula, False)
+    _type_visit(part.formula, False, doc, out)
     return out
+
+
+# The recursions below are module functions, not nested ones: a nested
+# function that calls itself holds itself through its cell, so it and
+# the AST nodes it reaches would wait for the cyclic garbage collector.
+
+def _type_visit(e: Expr, under_compare: bool, doc: SpecDocument,
+                out: dict[str, str]) -> None:
+    t = _expr_type(e, doc)
+    if t == "int" and not under_compare:
+        out.setdefault("arithmetic outside comparison",
+                       f"integer-valued term in boolean position: {format_expr(e)}")
+        return
+    if isinstance(e, Compare):
+        for side in (e.left, e.right):
+            if _expr_type(side, doc) != "int":
+                out.setdefault("comparison on boolean",
+                               f"comparison operand is not integer-valued: {format_expr(e)}")
+            _type_visit(side, True, doc, out)
+        return
+    if isinstance(e, (Add, Sub)):
+        for side in (e.left, e.right):
+            if _expr_type(side, doc) != "int":
+                out.setdefault("boolean in arithmetic",
+                               f"arithmetic over a boolean operand: {format_expr(e)}")
+            _type_visit(side, True, doc, out)
+        return
+    if isinstance(e, (Not, Next)):
+        _type_visit(e.sub, under_compare and isinstance(e, Next)
+                    and _expr_type(e.sub, doc) == "int", doc, out)
+        return
+    if isinstance(e, (And, Or, Implies, Iff)):
+        _type_visit(e.left, False, doc, out)
+        _type_visit(e.right, False, doc, out)
+
+
+def _nexts_nested(e: Expr, inside: bool) -> bool:
+    if isinstance(e, Next):
+        if inside:
+            return True
+        return _nexts_nested(e.sub, True)
+    return any(_nexts_nested(c, inside) for c in _children(e))
+
+
+def _has_next(e: Expr) -> bool:
+    return any(isinstance(x, Next) for x in _walk(e))
+
+
+def _outputs_under_next(e: Expr, inside: bool, outputs: set[str]) -> bool:
+    if isinstance(e, Atom) and inside and e.name in outputs:
+        return True
+    nested = inside or isinstance(e, Next)
+    return any(_outputs_under_next(c, nested, outputs) for c in _children(e))
 
 
 def validate_gr1_shape(doc: SpecDocument) -> list[Violation]:
@@ -245,35 +269,19 @@ def validate_gr1_shape(doc: SpecDocument) -> list[Violation]:
     at most one per rule and part."""
     out: list[Violation] = []
     outputs = {v.name for v in doc.outputs()}
-
-    def nexts_nested(e: Expr, inside: bool) -> bool:
-        if isinstance(e, Next):
-            if inside:
-                return True
-            return nexts_nested(e.sub, True)
-        return any(nexts_nested(c, inside) for c in _children(e))
-
-    def has_next(e: Expr) -> bool:
-        return any(isinstance(x, Next) for x in _walk(e))
-
-    def outputs_under_next(e: Expr, inside: bool) -> bool:
-        if isinstance(e, Atom) and inside and e.name in outputs:
-            return True
-        nested = inside or isinstance(e, Next)
-        return any(outputs_under_next(c, nested) for c in _children(e))
-
     for part in doc.all_parts():
         found: dict[str, str] = {}  # rule -> message
-        if nexts_nested(part.formula, False):
+        if _nexts_nested(part.formula, False):
             found["nested next"] = f"X occurs inside X: {part.text}"
-        if part.kind in ("env_init", "sys_init") and has_next(part.formula):
+        if part.kind in ("env_init", "sys_init") and _has_next(part.formula):
             found["next in initial part"] = f"X is not allowed in initial parts: {part.text}"
         if part.kind == "env_init":
             used = {x.name for x in _walk(part.formula) if isinstance(x, Atom)}
             if used & outputs:
                 found["output in initial assumption"] = (
                     f"outputs {sorted(used & outputs)} in: {part.text}")
-        if part.kind == "env_trans" and outputs_under_next(part.formula, False):
+        if part.kind == "env_trans" and _outputs_under_next(part.formula, False,
+                                                           outputs):
             found["output under next in assumption"] = (
                 f"an output proposition is in the scope of X: {part.text}")
         found.update(_type_violations(part, doc))

@@ -9,7 +9,7 @@ transition, or an assumption-starving transition, independently per
 move.  With
 
     can(R, V) = exists O' (R & V')          (system half)
-    cpre(C)   = !exists I' (trans_env & !C)  (environment half)
+    cpre(C)   = forall I' (!trans_env | C)   (environment half)
 
 the fixpoint is
 
@@ -23,6 +23,8 @@ goal term once per mu-Y evaluation and the progress term once per Y
 step, and the target relation itself is never built (early
 quantification over a partitioned relation, as in Burch, Clarke & Long,
 "Symbolic model checking with partitioned transition relations", 1991).
+The environment half is the dual product `or_forall` over the negated
+`trans_env`, which the game negates once, so no step negates a BDD.
 
 The mu-iterates of the final sweep are kept as distance strata: a
 position's reactive distance to goal j is the index of the first
@@ -119,6 +121,14 @@ class SymbolicGame:
         return [o + "'" for o in self.outputs if o not in fixed]
 
     @cached_property
+    def _not_trans_env(self) -> BddRef:
+        return ~self.trans_env
+
+    @cached_property
+    def _not_trans_sys(self) -> BddRef:
+        return ~self.trans_sys
+
+    @cached_property
     def _ts_goal(self) -> list[BddRef]:
         return [self.trans_sys & g for g in self.live_sys]
 
@@ -150,7 +160,7 @@ class SymbolicGame:
         controllable step.  A deadlocked environment counts as
         controllable."""
         m = self.mgr
-        good = ~m.and_exists(self.trans_env, ~can, self.primed_inputs)
+        good = m.or_forall(self._not_trans_env, can, self.primed_inputs)
         if self.precommit:
             good = m.exists([o + "'" for o in self.precommit], good)
         if self.position_filter is not None:
@@ -164,8 +174,8 @@ class SymbolicGame:
     def forced(self, target: BddRef) -> BddRef:
         """Positions and next inputs after which every legal sys reply
         satisfies `target` (a stuck system counts as forced)."""
-        return ~self.mgr.and_exists(self.trans_sys, ~target,
-                                    self.primed_outputs)
+        return self.mgr.or_forall(self._not_trans_sys, target,
+                                  self.primed_outputs)
 
     def env_pre(self, target: BddRef) -> BddRef:
         """Positions where some legal env move makes every legal sys reply

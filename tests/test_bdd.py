@@ -329,6 +329,57 @@ def test_kernel_matches_truth_tables(t1, t2, t3, data):
     assert m.rename(hp, "unprime") == h
 
 
+@settings(max_examples=200, deadline=None)
+@given(trees(names=LEVELS), trees(names=LEVELS),
+       st.sampled_from(["empty", "single", "primed", "all"]), st.data())
+def test_or_forall_is_the_dual_of_and_exists(t1, t2, kind, data):
+    m = fresh(len(KVARS))
+    f, g = build_bdd(m, t1), build_bdd(m, t2)
+    q = {"empty": [],
+         "single": [data.draw(st.sampled_from(LEVELS))],
+         "primed": [n for n in LEVELS if n.endswith("'")],
+         "all": LEVELS}[kind]
+    r = m.or_forall(f, g, q)
+    assert r == m.or_forall(g, f, q) == ~m.and_exists(~f, ~g, q)
+    assert m.forall(q, f) == ~m.exists(q, ~f)
+    tf = table(lambda env: eval_tree(t1, env))
+    tg = table(lambda env: eval_tree(t2, env))
+    assert m.to_truthtable(r, LEVELS) == FULL & ~exists_table(
+        FULL & ~(tf | tg), q)
+
+
+def test_quantifying_products_keep_their_computed_table_entries_apart():
+    # more quantifier sets than op codes: every qid's or_forall and
+    # and_exists entries must stay clear of each other and of the AND/OR
+    # entries made on the same operands
+    def operands():
+        m = fresh(len(KVARS))
+        a, b, c, d = (m.var(v) for v in KVARS)
+        ap, bp, cp, dp = (m.var(v + "'") for v in KVARS)
+        f = (a & bp) | (c ^ dp) | (b & ~ap & cp)
+        g = (ap ^ b) & (d | cp) | (a & ~dp)
+        return m, f, g
+
+    ops = [lambda m, f, g, q: f & g,
+           lambda m, f, g, q: m.or_forall(f, g, q),
+           lambda m, f, g, q: m.and_exists(f, g, q),
+           lambda m, f, g, q: f | g,
+           lambda m, f, g, q: m.or_forall(g, f, q),
+           lambda m, f, g, q: m.and_exists(g, f, q)]
+
+    def alone(op, q):
+        m, f, g = operands()
+        return m.to_truthtable(op(m, f, g, q), LEVELS)
+
+    sets = list(itertools.combinations(LEVELS, 2))[:20]
+    m, f, g = operands()
+    got = [[op(m, f, g, q) for op in ops] for q in sets]
+    assert len(m._qset_levels) == len(sets) > 16
+    for q, row in zip(sets, got):
+        assert ([m.to_truthtable(r, LEVELS) for r in row]
+                == [alone(op, q) for op in ops]), q
+
+
 def test_and_in_either_order_shares_one_computed_table_entry():
     m = fresh(4)
     f = (m.var("a") | m.var("c")) ^ m.var("d'")
@@ -343,29 +394,63 @@ def test_and_in_either_order_shares_one_computed_table_entry():
     assert len(m._cache) == entries
 
 
-def test_a_past_deadline_stops_a_large_relational_product():
-    def operands(n):
-        # f pairs x_i with the primed copy of x_(n-1-i): exponential size
-        # in the interleaved order, so the product misses the computed
-        # table far more often than the deadline check's period
-        m = BddManager()
-        names = [f"x{i}" for i in range(n)]
-        for v in names:
-            m.declare_signal(v)
-        f = g = m.true
-        for i in range(n):
-            f = f & (m.var(names[i]) | m.var(names[n - 1 - i] + "'"))
-            g = g & (m.var(names[i] + "'") | m.var(names[(i + 3) % n]))
-        return m, f, g, [v + "'" for v in names]
+def crossed_operands(n):
+    # f pairs x_i with the primed copy of x_(n-1-i): exponential size in
+    # the interleaved order, so a product of f and g misses the computed
+    # table far more often than the deadline check's period
+    m = BddManager()
+    names = [f"x{i}" for i in range(n)]
+    for v in names:
+        m.declare_signal(v)
+    f = g = m.true
+    for i in range(n):
+        f = f & (m.var(names[i]) | m.var(names[n - 1 - i] + "'"))
+        g = g & (m.var(names[i] + "'") | m.var(names[(i + 3) % n]))
+    return m, f, g, [v + "'" for v in names]
 
-    m, f, g, primed = operands(14)
+
+def test_a_past_deadline_stops_a_large_relational_product():
+    m, f, g, primed = crossed_operands(14)
     m.deadline = float("inf")
     m.and_exists(f, g, primed)
     assert m._tick >= 2 * 0x2000
-    m, f, g, primed = operands(14)
+    m, f, g, primed = crossed_operands(14)
     m.deadline = time.monotonic() - 1.0
     with pytest.raises(ResourceLimitError, match="deadline exceeded"):
         m.and_exists(f, g, primed)
+
+
+def test_a_past_deadline_stops_a_large_dual_product():
+    # the complements make the dual product recurse as the relational
+    # product above does
+    m, f, g, primed = crossed_operands(14)
+    nf, ng = ~f, ~g
+    m.deadline = float("inf")
+    m.or_forall(nf, ng, primed)
+    assert m._tick >= 2 * 0x2000
+    m, f, g, primed = crossed_operands(14)
+    nf, ng = ~f, ~g
+    m.deadline = time.monotonic() - 1.0
+    with pytest.raises(ResourceLimitError, match="deadline exceeded"):
+        m.or_forall(nf, ng, primed)
+
+
+def test_node_budget_stops_a_dual_product():
+    def operands():
+        m = fresh(len(KVARS))
+        a, b, c, d = (m.var(v) for v in KVARS)
+        f = (a ^ m.var("c'")) | (b ^ m.var("d'"))
+        g = (c ^ m.var("a'")) | (d & m.var("b'"))
+        return m, f, g
+
+    m, f, g = operands()
+    allocated = len(m._level)
+    m.or_forall(f, g, ["a", "b"])
+    assert len(m._level) > allocated
+    m, f, g = operands()
+    m.node_budget = len(m._level)
+    with pytest.raises(ResourceLimitError, match="node budget"):
+        m.or_forall(f, g, ["a", "b"])
 
 
 @settings(max_examples=60, deadline=None)

@@ -390,18 +390,9 @@ def test_cli_progress_lines_follow_a_redirected_stderr(tmp_path):
         "gr1report: positions: ok", "gr1report: falsify: ok"]
 
 
-def test_report_leaves_no_bdd_handles_in_reference_cycles(tmp_path):
-    # a recursive nested function holds itself through its cell, so its
-    # memo of handles (and of nodes) lives until the cyclic collector
-    # runs; the kernel and ir_to_bdd recurse without such closures
+def _cyclic_garbage_after_report(tmp_path) -> list:
+    """What one `tworobot` report leaves for the cyclic collector."""
     import gc
-    import types
-    from gr1report.bdd import BddRef
-
-    def ours(obj):
-        return (isinstance(obj, types.FunctionType)
-                and (obj.__code__.co_filename.endswith("bdd.py")
-                     or obj.__qualname__.startswith("ir_to_bdd")))
 
     gc.collect()
     gc.disable()
@@ -410,9 +401,37 @@ def test_report_leaves_no_bdd_handles_in_reference_cycles(tmp_path):
                    html_path=tmp_path / "r.html", log=None)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        leaked = [o for o in gc.garbage if isinstance(o, BddRef) or ours(o)]
+        return list(gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+def _functions_of(garbage: list, *files: str) -> list:
+    import types
+
+    return [o for o in garbage if isinstance(o, types.FunctionType)
+            and o.__code__.co_filename.endswith(files)]
+
+
+def test_report_leaves_no_bdd_handles_in_reference_cycles(tmp_path):
+    # a recursive nested function holds itself through its cell, so its
+    # memo of handles (and of nodes) lives until the cyclic collector
+    # runs; the kernel and ir_to_bdd recurse without such closures
+    from gr1report.bdd import BddRef
+
+    garbage = _cyclic_garbage_after_report(tmp_path)
+    leaked = [o for o in garbage if isinstance(o, BddRef)]
+    leaked += _functions_of(garbage, "bdd.py")
+    leaked += [f for f in _functions_of(garbage, "game.py")
+               if f.__qualname__.startswith("ir_to_bdd")]
     assert leaked == []
+
+
+def test_compile_leaves_no_functions_in_reference_cycles(tmp_path):
+    # the validator's recursions are module functions, so compiling a
+    # spec leaves neither them nor the AST nodes they reach to the
+    # cyclic collector
+    garbage = _cyclic_garbage_after_report(tmp_path)
+    assert _functions_of(garbage, "compiler.py") == []
