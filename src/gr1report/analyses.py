@@ -1,13 +1,14 @@
 """Specification debugging analyses.
 
 The analyses of one report share a Session: one manager holding the
-baseline games, regions and machine.  Every variant game (a goal set to
-FALSE, an assumption dropped, a signal pinned, outputs committed early,
-glitch positions filtered out) is a dataclasses.replace edit of the
-strict baseline game in that manager, compared with it as BDDs; no
-variant is built from a specification and no game is mutated.  The
-session also carries the settings every analysis run in it uses
-(robotics realizability, the node budget and the timeout).  Called on a plain BooleanSpec, an
+baseline games, regions and machine.  Every other game (classical
+implication, a goal set to FALSE, an assumption dropped, a signal
+pinned, outputs committed early, glitch positions filtered out) is a
+dataclasses.replace edit of the strict baseline game in that manager,
+compared with it as BDDs; only the strict baseline is built from the
+specification, and no game is mutated.  The session also carries the
+settings every analysis run in it uses (robotics realizability, the
+node budget and the timeout).  Called on a plain BooleanSpec, an
 analysis runs in a fresh Session(spec) with the default settings, so
 such calls may run concurrently.  All results are deterministic
 functions of (specification, options).
@@ -23,8 +24,8 @@ from itertools import accumulate, islice
 from .bdd import BddManager, BddRef, Cube
 from .compiler import BooleanSpec, BoolPart
 from .game import (
-    SymbolicGame, WinningRegion, build_game, solve_game,
-    check_realizability, extract_strategy, ir_to_bdd, _conj, _union,
+    SymbolicGame, WinningRegion, build_game, classical, solve_game,
+    check_realizability, extract_strategy, _union,
 )
 
 INFINITE = float("inf")
@@ -60,11 +61,13 @@ class Session:
         self.mgr.collect()
 
     def game(self, semantics="strict") -> SymbolicGame:
-        """Baseline game; the only games built from the specification."""
+        """Baseline game.  The strict one is the only game built from the
+        specification; the classical one is its `classical` edit."""
         if semantics not in self._games:
-            self._games[semantics] = build_game(
-                self.spec, semantics=semantics, robotics=self.robotics,
-                mgr=self.mgr)
+            self._games[semantics] = (
+                classical(self.game()) if semantics == "nonstrict"
+                else build_game(self.spec, semantics, self.robotics,
+                                self.mgr))
         return self._games[semantics]
 
     def region(self, semantics="strict") -> WinningRegion:
@@ -236,19 +239,13 @@ def classify_assumptions(
 def _without(session: Session, part: BoolPart) -> SymbolicGame:
     """The strict baseline game without one assumption."""
     game = session.game()
-    mgr = game.mgr
-    if part.kind == "env_trans":
-        kept = [(p, b) for (p, b) in game.trans_env_parts if p is not part]
-        return replace(game, trans_env=_conj(mgr, [b for _p, b in kept]),
-                       trans_env_parts=kept)
     if part.kind == "env_liveness":
         live = [a for p, a in zip(session.spec.parts["env_liveness"],
                                   game.live_env) if p is not part]
-        return replace(game, live_env=live or [mgr.true])
-    init = _conj(mgr, [ir_to_bdd(mgr, p.ir)
-                       for p in session.spec.parts["env_init"]
-                       if p is not part])
-    return replace(game, init_env=init, init_env_user=init)
+        return replace(game, live_env=live or [game.mgr.true])
+    name = "init_env_parts" if part.kind == "env_init" else "trans_env_parts"
+    return replace(game, **{name: [(p, b) for p, b in getattr(game, name)
+                                   if p is not part]})
 
 
 def _drop_assumption(session: Session, region: WinningRegion,
@@ -418,14 +415,11 @@ def stuck_at_analysis(spec: BooleanSpec | Session) -> StuckAtTable:
             pin = mgr.var(sig) if value else mgr.nvar(sig)
             step = base.prime(pin)
             if direction == "outputs":
-                init = base.init_sys & pin
-                game = replace(base, init_sys=init, init_sys_user=init,
+                game = replace(base, init_sys=base.init_sys & pin,
                                trans_sys=base.trans_sys & step)
             else:
-                init = base.init_env & pin
                 game = replace(
-                    base, init_env=init, init_env_user=init,
-                    trans_env=base.trans_env & step,
+                    base, init_env_parts=base.init_env_parts + [(None, pin)],
                     trans_env_parts=base.trans_env_parts + [(None, step)])
             entries[(sig, value)] = check_realizability(
                 game, solve_game(game, start=start))

@@ -11,9 +11,11 @@ order of the names they are given, not the level order, so their
 results do not depend on it.
 
 The kernel is recursive Python, so it is kept specialised.  AND and OR,
-which make nearly all of the game solver's calls, have recursions of
-their own; each orders its operands into a standard triple (the lower
+which make nearly all of the game solver's calls, are its only binary
+recursions; each orders its operands into a standard triple (the lower
 node id first), so `a & b` and `b & a` share one computed-table entry.
+The rarer operators (xor, implies, iff, diff) are built from AND, OR
+and NOT.
 The relational product `and_exists` (exists Q: f & g, Burch, Clarke &
 Long 1991) hands off to AND once both operands lie below the deepest
 quantified level, and merges quantified cofactors with OR.  Its dual
@@ -50,23 +52,16 @@ FALSE = 0
 TRUE = 1
 _LEAF = 1 << 30
 
-# operator codes for the apply cache
+# operator codes for the computed table
 _AND = 0
 _OR = 1
-_XOR = 2
-_IMP = 3
-_IFF = 4
-_DIFF = 5
-_NOT = 6
-_PRIME = 7
-_UNPRIME = 8
+_NOT = 2
+_PRIME = 3
+_UNPRIME = 4
 # computed-table keys of the quantifying recursions, per quantifier set
 # id qid: `_and_exists` uses (_QBASE + qid, f, g), above every op code;
 # `_or_forall` uses (-1 - qid, f, g), below every op code
-_QBASE = 16
-
-OP_NAMES = {"and": _AND, "or": _OR, "xor": _XOR,
-            "implies": _IMP, "iff": _IFF, "diff": _DIFF}
+_QBASE = 5
 
 
 class BddError(Exception):
@@ -316,9 +311,9 @@ class BddManager:
                 raise BddError("BddRef belongs to a different manager")
 
     def apply(self, op: str, f: BddRef, g: BddRef) -> BddRef:
+        """f op g for op in and, or, xor, implies, iff, diff (f & !g)."""
         self._check_same(f, g)
-        code = OP_NAMES[op]
-        return BddRef(self, self._apply(code, f.node, g.node))
+        return BddRef(self, self._apply(op, f.node, g.node))
 
     def negate(self, f: BddRef) -> BddRef:
         self._check_same(f)
@@ -423,62 +418,21 @@ class BddManager:
         self._cache[key] = r
         return r
 
-    def _apply(self, op: int, f: int, g: int) -> int:
-        if op == _AND:
+    def _apply(self, op: str, f: int, g: int) -> int:
+        if op == "and":
             return self._and(f, g)
-        if op == _OR:
+        if op == "or":
             return self._or(f, g)
-        # the other operators are rare; terminal shortcuts, then the
-        # generic recursion
-        if op == _XOR:
-            if f == g:
-                return FALSE
-            if f == FALSE:
-                return g
-            if g == FALSE:
-                return f
-            if f == TRUE:
-                return self._not(g)
-            if g == TRUE:
-                return self._not(f)
-        elif op == _IMP:
-            if f == FALSE or g == TRUE or f == g:
-                return TRUE
-            if f == TRUE:
-                return g
-            if g == FALSE:
-                return self._not(f)
-        elif op == _IFF:
-            if f == g:
-                return TRUE
-            if f == TRUE:
-                return g
-            if g == TRUE:
-                return f
-            if f == FALSE:
-                return self._not(g)
-            if g == FALSE:
-                return self._not(f)
-        elif op == _DIFF:
-            if f == FALSE or g == TRUE or f == g:
-                return FALSE
-            if g == FALSE:
-                return f
-            if f == TRUE:
-                return self._not(g)
-        key = (op, f, g)
-        r = self._cache.get(key)
-        if r is not None:
-            return r
-        if self.deadline is not None:
-            self._check_limits()
-        lf, lg = self._level[f], self._level[g]
-        top = lf if lf < lg else lg
-        f0, f1 = (self._lo[f], self._hi[f]) if lf == top else (f, f)
-        g0, g1 = (self._lo[g], self._hi[g]) if lg == top else (g, g)
-        r = self._mk(top, self._apply(op, f0, g0), self._apply(op, f1, g1))
-        self._cache[key] = r
-        return r
+        # the other operators are rare: built from AND, OR and NOT
+        if op == "diff":
+            return self._and(f, self._not(g))
+        if op == "implies":
+            return self._or(self._not(f), g)
+        if op in ("xor", "iff"):
+            r = self._or(self._and(f, self._not(g)),
+                         self._and(self._not(f), g))
+            return r if op == "xor" else self._not(r)
+        raise BddError(f"unknown operator {op!r}")
 
     # ------------------------------------------------------------------
     # quantification
@@ -925,8 +879,9 @@ class _PrimeWalk:
             r = meta._mk(olvl, self.primes(f0, i + 1), FALSE)
         else:
             pboth = self.primes(self.mgr._and(f0, f1), i + 1)
-            p1 = meta._apply(_DIFF, self.primes(f1, i + 1), pboth)
-            p0 = meta._apply(_DIFF, self.primes(f0, i + 1), pboth)
+            rest = meta._not(pboth)
+            p1 = meta._and(self.primes(f1, i + 1), rest)
+            p0 = meta._and(self.primes(f0, i + 1), rest)
             r = meta._mk(olvl, pboth, meta._mk(olvl + 1, p0, p1))
         self.memo[key] = r
         return r

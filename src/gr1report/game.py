@@ -40,7 +40,7 @@ strategy extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .bdd import BddManager, BddRef
@@ -79,32 +79,43 @@ def ir_to_bdd(mgr: BddManager, ir: IR, memo: dict | None = None) -> BddRef:
 @dataclass(frozen=True)
 class SymbolicGame:
     """Synthesis game, a frozen value: a variant is a `dataclasses.replace`
-    of it, and each game computes its derived relations on first use.  In
-    a strict game the `*_user` initial conditions are the same BDDs as
-    `init_env`/`init_sys`, and `trans_env` is the conjunction of the
-    `trans_env_parts` BDDs."""
+    of it, and each game computes its derived relations on first use.
+    Each fact is stored once: the environment's safety assumptions are
+    kept as parts, and `init_env`, `trans_env` and the user's initial
+    condition `init_user` are derived."""
 
     mgr: BddManager
-    semantics: str                 # strict | nonstrict
     robotics: bool
     inputs: list[str]              # unprimed input propositions
     outputs: list[str]             # unprimed outputs (trackers included)
     positions: list[str]           # inputs and outputs, declaration order
-    init_env: BddRef
     init_sys: BddRef
-    init_env_user: BddRef          # original init assumptions
-    init_sys_user: BddRef          # original init guarantees (= init_sys when strict)
-    trans_env: BddRef
     trans_sys: BddRef
     live_env: list[BddRef]
     live_sys: list[BddRef]
-    trans_env_parts: list[tuple[BoolPart | None, BddRef]] = field(
-        default_factory=list)   # part None: a conjunct an analysis added
+    # part None: a conjunct an analysis added
+    init_env_parts: list[tuple[BoolPart | None, BddRef]]
+    trans_env_parts: list[tuple[BoolPart | None, BddRef]]
     trackers: list[str] = field(default_factory=list)
     position_filter: BddRef | None = None   # conjoined into every cpre
     precommit: list[str] | None = None      # outputs fixed before inputs
 
     # -- derived relations ------------------------------------------------
+
+    @cached_property
+    def init_env(self) -> BddRef:
+        return _conj(self.mgr, [b for _p, b in self.init_env_parts])
+
+    @cached_property
+    def trans_env(self) -> BddRef:
+        return _conj(self.mgr, [b for _p, b in self.trans_env_parts])
+
+    @cached_property
+    def init_user(self) -> BddRef:
+        """The user's initial assumptions and guarantees: in a classical
+        game, its initial condition with neither tracker set."""
+        return self.mgr.restrict(self.init_env & self.init_sys,
+                                 dict.fromkeys(self.trackers, False))
 
     @cached_property
     def primed_inputs(self) -> list[str]:
@@ -320,7 +331,7 @@ def check_realizability(game: SymbolicGame, region: WinningRegion) -> str:
         if game.trackers:
             inner = mgr.exists(game.trackers, inner)
         user_outs = [o for o in game.outputs if o not in game.trackers]
-        cond = (game.init_env_user & game.init_sys_user).implies(inner)
+        cond = game.init_user.implies(inner)
         ok = mgr.forall(game.inputs + user_outs, cond)
     else:
         fixed = list(game.precommit or ())
@@ -399,8 +410,7 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
 
     strict: the native game; the system loses on violating its safety
     parts unless the environment violated first.  nonstrict: classical
-    implication, encoded with two violation-tracker bits and transformed
-    liveness; solved by the same fixpoint.
+    implication, the `classical` edit of the strict game.
 
     The game goes into a fresh manager without limits, or into `mgr`
     (whose own limits apply), reusing the signals it already has; the
@@ -408,15 +418,13 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
     depends on that order: `positions` and every enumeration follow the
     declaration order.
     """
-    if semantics not in ("strict", "nonstrict"):
+    if semantics == "nonstrict":
+        return classical(build_game(spec, robotics=robotics, mgr=mgr))
+    if semantics != "strict":
         raise GameError(f"unknown semantics {semantics!r}")
-    trackers = [ENV_VIOL, SYS_VIOL] if semantics == "nonstrict" else []
-    for t in trackers:
-        if t in spec.props:
-            raise GameError(f"proposition {t!r} is reserved")
     if mgr is None:
         mgr = BddManager()
-    positions = list(spec.props) + trackers
+    positions = list(spec.props)
     declared = set(mgr.var_names)
     for p in _level_order(spec, [p for p in positions if p not in declared]):
         mgr.declare_signal(p)
@@ -425,41 +433,47 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
     def bdds(kind: str) -> list[BddRef]:
         return [ir_to_bdd(mgr, p.ir, memo) for p in spec.parts[kind]]
 
-    init_env = _conj(mgr, bdds("env_init"))
-    init_sys = _conj(mgr, bdds("sys_init"))
-    te_parts = list(zip(spec.parts["env_trans"], bdds("env_trans")))
-    trans_env = _conj(mgr, [b for _p, b in te_parts])
-    trans_sys = _conj(mgr, bdds("sys_trans"))
-    live_env = bdds("env_liveness") or [mgr.true]
-    live_sys = bdds("sys_liveness") or [mgr.true]
+    def parts(kind: str) -> list[tuple[BoolPart, BddRef]]:
+        return list(zip(spec.parts[kind], bdds(kind)))
 
-    if semantics == "strict":
-        return SymbolicGame(
-            mgr=mgr, semantics=semantics, robotics=robotics,
-            inputs=list(spec.input_props), outputs=list(spec.output_props),
-            positions=positions, init_env=init_env, init_sys=init_sys,
-            init_env_user=init_env, init_sys_user=init_sys,
-            trans_env=trans_env, trans_sys=trans_sys,
-            live_env=live_env, live_sys=live_sys,
-            trans_env_parts=te_parts)
+    return SymbolicGame(
+        mgr=mgr, robotics=robotics, inputs=list(spec.input_props),
+        outputs=list(spec.output_props), positions=positions,
+        init_env_parts=parts("env_init"),
+        init_sys=_conj(mgr, bdds("sys_init")),
+        trans_env_parts=parts("env_trans"),
+        trans_sys=_conj(mgr, bdds("sys_trans")),
+        live_env=bdds("env_liveness") or [mgr.true],
+        live_sys=bdds("sys_liveness") or [mgr.true])
 
-    # classical implication: free moves, violations are tracked and folded
-    # into the liveness conditions (monotone bits make G/F collapse to GF)
+
+def classical(game: SymbolicGame) -> SymbolicGame:
+    """The strict game's specification under classical implication.
+
+    Moves are free: two tracker outputs record whether either side has
+    violated its safety parts, and the liveness conditions absorb them
+    (monotone bits make G/F collapse to GF).  Solved by the same
+    fixpoint.  The trackers are declared last unless the manager already
+    has them.
+    """
+    mgr = game.mgr
+    trackers = [ENV_VIOL, SYS_VIOL]
+    for t in trackers:
+        if t in game.positions:
+            raise GameError(f"proposition {t!r} is reserved")
+        if t not in mgr.var_names:
+            mgr.declare_signal(t)
     ev, sv = mgr.var(ENV_VIOL), mgr.var(SYS_VIOL)
     evp, svp = mgr.var(ENV_VIOL + "'"), mgr.var(SYS_VIOL + "'")
-    ts_ns = evp.iff(ev | ~trans_env) & svp.iff(sv | ~trans_sys)
-    init_sys_ns = ev.iff(~init_env) & sv.iff(~init_sys)
-    live_env_ns = [a & ~ev for a in live_env]
-    live_sys_ns = [g & ~sv for g in live_sys]
-    return SymbolicGame(
-        mgr=mgr, semantics=semantics, robotics=robotics,
-        inputs=list(spec.input_props),
-        outputs=list(spec.output_props) + trackers, positions=positions,
-        init_env=mgr.true, init_sys=init_sys_ns,
-        init_env_user=init_env, init_sys_user=init_sys,
-        trans_env=mgr.true, trans_sys=ts_ns,
-        live_env=live_env_ns, live_sys=live_sys_ns,
-        trans_env_parts=[], trackers=trackers)
+    return replace(
+        game, outputs=game.outputs + trackers,
+        positions=game.positions + trackers,
+        init_sys=ev.iff(~game.init_env) & sv.iff(~game.init_sys),
+        trans_sys=(evp.iff(ev | game._not_trans_env)
+                   & svp.iff(sv | game._not_trans_sys)),
+        live_env=[a & ~ev for a in game.live_env],
+        live_sys=[g & ~sv for g in game.live_sys],
+        init_env_parts=[], trans_env_parts=[], trackers=trackers)
 
 
 # ----------------------------------------------------------------------
@@ -557,11 +571,11 @@ def extract_strategy(game: SymbolicGame, region: WinningRegion) -> MealyMachine:
 
     initial: list[int] = []
     init_options = game.init_sys & region.win
-    admissible = game.init_env_user & game.init_sys_user
     for model in mgr.iter_models(game.init_env, inputs):
         opts = mgr.restrict(init_options, model)
         if opts.is_false():
-            if game.robotics and mgr.restrict(admissible, model).is_false():
+            if (game.robotics
+                    and mgr.restrict(game.init_user, model).is_false()):
                 continue  # no admissible initial output: vacuous
             raise GameError("initial input without a winning output")
         out_model = mgr.pick_min_model(opts, outputs)

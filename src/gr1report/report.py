@@ -24,6 +24,7 @@ from pathlib import Path
 from . import __version__
 from .bdd import Cube, ResourceLimitError
 from .compiler import compile_to_boolean, validate_gr1_shape
+from .game import GameError
 from .syntax import parse_spec
 from .analyses import (
     AnalysisError, Session, semantics_comparison, position_statistics,
@@ -240,7 +241,8 @@ def _run_analysis(name: str, config: ReportConfig, session: Session):
 def _limit_reason(exc: Exception) -> str:
     """Which limit a ResourceLimitError or RecursionError hit."""
     if isinstance(exc, RecursionError):
-        # the BDD kernel recurses about once per variable level
+        # the BDD kernel recurses about once per variable level, the
+        # front end once per nesting level of an expression
         return (f"recursion depth exceeded (interpreter limit "
                 f"{sys.getrecursionlimit()})")
     return str(exc)
@@ -266,11 +268,15 @@ def run_report(spec_path, config: ReportConfig | None = None,
     text = spec_path.read_text(encoding="utf-8")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     doc = parse_spec(text)
-    violations = validate_gr1_shape(doc)
-    if violations:
-        raise ReportError("specification violates the grammar:\n  "
-                          + "\n  ".join(str(v) for v in violations))
-    spec = compile_to_boolean(doc)
+    try:
+        violations = validate_gr1_shape(doc)
+        if violations:
+            raise ReportError("specification violates the grammar:\n  "
+                              + "\n  ".join(str(v) for v in violations))
+        spec = compile_to_boolean(doc)
+    except RecursionError as exc:
+        raise ReportError("specification nested too deeply: "
+                          + _limit_reason(exc)) from None
 
     base_sem = "nonstrict" if config.semantics == "nonstrict" else "strict"
     session = Session(spec, config.robotics, config.node_budget,
@@ -279,6 +285,8 @@ def run_report(spec_path, config: ReportConfig | None = None,
         verdict = session.verdict(base_sem)
     except (ResourceLimitError, RecursionError) as exc:
         raise BaselineResourceError(_limit_reason(exc)) from exc
+    except GameError as exc:
+        raise ReportError(str(exc)) from exc
     baseline = {"semantics": base_sem, "realizable": verdict}
 
     results: dict[str, dict] = {}
@@ -292,7 +300,7 @@ def run_report(spec_path, config: ReportConfig | None = None,
             results[name] = {"status": "ok",
                              "result": _run_analysis(name, config,
                                                      session)}
-        except (AnalysisError, TraceError) as exc:
+        except (AnalysisError, GameError, TraceError) as exc:
             results[name] = {"status": "skipped", "reason": str(exc)}
         except (ResourceLimitError, RecursionError) as exc:
             results[name] = {"status": "skipped",

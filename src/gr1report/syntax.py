@@ -340,8 +340,9 @@ def parse_spec(text: str) -> SpecDocument:
     """Parse a specification file into a SpecDocument.
 
     Raises SpecError with line/column on syntax errors, duplicate
-    variables, unknown section headers, or references to undeclared
-    variables.
+    variables, unknown section headers, references to undeclared
+    variables, or expressions nested past the interpreter's recursion
+    limit.
     """
     doc = SpecDocument()
     section: str | None = None
@@ -372,8 +373,11 @@ def parse_spec(text: str) -> SpecDocument:
             pending.append((section, line, line_no))
 
     for kind, line, line_no in pending:
-        formula = parse_expr(line, line_no)
-        _check_declared(formula, names, line_no)
+        try:
+            formula = parse_expr(line, line_no)
+            _check_declared(formula, names, line_no)
+        except RecursionError:
+            raise SpecError("expression nested too deeply", line_no) from None
         doc.parts[kind].append(SpecPart(
             formula=formula, text=line, kind=kind,
             index=counters[kind], line=line_no))

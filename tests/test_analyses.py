@@ -574,12 +574,12 @@ def _check_variants(monkeypatch, spec, robotics):
     assert len(games) == len(refs)
     for game, (what, ref_spec) in zip(games, refs):
         ref = build_game(ref_spec, robotics=robotics, mgr=session.mgr)
-        for name in ("init_env", "init_sys", "init_env_user",
-                     "init_sys_user", "trans_env", "trans_sys", "live_env",
-                     "live_sys"):
+        for name in ("init_env", "init_sys", "init_user", "trans_env",
+                     "trans_sys", "live_env", "live_sys"):
             assert getattr(game, name) == getattr(ref, name), (what, name)
-        assert ([b for _p, b in game.trans_env_parts]
-                == [b for _p, b in ref.trans_env_parts]), what
+        for name in ("init_env_parts", "trans_env_parts"):
+            assert ([b for _p, b in getattr(game, name)]
+                    == [b for _p, b in getattr(ref, name)]), (what, name)
         got, want = solve_game(game), solve_game(ref)
         assert got.win == want.win, what
         assert got.strata == want.strata, what

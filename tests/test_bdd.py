@@ -31,7 +31,8 @@ def eval_tree(tree, env):
         return not eval_tree(tree[1], env)
     a, b = eval_tree(tree[1], env), eval_tree(tree[2], env)
     return {"and": a and b, "or": a or b, "xor": a != b,
-            "implies": (not a) or b, "iff": a == b}[kind]
+            "implies": (not a) or b, "iff": a == b,
+            "diff": a and not b}[kind]
 
 
 def build_bdd(m, tree):
@@ -51,7 +52,8 @@ def trees(draw, depth=3, names=VARS):
         if draw(st.integers(0, 6)) == 0:
             return ("const", draw(st.booleans()))
         return ("var", draw(st.sampled_from(names)))
-    op = draw(st.sampled_from(["and", "or", "xor", "implies", "iff", "not"]))
+    op = draw(st.sampled_from(["and", "or", "xor", "implies", "iff", "diff",
+                               "not"]))
     if op == "not":
         return ("not", draw(trees(depth - 1, names)))
     return (op, draw(trees(depth - 1, names)), draw(trees(depth - 1, names)))

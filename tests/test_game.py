@@ -6,11 +6,12 @@ from dataclasses import FrozenInstanceError, fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chain_text, load_spec, random_boolean_spec
+from conftest import SPEC_DIR, chain_text, load_spec, random_boolean_spec
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.game import (
-    build_game, solve_game, check_realizability, extract_strategy,
-    reactive_distance, GameError, _mu_y, _level_order, _conj, _union,
+    ENV_VIOL, SYS_VIOL, SymbolicGame, build_game, classical, solve_game,
+    check_realizability, extract_strategy, ir_to_bdd, reactive_distance,
+    GameError, _mu_y, _level_order, _conj, _union,
 )
 from test_bdd import build_bdd, fresh, trees
 
@@ -458,3 +459,72 @@ def test_one_pass_solver_matches_two_pass():
                                     solve_game(variant, start=cold.win),
                                     start=cold.win)
                 _assert_same_region(variant, solve_game(variant))
+
+
+# ----------------------------------------------------------------------
+# differential check: the classical game as a second construction path
+# built it from the specification, kept only here
+
+def _old_nonstrict(spec, mgr):
+    """(game, init_env_user & init_sys_user) of the classical game built
+    from the specification into `mgr`, which has every signal."""
+    memo = {}
+
+    def bdds(kind):
+        return [ir_to_bdd(mgr, p.ir, memo) for p in spec.parts[kind]]
+
+    init_env = _conj(mgr, bdds("env_init"))
+    init_sys = _conj(mgr, bdds("sys_init"))
+    trans_env = _conj(mgr, bdds("env_trans"))
+    trans_sys = _conj(mgr, bdds("sys_trans"))
+    live_env = bdds("env_liveness") or [mgr.true]
+    live_sys = bdds("sys_liveness") or [mgr.true]
+    trackers = [ENV_VIOL, SYS_VIOL]
+    ev, sv = mgr.var(ENV_VIOL), mgr.var(SYS_VIOL)
+    evp, svp = mgr.var(ENV_VIOL + "'"), mgr.var(SYS_VIOL + "'")
+    game = SymbolicGame(
+        mgr=mgr, robotics=False, inputs=list(spec.input_props),
+        outputs=list(spec.output_props) + trackers,
+        positions=list(spec.props) + trackers,
+        init_sys=ev.iff(~init_env) & sv.iff(~init_sys),
+        trans_sys=evp.iff(ev | ~trans_env) & svp.iff(sv | ~trans_sys),
+        live_env=[a & ~ev for a in live_env],
+        live_sys=[g & ~sv for g in live_sys],
+        init_env_parts=[], trans_env_parts=[], trackers=trackers)
+    assert game.init_env.is_true() and game.trans_env.is_true()
+    return game, init_env & init_sys
+
+
+def test_classical_edit_matches_the_old_nonstrict_construction():
+    specs = [load_spec(p.stem) for p in sorted(SPEC_DIR.glob("*.spec"))]
+    specs += [random_boolean_spec(seed) for seed in range(60)]
+    for k, spec in enumerate(specs):
+        game = classical(build_game(spec))
+        old, old_user = _old_nonstrict(spec, game.mgr)
+        for name in ("init_env", "init_sys", "trans_env", "trans_sys",
+                     "live_env", "live_sys", "outputs", "positions"):
+            assert getattr(game, name) == getattr(old, name), (k, name)
+        assert game.init_user == old_user, k
+        got, want = solve_game(game), solve_game(old)
+        assert got.win == want.win and got.strata == want.strata, k
+        for robotics in (False, True):
+            assert (check_realizability(replace(game, robotics=robotics), got)
+                    == check_realizability(replace(old, robotics=robotics),
+                                           want)), (k, robotics)
+
+
+def test_classical_declares_the_trackers_once_and_rejects_reserved_names():
+    spec = load_spec("doors")
+    strict = build_game(spec)
+    names = list(strict.mgr.var_names)
+    trackers = [ENV_VIOL, ENV_VIOL + "'", SYS_VIOL, SYS_VIOL + "'"]
+    game = classical(strict)
+    assert strict.mgr.var_names == names + trackers
+    # a second edit finds the trackers declared
+    assert classical(strict).trans_sys == game.trans_sys
+    assert strict.mgr.var_names == names + trackers
+    assert strict.init_user == strict.init_env & strict.init_sys
+    reserved = compile_to_boolean(parse_spec(
+        "[INPUT]\nr\n[OUTPUT]\n__sys_viol\n"))
+    with pytest.raises(GameError, match="'__sys_viol' is reserved"):
+        build_game(reserved, semantics="nonstrict")

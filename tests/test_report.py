@@ -221,6 +221,62 @@ def test_report_nonstrict_baseline(tmp_path):
     assert rep.analyses["semantics"]["result"]["differs"] is True
 
 
+def test_full_report_builds_one_game_from_the_spec(tmp_path, monkeypatch):
+    # the classical-implication game is an edit of the strict baseline
+    import gr1report.analyses as analyses_mod
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    build = analyses_mod.build_game
+    monkeypatch.setattr(analyses_mod, "build_game", counted)
+    rep = run_report(spec_path("delivery"), json_path=tmp_path / "d.json",
+                     html_path=tmp_path / "d.html", log=None)
+    assert all(r["status"] == "ok" for r in rep.analyses.values())
+    assert len(calls) == 1
+
+
+RESERVED_SPEC = ("[INPUT]\nr\n[OUTPUT]\n__env_viol\n"
+                 "[SYS_LIVENESS]\n__env_viol\n")
+
+
+def test_reserved_tracker_name_skips_the_semantics_analysis(tmp_path):
+    target = tmp_path / "reserved.spec"
+    target.write_text(RESERVED_SPEC)
+    rep = run_report(target, log=None)
+    assert rep.analyses["semantics"] == {
+        "status": "skipped", "reason": "proposition '__env_viol' is reserved"}
+    assert all(rep.analyses[a]["status"] == "ok"
+               for a in ANALYSIS_ORDER if a != "semantics")
+
+
+def test_reserved_tracker_name_at_the_baseline_exits_1(tmp_path, capsys):
+    target = tmp_path / "reserved.spec"
+    target.write_text(RESERVED_SPEC)
+    with pytest.raises(ReportError, match="'__env_viol' is reserved"):
+        run_report(target, ReportConfig(semantics="nonstrict"), log=None)
+    assert cli_main([str(target), "--semantics", "nonstrict"]) == 1
+    assert capsys.readouterr().err == (
+        "gr1report: proposition '__env_viol' is reserved\n")
+
+
+@pytest.mark.parametrize("expr", [
+    " & ".join(["X(o)"] * 1000),
+    " & ".join(["o"] * 400),
+    "(" * 500 + "o" + ")" * 500,
+], ids=["1000-conjuncts", "400-conjuncts", "500-parentheses"])
+def test_cli_deeply_nested_expression_exits_1_without_traceback(
+        tmp_path, capsys, expr):
+    target = tmp_path / "deep.spec"
+    target.write_text(f"[INPUT]\nr\n[OUTPUT]\no\n[SYS_TRANS]\n{expr}\n")
+    assert cli_main([str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gr1report: ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
+
 def test_cli_dump_bdd(tmp_path):
     target = tmp_path / "m.spec"
     target.write_text(spec_path("mutex").read_text())
