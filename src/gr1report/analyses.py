@@ -62,7 +62,9 @@ class Session:
 
     def game(self, semantics="strict") -> SymbolicGame:
         """Baseline game.  The strict one is the only game built from the
-        specification; the classical one is its `classical` edit."""
+        specification; the classical one is its `classical` edit, over
+        the same signals, whose widened guarantees come from one more
+        solve in this manager."""
         if semantics not in self._games:
             self._games[semantics] = (
                 classical(self.game()) if semantics == "nonstrict"

@@ -40,14 +40,11 @@ strategy extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .bdd import BddManager, BddRef
 from .compiler import BooleanSpec, BoolPart, IR, ir_support
-
-ENV_VIOL = "__env_viol"
-SYS_VIOL = "__sys_viol"
 
 
 class GameError(Exception):
@@ -80,14 +77,15 @@ def ir_to_bdd(mgr: BddManager, ir: IR, memo: dict | None = None) -> BddRef:
 class SymbolicGame:
     """Synthesis game, a frozen value: a variant is a `dataclasses.replace`
     of it, and each game computes its derived relations on first use.
-    Each fact is stored once: the environment's safety assumptions are
-    kept as parts, and `init_env`, `trans_env` and the user's initial
-    condition `init_user` are derived."""
+    Each fact is stored once: the environment's initial and safety
+    assumptions are kept as parts, and `init_env` and `trans_env` are
+    derived.  Its signals are the specification's own, in a classical
+    game too."""
 
     mgr: BddManager
     robotics: bool
     inputs: list[str]              # unprimed input propositions
-    outputs: list[str]             # unprimed outputs (trackers included)
+    outputs: list[str]             # unprimed output propositions
     positions: list[str]           # inputs and outputs, declaration order
     init_sys: BddRef
     trans_sys: BddRef
@@ -96,7 +94,6 @@ class SymbolicGame:
     # part None: a conjunct an analysis added
     init_env_parts: list[tuple[BoolPart | None, BddRef]]
     trans_env_parts: list[tuple[BoolPart | None, BddRef]]
-    trackers: list[str] = field(default_factory=list)
     position_filter: BddRef | None = None   # conjoined into every cpre
     precommit: list[str] | None = None      # outputs fixed before inputs
 
@@ -109,13 +106,6 @@ class SymbolicGame:
     @cached_property
     def trans_env(self) -> BddRef:
         return _conj(self.mgr, [b for _p, b in self.trans_env_parts])
-
-    @cached_property
-    def init_user(self) -> BddRef:
-        """The user's initial assumptions and guarantees: in a classical
-        game, its initial condition with neither tracker set."""
-        return self.mgr.restrict(self.init_env & self.init_sys,
-                                 dict.fromkeys(self.trackers, False))
 
     @cached_property
     def primed_inputs(self) -> list[str]:
@@ -315,31 +305,32 @@ def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
                          stationary=stat, game=game)
 
 
+def standard_start_ok(game: SymbolicGame, v: BddRef) -> bool:
+    """The standard initial condition for target `v`: for some value of
+    the precommitted outputs (none outside the precommit analysis), every
+    initial input admitted by the assumptions has some initial output
+    satisfying the guarantees inside `v`."""
+    mgr = game.mgr
+    fixed = list(game.precommit or ())
+    rest = [o for o in game.outputs if o not in fixed]
+    some = mgr.exists(rest, game.init_sys & v)
+    cond = mgr.forall(game.inputs, game.init_env.implies(some))
+    return mgr.exists(fixed, cond).is_true()
+
+
 def check_realizability(game: SymbolicGame, region: WinningRegion) -> str:
     """'realizable' or 'unrealizable' for a solved region.
 
-    Standard semantics: for some value of the precommitted outputs (none
-    outside the precommit analysis), every initial input admitted by the
-    assumptions has some initial output satisfying the guarantees inside
-    the winning set.  Robotics semantics: every such output must be
-    winning.
+    Standard semantics: `standard_start_ok` for the winning set.
+    Robotics semantics: every initial position admitted by the initial
+    assumptions and guarantees must be winning.
     """
-    mgr = game.mgr
-    win = region.win
     if game.robotics:
-        inner = game.init_sys & win
-        if game.trackers:
-            inner = mgr.exists(game.trackers, inner)
-        user_outs = [o for o in game.outputs if o not in game.trackers]
-        cond = game.init_user.implies(inner)
-        ok = mgr.forall(game.inputs + user_outs, cond)
+        cond = (game.init_env & game.init_sys).implies(region.win)
+        ok = game.mgr.forall(game.inputs + game.outputs, cond).is_true()
     else:
-        fixed = list(game.precommit or ())
-        rest = [o for o in game.outputs if o not in fixed]
-        some = mgr.exists(rest, game.init_sys & win)
-        cond = mgr.forall(game.inputs, game.init_env.implies(some))
-        ok = mgr.exists(fixed, cond)
-    return "realizable" if ok.is_true() else "unrealizable"
+        ok = standard_start_ok(game, region.win)
+    return "realizable" if ok else "unrealizable"
 
 
 # ----------------------------------------------------------------------
@@ -350,7 +341,7 @@ _FORCE_ROUNDS = 20
 
 def _level_order(spec: BooleanSpec, signals: list[str]) -> list[str]:
     """Static BDD level order for `signals` (a sub-list of the spec's
-    propositions and trackers, in declaration order).
+    propositions, in declaration order).
 
     FORCE (Aloul, Markov & Sakallah, GLSVLSI 2003), started from the
     declaration order with each integer's bits MSB first: every spec
@@ -450,30 +441,26 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
 def classical(game: SymbolicGame) -> SymbolicGame:
     """The strict game's specification under classical implication.
 
-    Moves are free: two tracker outputs record whether either side has
-    violated its safety parts, and the liveness conditions absorb them
-    (monotone bits make G/F collapse to GF).  Solved by the same
-    fixpoint.  The trackers are declared last unless the manager already
-    has them.
+    Classically the system also wins a play in which it breaks a
+    guarantee, provided the environment breaks an assumption too.
+    Environment violations already count as system wins in `cpre` and
+    in `check_realizability`, so the edit adds the system's own.  Once
+    the system has broken a guarantee, none binds it any more and only
+    an assumption violation can still win: it wins exactly from `L`, the
+    winning set of this game with free system moves and the single goal
+    FALSE (the positions from which a freely moving system forces the
+    environment to break a safety assumption or to starve a liveness
+    assumption).  A guarantee-violating initial position or move is
+    therefore allowed exactly when it lands in `L`, and the edit widens
+    the guarantees to `init_sys | L` and `trans_sys | L'`.  The free
+    strategy from `L` moves inside `L`, so `L` is inside the edited
+    game's winning set.  The edit declares no signal.
     """
     mgr = game.mgr
-    trackers = [ENV_VIOL, SYS_VIOL]
-    for t in trackers:
-        if t in game.positions:
-            raise GameError(f"proposition {t!r} is reserved")
-        if t not in mgr.var_names:
-            mgr.declare_signal(t)
-    ev, sv = mgr.var(ENV_VIOL), mgr.var(SYS_VIOL)
-    evp, svp = mgr.var(ENV_VIOL + "'"), mgr.var(SYS_VIOL + "'")
-    return replace(
-        game, outputs=game.outputs + trackers,
-        positions=game.positions + trackers,
-        init_sys=ev.iff(~game.init_env) & sv.iff(~game.init_sys),
-        trans_sys=(evp.iff(ev | game._not_trans_env)
-                   & svp.iff(sv | game._not_trans_sys)),
-        live_env=[a & ~ev for a in game.live_env],
-        live_sys=[g & ~sv for g in game.live_sys],
-        init_env_parts=[], trans_env_parts=[], trackers=trackers)
+    free = replace(game, trans_sys=mgr.true, live_sys=[mgr.false])
+    forced_violation = solve_game(free).win
+    return replace(game, init_sys=game.init_sys | forced_violation,
+                   trans_sys=game.trans_sys | game.prime(forced_violation))
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +562,8 @@ def extract_strategy(game: SymbolicGame, region: WinningRegion) -> MealyMachine:
         opts = mgr.restrict(init_options, model)
         if opts.is_false():
             if (game.robotics
-                    and mgr.restrict(game.init_user, model).is_false()):
+                    and mgr.restrict(game.init_env & game.init_sys,
+                                     model).is_false()):
                 continue  # no admissible initial output: vacuous
             raise GameError("initial input without a winning output")
         out_model = mgr.pick_min_model(opts, outputs)

@@ -306,8 +306,7 @@ def model_check(machine, spec: BooleanSpec):
     a dict with the violation kind and a finite or lasso trace.
     """
     if (machine.input_names != spec.input_props
-            or [o for o in machine.output_names
-                if not o.startswith("__")] != spec.output_props):
+            or machine.output_names != spec.output_props):
         raise OracleError("machine signature does not match the specification")
     inputs, outputs = spec.input_props, spec.output_props
 

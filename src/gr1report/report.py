@@ -285,8 +285,6 @@ def run_report(spec_path, config: ReportConfig | None = None,
         verdict = session.verdict(base_sem)
     except (ResourceLimitError, RecursionError) as exc:
         raise BaselineResourceError(_limit_reason(exc)) from exc
-    except GameError as exc:
-        raise ReportError(str(exc)) from exc
     baseline = {"semantics": base_sem, "realizable": verdict}
 
     results: dict[str, dict] = {}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .analyses import Session, _session
 from .bdd import BddRef
 from .compiler import BooleanSpec
-from .game import SymbolicGame, ir_to_bdd
+from .game import SymbolicGame, ir_to_bdd, standard_start_ok
 
 STAR = "star"
 VIOLATION = "X"
@@ -225,13 +225,6 @@ def _group_ir(spec: BooleanSpec, name: str, value, primed: bool):
     return out
 
 
-def _sys_start_ok(game: SymbolicGame, v: BddRef) -> bool:
-    """Every initial input has an initial output into v (never robotics)."""
-    mgr = game.mgr
-    some = mgr.exists(game.outputs, game.init_sys & v)
-    return mgr.forall(game.inputs, game.init_env.implies(some)).is_true()
-
-
 def _env_start_ok(game: SymbolicGame, v: BddRef) -> bool:
     """Some initial input makes every initial output land in v."""
     every = game.mgr.forall(game.outputs, game.init_sys.implies(v))
@@ -248,7 +241,7 @@ def abstract_strategy(spec: BooleanSpec | Session, horizon: int = 64):
     spec, game = session.spec, session.game()
     a_sys = _attractor(game, game.cox, horizon)
     h_sys = next((h for h in range(len(a_sys))
-                  if _sys_start_ok(game, a_sys[h])), None)
+                  if standard_start_ok(game, a_sys[h])), None)
     a_env = _attractor(game, game.pre_env, horizon)
     h_env = next((h for h in range(len(a_env))
                   if _env_start_ok(game, a_env[h])), None)
@@ -283,7 +276,7 @@ def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
     if winner == "environment":
         pre, start_ok, owner = game.pre_env, _env_start_ok, "input"
     else:
-        pre, start_ok, owner = game.cox, _sys_start_ok, "output"
+        pre, start_ok, owner = game.cox, standard_start_ok, "output"
     winner_vars = [v for v in spec.user_vars() if _owner(spec, v) == owner]
 
     cons: list[BddRef] = [mgr.true for _ in range(h)]

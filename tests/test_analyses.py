@@ -574,8 +574,8 @@ def _check_variants(monkeypatch, spec, robotics):
     assert len(games) == len(refs)
     for game, (what, ref_spec) in zip(games, refs):
         ref = build_game(ref_spec, robotics=robotics, mgr=session.mgr)
-        for name in ("init_env", "init_sys", "init_user", "trans_env",
-                     "trans_sys", "live_env", "live_sys"):
+        for name in ("init_env", "init_sys", "trans_env", "trans_sys",
+                     "live_env", "live_sys"):
             assert getattr(game, name) == getattr(ref, name), (what, name)
         for name in ("init_env_parts", "trans_env_parts"):
             assert ([b for _p, b in getattr(game, name)]

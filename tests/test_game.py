@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import SPEC_DIR, chain_text, load_spec, random_boolean_spec
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.game import (
-    ENV_VIOL, SYS_VIOL, SymbolicGame, build_game, classical, solve_game,
+    SymbolicGame, build_game, classical, solve_game,
     check_realizability, extract_strategy, ir_to_bdd, reactive_distance,
     GameError, _mu_y, _level_order, _conj, _union,
 )
@@ -53,8 +53,8 @@ def test_level_order_keeps_local_orders_and_places_bits_msb_first():
     # build_game places only the signals the manager does not have yet,
     # and the game's positions stay in declaration order
     game = build_game(spec, semantics="nonstrict")
-    assert game.mgr.var_names[::2] == order + ["__env_viol", "__sys_viol"]
-    assert game.positions == spec.props + ["__env_viol", "__sys_viol"]
+    assert game.mgr.var_names[::2] == order
+    assert game.positions == spec.props
 
 
 def test_empty_assumptions_normalize():
@@ -160,10 +160,8 @@ def test_strict_winning_set_inside_nonstrict():
         r_s = solve_game(g_s)
         g_n = build_game(spec, semantics="nonstrict")
         r_n = solve_game(g_n)
-        clean = g_n.mgr.restrict(
-            r_n.win, {"__env_viol": False, "__sys_viol": False})
         t_s = g_s.mgr.to_truthtable(r_s.win, g_s.positions)
-        t_n = g_n.mgr.to_truthtable(clean, spec.props)
+        t_n = g_n.mgr.to_truthtable(r_n.win, g_n.positions)
         assert t_s & ~t_n == 0, seed
         v_s = check_realizability(g_s, r_s)
         v_n = check_realizability(g_n, r_n)
@@ -462,12 +460,20 @@ def test_one_pass_solver_matches_two_pass():
 
 
 # ----------------------------------------------------------------------
-# differential check: the classical game as a second construction path
-# built it from the specification, kept only here
+# differential check: the classical game as the tracker construction
+# that built it from the specification, kept only here
+
+ENV_VIOL, SYS_VIOL = "__env_viol", "__sys_viol"
+
 
 def _old_nonstrict(spec, mgr):
     """(game, init_env_user & init_sys_user) of the classical game built
-    from the specification into `mgr`, which has every signal."""
+    from the specification with two tracker outputs, which record
+    whether either side has violated its safety parts and which the
+    liveness conditions absorb; declared last in `mgr`, which has every
+    signal of the specification."""
+    for t in (ENV_VIOL, SYS_VIOL):
+        mgr.declare_signal(t)
     memo = {}
 
     def bdds(kind):
@@ -490,41 +496,46 @@ def _old_nonstrict(spec, mgr):
         trans_sys=evp.iff(ev | ~trans_env) & svp.iff(sv | ~trans_sys),
         live_env=[a & ~ev for a in live_env],
         live_sys=[g & ~sv for g in live_sys],
-        init_env_parts=[], trans_env_parts=[], trackers=trackers)
+        init_env_parts=[], trans_env_parts=[])
     assert game.init_env.is_true() and game.trans_env.is_true()
     return game, init_env & init_sys
 
 
+def _old_verdict(old, user_init, region, robotics):
+    """The tracker game's verdict: under robotics realizability, every
+    initial position admitted by the user's initial conditions must be
+    winning with some tracker values."""
+    if not robotics:
+        return check_realizability(old, region)
+    mgr = old.mgr
+    inner = mgr.exists([ENV_VIOL, SYS_VIOL], old.init_sys & region.win)
+    user_outputs = [o for o in old.outputs if o not in (ENV_VIOL, SYS_VIOL)]
+    ok = mgr.forall(old.inputs + user_outputs, user_init.implies(inner))
+    return "realizable" if ok.is_true() else "unrealizable"
+
+
 def test_classical_edit_matches_the_old_nonstrict_construction():
     specs = [load_spec(p.stem) for p in sorted(SPEC_DIR.glob("*.spec"))]
-    specs += [random_boolean_spec(seed) for seed in range(60)]
+    specs += [random_boolean_spec(seed) for seed in range(100)]
+    differs = 0
     for k, spec in enumerate(specs):
-        game = classical(build_game(spec))
-        old, old_user = _old_nonstrict(spec, game.mgr)
-        for name in ("init_env", "init_sys", "trans_env", "trans_sys",
-                     "live_env", "live_sys", "outputs", "positions"):
-            assert getattr(game, name) == getattr(old, name), (k, name)
-        assert game.init_user == old_user, k
-        got, want = solve_game(game), solve_game(old)
-        assert got.win == want.win and got.strata == want.strata, k
+        strict = build_game(spec)
+        names = list(strict.mgr.var_names)
+        game = classical(strict)
+        assert game.mgr.var_names == names, k      # declares no signal
+        assert game.outputs == spec.output_props, k
+        assert game.positions == spec.props, k
+        got = solve_game(game)
+        old, user_init = _old_nonstrict(spec, game.mgr)
+        want = solve_game(old)
+        clean = game.mgr.restrict(want.win, {ENV_VIOL: False,
+                                             SYS_VIOL: False})
+        assert got.win == clean, k
         for robotics in (False, True):
-            assert (check_realizability(replace(game, robotics=robotics), got)
-                    == check_realizability(replace(old, robotics=robotics),
-                                           want)), (k, robotics)
-
-
-def test_classical_declares_the_trackers_once_and_rejects_reserved_names():
-    spec = load_spec("doors")
-    strict = build_game(spec)
-    names = list(strict.mgr.var_names)
-    trackers = [ENV_VIOL, ENV_VIOL + "'", SYS_VIOL, SYS_VIOL + "'"]
-    game = classical(strict)
-    assert strict.mgr.var_names == names + trackers
-    # a second edit finds the trackers declared
-    assert classical(strict).trans_sys == game.trans_sys
-    assert strict.mgr.var_names == names + trackers
-    assert strict.init_user == strict.init_env & strict.init_sys
-    reserved = compile_to_boolean(parse_spec(
-        "[INPUT]\nr\n[OUTPUT]\n__sys_viol\n"))
-    with pytest.raises(GameError, match="'__sys_viol' is reserved"):
-        build_game(reserved, semantics="nonstrict")
+            verdict = check_realizability(replace(game, robotics=robotics),
+                                          got)
+            assert verdict == _old_verdict(old, user_init, want,
+                                           robotics), (k, robotics)
+        differs += (check_realizability(strict, solve_game(strict))
+                    != check_realizability(game, got))
+    assert differs > 10

@@ -147,6 +147,21 @@ def test_model_check_signature_mismatch():
         model_check(machine, spec)
 
 
+def test_model_check_compares_every_output_name():
+    # an output whose name starts with "__" is an ordinary output
+    spec = compile_to_boolean(parse_spec(
+        "[INPUT]\nr\n[OUTPUT]\n__g\n[SYS_TRANS]\nX(__g) <-> X(r)\n"
+        "[SYS_LIVENESS]\n__g | !r\n"))
+    game = build_game(spec)
+    machine = extract_strategy(game, solve_game(game))
+    assert machine.output_names == ["__g"]
+    assert model_check(machine, spec) is None
+    extra = MealyMachine(input_names=["r"], output_names=["__g", "__x"],
+                         states=[], initial=[], transitions={}, n_goals=1)
+    with pytest.raises(OracleError, match="signature"):
+        model_check(extra, spec)
+
+
 def test_agreement_on_random_specs_quick():
     for seed in range(80):
         assert agreement(random_boolean_spec(seed)), seed

@@ -238,28 +238,20 @@ def test_full_report_builds_one_game_from_the_spec(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-RESERVED_SPEC = ("[INPUT]\nr\n[OUTPUT]\n__env_viol\n"
-                 "[SYS_LIVENESS]\n__env_viol\n")
-
-
-def test_reserved_tracker_name_skips_the_semantics_analysis(tmp_path):
-    target = tmp_path / "reserved.spec"
-    target.write_text(RESERVED_SPEC)
+def test_output_named_like_an_old_tracker_is_an_ordinary_signal(tmp_path,
+                                                                capsys):
+    # the classical game declares no signal, so no name is reserved
+    target = tmp_path / "viol.spec"
+    target.write_text("[INPUT]\nr\n[OUTPUT]\n__env_viol\n"
+                      "[SYS_LIVENESS]\n__env_viol\n")
     rep = run_report(target, log=None)
     assert rep.analyses["semantics"] == {
-        "status": "skipped", "reason": "proposition '__env_viol' is reserved"}
-    assert all(rep.analyses[a]["status"] == "ok"
-               for a in ANALYSIS_ORDER if a != "semantics")
-
-
-def test_reserved_tracker_name_at_the_baseline_exits_1(tmp_path, capsys):
-    target = tmp_path / "reserved.spec"
-    target.write_text(RESERVED_SPEC)
-    with pytest.raises(ReportError, match="'__env_viol' is reserved"):
-        run_report(target, ReportConfig(semantics="nonstrict"), log=None)
-    assert cli_main([str(target), "--semantics", "nonstrict"]) == 1
-    assert capsys.readouterr().err == (
-        "gr1report: proposition '__env_viol' is reserved\n")
+        "status": "ok", "result": {"strict": "realizable",
+                                   "nonstrict": "realizable",
+                                   "differs": False}}
+    assert all(e["status"] == "ok" for e in rep.analyses.values())
+    assert cli_main([str(target), "--semantics", "nonstrict"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("expr", [
@@ -399,7 +391,6 @@ def test_report_does_not_depend_on_the_level_order(tmp_path, monkeypatch,
     import random
     import gr1report.report as report_mod
     from gr1report.analyses import Session
-    from gr1report.game import ENV_VIOL, SYS_VIOL
 
     paths = [spec_path(name) for name in ("counter", "doors", "mutex",
                                           "parity_tracker", "patrol")]
@@ -419,7 +410,7 @@ def test_report_does_not_depend_on_the_level_order(tmp_path, monkeypatch,
         # build_game keeps signals that are already declared
         def __init__(self, spec, *args, **kwargs):
             super().__init__(spec, *args, **kwargs)
-            names = list(spec.props) + [ENV_VIOL, SYS_VIOL]
+            names = list(spec.props)
             if permute == "reversed":
                 names.reverse()
             else:
