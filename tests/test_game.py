@@ -539,3 +539,21 @@ def test_classical_edit_matches_the_old_nonstrict_construction():
         differs += (check_realizability(strict, solve_game(strict))
                     != check_realizability(game, got))
     assert differs > 10
+
+
+def test_classical_declares_the_trackers_once_and_rejects_reserved_names():
+    # the classical game once declared two tracker outputs and reserved
+    # their names; it declares no signal now, so no name is reserved
+    spec = load_spec("doors")
+    strict = build_game(spec)
+    names = list(strict.mgr.var_names)
+    game = classical(strict)
+    assert strict.mgr.var_names == names
+    # a second edit gives the same game and declares nothing either
+    assert classical(strict).trans_sys == game.trans_sys
+    assert strict.mgr.var_names == names
+    named = compile_to_boolean(parse_spec(
+        "[INPUT]\nr\n[OUTPUT]\n__sys_viol\n"))
+    game = build_game(named, semantics="nonstrict")
+    assert game.outputs == ["__sys_viol"]
+    assert check_realizability(game, solve_game(game)) == "realizable"

@@ -238,20 +238,33 @@ def test_full_report_builds_one_game_from_the_spec(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_output_named_like_an_old_tracker_is_an_ordinary_signal(tmp_path,
-                                                                capsys):
-    # the classical game declares no signal, so no name is reserved
-    target = tmp_path / "viol.spec"
-    target.write_text("[INPUT]\nr\n[OUTPUT]\n__env_viol\n"
-                      "[SYS_LIVENESS]\n__env_viol\n")
+# the classical game once declared tracker outputs under these names and
+# reserved them; it declares no signal now, so they are ordinary outputs
+RESERVED_SPEC = ("[INPUT]\nr\n[OUTPUT]\n__env_viol\n"
+                 "[SYS_LIVENESS]\n__env_viol\n")
+
+
+def test_reserved_tracker_name_skips_the_semantics_analysis(tmp_path):
+    target = tmp_path / "reserved.spec"
+    target.write_text(RESERVED_SPEC)
     rep = run_report(target, log=None)
     assert rep.analyses["semantics"] == {
         "status": "ok", "result": {"strict": "realizable",
                                    "nonstrict": "realizable",
                                    "differs": False}}
+    assert all(rep.analyses[a]["status"] == "ok" for a in ANALYSIS_ORDER)
+
+
+def test_reserved_tracker_name_at_the_baseline_exits_1(tmp_path, capsys):
+    target = tmp_path / "reserved.spec"
+    target.write_text(RESERVED_SPEC)
+    rep = run_report(target, ReportConfig(semantics="nonstrict"), log=None)
+    assert rep.baseline == {"semantics": "nonstrict",
+                            "realizable": "realizable"}
     assert all(e["status"] == "ok" for e in rep.analyses.values())
     assert cli_main([str(target), "--semantics", "nonstrict"]) == 0
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "reserved" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("expr", [
