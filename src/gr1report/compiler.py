@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 from .syntax import (
-    Add, And, Atom, BoolConst, Compare, Expr, Iff, Implies, IntConst, Next,
-    Not, Or, SpecDocument, SpecPart, Sub, PART_KINDS, _children, format_expr,
+    Atom, BoolConst, Expr, IntConst, Next, Not, Op, SpecDocument, SpecPart,
+    PART_KINDS, _children, format_expr,
 )
 
 
@@ -104,11 +104,23 @@ def ir_imp(f: IR, g: IR) -> IR:
     return ir_or(ir_not(f), g)
 
 
+def balanced(op, unit, items):
+    """`op` over `items` (`unit` when empty), combining neighbours in
+    pairs until one is left.  A left fold over k operands nests k deep
+    and, over BDDs, builds every prefix, so a relation of linear size
+    costs quadratic node allocation; the pairwise tree nests about
+    log2(k) deep and its intermediate results combine neighbouring runs
+    of operands.  BDDs are canonical, so over them the result is the
+    fold's."""
+    items = list(items)
+    while len(items) > 1:
+        paired = [op(a, b) for a, b in zip(items[::2], items[1::2])]
+        items = paired + items[len(paired) * 2:]
+    return items[0] if items else unit
+
+
 def ir_conj(fs) -> IR:
-    out = IR_TRUE
-    for f in fs:
-        out = ir_and(out, f)
-    return out
+    return balanced(ir_and, IR_TRUE, fs)
 
 
 def ir_support(f: IR) -> set[tuple[str, bool]]:
@@ -194,7 +206,7 @@ def _walk(e: Expr):
 
 
 def _expr_type(e: Expr, doc: SpecDocument) -> str:
-    if isinstance(e, (IntConst, Add, Sub)):
+    if isinstance(e, IntConst) or isinstance(e, Op) and e.op in ("+", "-"):
         return "int"
     if isinstance(e, Atom):
         v = doc.var(e.name)
@@ -222,27 +234,24 @@ def _type_visit(e: Expr, under_compare: bool, doc: SpecDocument,
         out.setdefault("arithmetic outside comparison",
                        f"integer-valued term in boolean position: {format_expr(e)}")
         return
-    if isinstance(e, Compare):
-        for side in (e.left, e.right):
-            if _expr_type(side, doc) != "int":
-                out.setdefault("comparison on boolean",
-                               f"comparison operand is not integer-valued: {format_expr(e)}")
-            _type_visit(side, True, doc, out)
-        return
-    if isinstance(e, (Add, Sub)):
-        for side in (e.left, e.right):
-            if _expr_type(side, doc) != "int":
-                out.setdefault("boolean in arithmetic",
-                               f"arithmetic over a boolean operand: {format_expr(e)}")
-            _type_visit(side, True, doc, out)
-        return
     if isinstance(e, (Not, Next)):
         _type_visit(e.sub, under_compare and isinstance(e, Next)
                     and _expr_type(e.sub, doc) == "int", doc, out)
         return
-    if isinstance(e, (And, Or, Implies, Iff)):
-        _type_visit(e.left, False, doc, out)
-        _type_visit(e.right, False, doc, out)
+    if not isinstance(e, Op):
+        return
+    if e.op in _COMPARE:
+        rule, what = "comparison on boolean", "comparison operand is not integer-valued"
+    elif e.op in ("+", "-"):
+        rule, what = "boolean in arithmetic", "arithmetic over a boolean operand"
+    else:
+        for arg in e.args:
+            _type_visit(arg, False, doc, out)
+        return
+    for side in e.args:
+        if _expr_type(side, doc) != "int":
+            out.setdefault(rule, f"{what}: {format_expr(e)}")
+        _type_visit(side, True, doc, out)
 
 
 def _nexts_nested(e: Expr, inside: bool) -> bool:
@@ -354,6 +363,26 @@ def _bv_lt(a: _BitVec, b: _BitVec) -> IR:
     return lt
 
 
+# comparison operator -> predicate over two bit-vectors
+_COMPARE = {
+    "=": _bv_eq,
+    "!=": lambda a, b: ir_not(_bv_eq(a, b)),
+    "<": _bv_lt,
+    ">": lambda a, b: _bv_lt(b, a),
+    "<=": lambda a, b: ir_not(_bv_lt(b, a)),
+    ">=": lambda a, b: ir_not(_bv_lt(a, b)),
+}
+
+# boolean connective -> its IR over the compiled operands; `&` and `|`
+# chains become balanced trees, so they nest about log2(k) deep
+_CONNECTIVE = {
+    "&": ir_conj,
+    "|": lambda fs: balanced(ir_or, IR_FALSE, fs),
+    "->": lambda fs: ir_imp(*fs),
+    "<->": lambda fs: ir_iff(*fs),
+}
+
+
 class _Compiler:
     def __init__(self, doc: SpecDocument):
         self.doc = doc
@@ -386,12 +415,9 @@ class _Compiler:
             if g.lo:
                 vec = _bv_add(vec, _bv_const(g.lo))
             return vec
-        if isinstance(e, Add):
-            return _bv_add(self.int_vec(e.left, primed, text),
-                           self.int_vec(e.right, primed, text))
-        if isinstance(e, Sub):
-            return _bv_sub(self.int_vec(e.left, primed, text),
-                           self.int_vec(e.right, primed, text), text)
+        if isinstance(e, Op) and e.op in ("+", "-"):
+            a, b = (self.int_vec(x, primed, text) for x in e.args)
+            return _bv_add(a, b) if e.op == "+" else _bv_sub(a, b, text)
         raise CompileError(f"not an integer expression in: {text}")
 
     def compile(self, e: Expr, primed: bool, text: str) -> IR:
@@ -403,33 +429,12 @@ class _Compiler:
             return ir_not(self.compile(e.sub, primed, text))
         if isinstance(e, Next):
             return self.compile(e.sub, True, text)
-        if isinstance(e, And):
-            return ir_and(self.compile(e.left, primed, text),
-                          self.compile(e.right, primed, text))
-        if isinstance(e, Or):
-            return ir_or(self.compile(e.left, primed, text),
-                         self.compile(e.right, primed, text))
-        if isinstance(e, Implies):
-            return ir_imp(self.compile(e.left, primed, text),
-                          self.compile(e.right, primed, text))
-        if isinstance(e, Iff):
-            return ir_iff(self.compile(e.left, primed, text),
-                          self.compile(e.right, primed, text))
-        if isinstance(e, Compare):
-            a = self.int_vec(e.left, primed, text)
-            b = self.int_vec(e.right, primed, text)
-            if e.op == "=":
-                return _bv_eq(a, b)
-            if e.op == "!=":
-                return ir_not(_bv_eq(a, b))
-            if e.op == "<":
-                return _bv_lt(a, b)
-            if e.op == ">":
-                return _bv_lt(b, a)
-            if e.op == "<=":
-                return ir_not(_bv_lt(b, a))
-            if e.op == ">=":
-                return ir_not(_bv_lt(a, b))
+        if isinstance(e, Op) and e.op in _CONNECTIVE:
+            return _CONNECTIVE[e.op](
+                [self.compile(x, primed, text) for x in e.args])
+        if isinstance(e, Op) and e.op in _COMPARE:
+            return _COMPARE[e.op](*(self.int_vec(x, primed, text)
+                                    for x in e.args))
         raise CompileError(f"cannot compile expression in: {text}")
 
     def range_ir(self, g: IntGroup, primed: bool) -> IR:

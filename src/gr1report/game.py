@@ -40,11 +40,12 @@ strategy extraction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .bdd import BddManager, BddRef
-from .compiler import BooleanSpec, BoolPart, IR, ir_support
+from .compiler import BooleanSpec, BoolPart, IR, balanced, ir_support
 
 
 class GameError(Exception):
@@ -243,27 +244,14 @@ def _mu_y(game: SymbolicGame, z: BddRef, j: int):
     return y, strata, xrows, flags
 
 
-def _balanced(op: str, unit: BddRef, sets: list[BddRef]) -> BddRef:
-    """`op` over `sets` (`unit` when empty), combining neighbours in pairs
-    until one is left.  A left fold builds every prefix, so a relation of
-    linear size costs quadratic node allocation; the pairwise tree's
-    intermediate BDDs are the conjunctions or disjunctions of neighbouring
-    runs of operands.  BDDs are canonical, so the result is the fold's."""
-    mgr = unit.mgr
-    while len(sets) > 1:
-        paired = [mgr.apply(op, a, b) for a, b in zip(sets[::2], sets[1::2])]
-        sets = paired + sets[len(paired) * 2:]
-    return sets[0] if sets else unit
-
-
 def _union(mgr: BddManager, sets: list[BddRef]) -> BddRef:
     """Disjunction of `sets` as a balanced tree; FALSE when empty."""
-    return _balanced("or", mgr.false, sets)
+    return balanced(operator.or_, mgr.false, sets)
 
 
 def _conj(mgr: BddManager, sets: list[BddRef]) -> BddRef:
     """Conjunction of `sets` as a balanced tree; TRUE when empty."""
-    return _balanced("and", mgr.true, sets)
+    return balanced(operator.and_, mgr.true, sets)
 
 
 def solve_game(game: SymbolicGame, start: BddRef | None = None, *,

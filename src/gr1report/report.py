@@ -152,6 +152,10 @@ class ReportConfig:
                      "abstract_horizon"):
             if getattr(self, name) <= 0:
                 raise ReportError(f"{name} must be positive")
+        for name in ("node_budget", "timeout_seconds"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # also NaN
+                raise ReportError(f"{name} must be positive")
         if self.semantics not in ("strict", "nonstrict", "both"):
             raise ReportError(f"bad semantics {self.semantics!r}")
 

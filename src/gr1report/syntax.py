@@ -9,7 +9,8 @@ Sections declare variables and the six property lists:
 One expression per line; `#` starts a comment.  TRANS lines are
 implicitly under G, LIVENESS lines implicitly under GF.  Operators by
 decreasing precedence: `!`, `+ -`, comparisons, `&`, `|`, `->`
-(right-associative), `<->`.
+(right-associative), `<->`.  A chain of `&` or of `|` parses to one
+node of any width; only nesting makes an expression deeper.
 """
 
 from __future__ import annotations
@@ -62,46 +63,15 @@ class Next(Expr):
 
 
 @dataclass(frozen=True)
-class And(Expr):
-    left: Expr
-    right: Expr
+class Op(Expr):
+    """An operator over its operands: `&` and `|` over a whole chain of
+    two or more, every other operator (`->`, `<->`, `+`, `-` and the
+    comparisons) over exactly two."""
+    op: str
+    args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class Or(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Implies(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Iff(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Compare(Expr):
-    op: str  # < <= = >= > !=
-    left: Expr
-    right: Expr
+COMPARISONS = ("<", "<=", "=", ">=", ">", "!=")
 
 
 @dataclass(frozen=True)
@@ -249,6 +219,10 @@ class _Parser:
         if t is not None:
             raise SpecError(f"trailing input {t[1]!r}", self.line, t[2])
 
+    def at(self, *values: str) -> bool:
+        t = self.peek()
+        return t is not None and t[1] in values
+
     # precedence chain: iff < implies < or < and < compare < sum < unary
     def parse(self) -> Expr:
         e = self.iff()
@@ -257,51 +231,46 @@ class _Parser:
 
     def iff(self) -> Expr:
         e = self.implies()
-        while self.peek() and self.peek()[1] == "<->":
+        while self.at("<->"):
             self.take()
-            e = Iff(e, self.implies())
+            e = Op("<->", (e, self.implies()))
         return e
 
     def implies(self) -> Expr:
         e = self.or_()
-        if self.peek() and self.peek()[1] == "->":
+        if self.at("->"):
             self.take()
-            return Implies(e, self.implies())
+            return Op("->", (e, self.implies()))
         return e
+
+    def chain(self, op: str, operand) -> Expr:
+        """One node for a whole `op` chain, so its width costs no depth."""
+        args = [operand()]
+        while self.at(op):
+            self.take()
+            args.append(operand())
+        return args[0] if len(args) == 1 else Op(op, tuple(args))
 
     def or_(self) -> Expr:
-        e = self.and_()
-        while self.peek() and self.peek()[1] == "|":
-            self.take()
-            e = Or(e, self.and_())
-        return e
+        return self.chain("|", self.and_)
 
     def and_(self) -> Expr:
-        e = self.compare()
-        while self.peek() and self.peek()[1] == "&":
-            self.take()
-            e = And(e, self.compare())
-        return e
+        return self.chain("&", self.compare)
 
     def compare(self) -> Expr:
         e = self.sum_()
-        t = self.peek()
-        if t and t[1] in ("<", "<=", "=", ">=", ">", "!="):
-            op = self.take()[1]
-            return Compare(op, e, self.sum_())
+        if self.at(*COMPARISONS):
+            return Op(self.take()[1], (e, self.sum_()))
         return e
 
     def sum_(self) -> Expr:
         e = self.unary()
-        while self.peek() and self.peek()[1] in ("+", "-"):
-            op = self.take()[1]
-            rhs = self.unary()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+        while self.at("+", "-"):
+            e = Op(self.take()[1], (e, self.unary()))
         return e
 
     def unary(self) -> Expr:
-        t = self.peek()
-        if t and t[1] == "!":
+        if self.at("!"):
             self.take()
             return Not(self.unary())
         return self.primary()
@@ -418,16 +387,21 @@ def _check_declared(e: Expr, names: set[str], line_no: int):
 def _children(e: Expr):
     if isinstance(e, (Not, Next)):
         return (e.sub,)
-    if isinstance(e, (And, Or, Implies, Iff, Add, Sub, Compare)):
-        return (e.left, e.right)
+    if isinstance(e, Op):
+        return e.args
     return ()
 
 
 # ----------------------------------------------------------------------
 # pretty printing
 
-_PREC = {"iff": 0, "implies": 1, "or": 2, "and": 3, "compare": 4,
-         "sum": 5, "unary": 6, "atom": 7}
+# operator -> (precedence, associativity).  The operands of a chain and
+# of a comparison are bracketed when they bind no tighter than the
+# operator, so a parenthesised sub-chain keeps its parentheses.
+_OPS = {"<->": (0, "left"), "->": (1, "right"), "|": (2, "chain"),
+        "&": (3, "chain"), **dict.fromkeys(COMPARISONS, (4, "none")),
+        "+": (5, "left"), "-": (5, "left")}
+_UNARY = 6
 
 
 def _fmt(e: Expr, ctx: int) -> str:
@@ -440,30 +414,14 @@ def _fmt(e: Expr, ctx: int) -> str:
     if isinstance(e, Next):
         return f"X({_fmt(e.sub, 0)})"
     if isinstance(e, Not):
-        return "!" + _fmt(e.sub, _PREC["unary"])
-    if isinstance(e, And):
-        s = f"{_fmt(e.left, _PREC['and'])} & {_fmt(e.right, _PREC['and'] + 1)}"
-        return s if ctx <= _PREC["and"] else f"({s})"
-    if isinstance(e, Or):
-        s = f"{_fmt(e.left, _PREC['or'])} | {_fmt(e.right, _PREC['or'] + 1)}"
-        return s if ctx <= _PREC["or"] else f"({s})"
-    if isinstance(e, Implies):
-        s = (f"{_fmt(e.left, _PREC['implies'] + 1)} -> "
-             f"{_fmt(e.right, _PREC['implies'])}")
-        return s if ctx <= _PREC["implies"] else f"({s})"
-    if isinstance(e, Iff):
-        s = f"{_fmt(e.left, _PREC['iff'])} <-> {_fmt(e.right, _PREC['iff'] + 1)}"
-        return s if ctx <= _PREC["iff"] else f"({s})"
-    if isinstance(e, Add):
-        s = f"{_fmt(e.left, _PREC['sum'])} + {_fmt(e.right, _PREC['sum'] + 1)}"
-        return s if ctx <= _PREC["sum"] else f"({s})"
-    if isinstance(e, Sub):
-        s = f"{_fmt(e.left, _PREC['sum'])} - {_fmt(e.right, _PREC['sum'] + 1)}"
-        return s if ctx <= _PREC["sum"] else f"({s})"
-    if isinstance(e, Compare):
-        s = (f"{_fmt(e.left, _PREC['compare'] + 1)} {e.op} "
-             f"{_fmt(e.right, _PREC['compare'] + 1)}")
-        return s if ctx <= _PREC["compare"] else f"({s})"
+        return "!" + _fmt(e.sub, _UNARY)
+    if isinstance(e, Op):
+        prec, assoc = _OPS[e.op]
+        first = prec + (assoc != "left")
+        rest = prec + (assoc != "right")
+        s = f" {e.op} ".join(_fmt(a, first if i == 0 else rest)
+                             for i, a in enumerate(e.args))
+        return s if ctx <= prec else f"({s})"
     raise TypeError(e)
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analyses import Session, _session
-from .bdd import BddRef
+from .bdd import BddManager, BddRef
 from .compiler import BooleanSpec
-from .game import SymbolicGame, ir_to_bdd, standard_start_ok
+from .game import SymbolicGame, _conj, standard_start_ok
 
 STAR = "star"
 VIOLATION = "X"
@@ -210,19 +210,14 @@ def _attractor(game: SymbolicGame, pre, horizon: int) -> list[BddRef]:
     return sets
 
 
-def _group_ir(spec: BooleanSpec, name: str, value, primed: bool):
-    """Position/move predicate pinning one user variable to a value."""
-    from .compiler import ir_var, ir_not, ir_and, IR_TRUE
+def _pin(mgr: BddManager, spec: BooleanSpec, name: str, value) -> BddRef:
+    """Position predicate pinning one user variable to a value."""
     if name in spec.bool_vars:
-        lit = ir_var(name, primed)
-        return lit if value else ir_not(lit)
+        return mgr.var(name) if value else mgr.nvar(name)
     g = spec.groups[name]
     enc = value - g.lo
-    out = IR_TRUE
-    for i, b in enumerate(g.bits):
-        lit = ir_var(b, primed)
-        out = ir_and(out, lit if (enc >> i) & 1 else ir_not(lit))
-    return out
+    return _conj(mgr, [mgr.var(b) if (enc >> i) & 1 else mgr.nvar(b)
+                       for i, b in enumerate(g.bits)])
 
 
 def _env_start_ok(game: SymbolicGame, v: BddRef) -> bool:
@@ -263,10 +258,6 @@ def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
             winner=winner, horizon=0,
             rounds=[{name: VIOLATION for name in spec.user_vars()}])
     mgr = game.mgr
-    ir_memo: dict = {}
-
-    def bdd_of(ir):
-        return ir_to_bdd(mgr, ir, ir_memo)
 
     def unconstrained(t: int) -> BddRef:
         # win-by-h backward set for round t with no later constraints
@@ -300,13 +291,11 @@ def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
         for name in winner_vars:
             working = []
             for val in values_of(name):
-                pin = bdd_of(_group_ir(spec, name, val, False))
-                if wins_with(t, pin):
+                if wins_with(t, _pin(mgr, spec, name, val)):
                     working.append(val)
             if len(working) == 1:
                 row[name] = working[0]
-                cons[t] = cons[t] & bdd_of(
-                    _group_ir(spec, name, working[0], False))
+                cons[t] = cons[t] & _pin(mgr, spec, name, working[0])
             else:
                 row[name] = STAR
         table_winner.append(row)
@@ -343,8 +332,7 @@ def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
                 continue
             present = []
             for val in values_of(name):
-                pin = bdd_of(_group_ir(spec, name, val, False))
-                if not (reach[t] & pin).is_false():
+                if not (reach[t] & _pin(mgr, spec, name, val)).is_false():
                     present.append(val)
             if len(present) == 1:
                 row[name] = present[0]

@@ -1,12 +1,16 @@
 """Bit-blasting: widths, range constraints, overflow-free arithmetic."""
 
 import math
+import random
 
 import pytest
 
-from gr1report import parse_spec, compile_to_boolean, CompileError
+from gr1report import parse_spec, pretty, compile_to_boolean, CompileError
+from gr1report.compiler import ir_support
 from gr1report.game import ir_to_bdd
 from gr1report.bdd import BddManager
+from gr1report.oracle import Space
+from gr1report.syntax import Op, _children
 
 
 def compile_text(text):
@@ -236,3 +240,103 @@ def test_decode_integers():
     bits = spec.groups["x"].bits
     vals = spec.decode({bits[0]: True, bits[1]: True, "b": False})
     assert vals == {"b": False, "x": 5}
+
+
+# ----------------------------------------------------------------------
+# `&` and `|` chains
+
+def _and_or_depth(ir) -> int:
+    deepest, stack = 0, [(ir, 0)]
+    while stack:
+        e, d = stack.pop()
+        d += e[0] in ("and", "or")
+        deepest = max(deepest, d)
+        if e[0] not in ("const", "var"):
+            stack.extend((c, d) for c in e[1:])
+    return deepest
+
+
+@pytest.mark.parametrize("k", [2, 3, 12, 1000])
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_chain_compiles_to_a_balanced_ir_tree(op, k):
+    names = [f"a{i}" for i in range(k)]
+    spec = compile_text("[INPUT]\n" + "\n".join(names) + "\n[ENV_TRANS]\n"
+                        + f" {op} ".join(names) + "\n")
+    formula = spec.source.parts["env_trans"][0].formula
+    assert isinstance(formula, Op) and len(formula.args) == k
+    ir = spec.parts["env_trans"][0].ir
+    assert ir_support(ir) == {(n, False) for n in names}
+    assert _and_or_depth(ir) <= math.ceil(math.log2(k))
+
+
+_CHAIN_ATOMS = {"i0": ("i0", False), "i1": ("i1", False),
+                "o0": ("o0", False), "o1": ("o1", False),
+                "X(i0)": ("i0", True), "X(o1)": ("o1", True)}
+_CHAIN_PREC = {"<->": 0, "->": 1, "|": 2, "&": 3}
+_CHAIN_EVAL = {
+    "&": lambda xs: all(xs),
+    "|": lambda xs: any(xs),
+    "->": lambda xs: not xs[0] or xs[1],
+    "<->": lambda xs: xs[0] == xs[1],
+}
+
+
+def _chain_formula(rng: random.Random, depth: int):
+    """(text, precedence, evaluator) of a random formula over
+    `_CHAIN_ATOMS`.  Operands go without parentheses wherever the
+    grammar allows, so `&` and `|` chains of up to 12 operands mix
+    freely; one in ten gets redundant parentheses, which keep a
+    same-operator operand a separate sub-chain."""
+    if depth == 0 or rng.random() < 0.25:
+        atom = rng.choice(sorted(_CHAIN_ATOMS))
+        return atom, 7, lambda v: v[atom]
+
+    def wrap(text: str, needed: bool) -> str:
+        return f"({text})" if needed or rng.random() < 0.1 else text
+
+    op = rng.choice(["!", "&", "|", "&", "|", "->", "<->"])
+    if op == "!":
+        text, prec, sub = _chain_formula(rng, depth - 1)
+        return "!" + wrap(text, prec < 6), 6, lambda v: not sub(v)
+    p = _CHAIN_PREC[op]
+    k = rng.randint(2, 12) if op in ("&", "|") else 2
+    subs = [_chain_formula(rng, depth - 1) for _ in range(k)]
+
+    def needed(i: int, prec: int) -> bool:
+        if op == "->":  # right-associative
+            return prec < p or (i == 0 and prec == p)
+        if op == "<->":  # left-associative
+            return prec < p or (i == 1 and prec == p)
+        return prec <= p
+
+    text = f" {op} ".join(wrap(t, needed(i, prec))
+                          for i, (t, prec, _f) in enumerate(subs))
+    fs = [f for _t, _p, f in subs]
+    return text, p, lambda v: _CHAIN_EVAL[op]([f(v) for f in fs])
+
+
+def _chain_widths(e):
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Op) and e.op in ("&", "|"):
+            yield len(e.args)
+        stack.extend(_children(e))
+
+
+def test_random_chains_compile_to_their_truth_table():
+    header = "[INPUT]\ni0\ni1\n[OUTPUT]\no0\no1\n[SYS_TRANS]\n"
+    slots = sorted(set(_CHAIN_ATOMS.values()))
+    space = Space(slots)
+    widths = set()
+    for seed in range(150):
+        text, _prec, evaluate = _chain_formula(random.Random(seed), 3)
+        doc = parse_spec(header + text + "\n")
+        assert parse_spec(pretty(doc)) == doc, seed
+        widths.update(_chain_widths(doc.parts["sys_trans"][0].formula))
+        table = space.table(compile_to_boolean(doc).parts["sys_trans"][0].ir)
+        for index in range(space.size):
+            v = {atom: bool(index >> (space.n - 1 - space.pos[key]) & 1)
+                 for atom, key in _CHAIN_ATOMS.items()}
+            assert bool(table >> index & 1) == evaluate(v), (seed, text, v)
+    assert max(widths) >= 10

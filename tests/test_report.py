@@ -22,6 +22,23 @@ def test_config_validates_names_and_bounds():
         ReportConfig(semantics="fuzzy")
 
 
+@pytest.mark.parametrize("option, value", [
+    ("timeout", "0"), ("timeout", "-1"), ("timeout", "nan"),
+    ("node-budget", "0"), ("node-budget", "-5"),
+])
+def test_non_positive_budget_or_timeout_is_rejected(tmp_path, capsys,
+                                                    option, value):
+    field = {"timeout": "timeout_seconds", "node-budget": "node_budget"}
+    with pytest.raises(ReportError, match=f"{field[option]} must be positive"):
+        ReportConfig(**{field[option]: float(value)})
+    target = tmp_path / "m.spec"
+    target.write_text(spec_path("mutex").read_text())
+    assert cli_main([str(target), f"--{option}", value]) == 1
+    err = capsys.readouterr().err
+    assert err == f"gr1report: {field[option]} must be positive\n"
+    assert not (tmp_path / "m.spec.report.json").exists()
+
+
 def test_report_runs_everything(tmp_path):
     rep = run_report(spec_path("mutex"),
                      json_path=tmp_path / "r.json",
@@ -268,10 +285,8 @@ def test_reserved_tracker_name_at_the_baseline_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("expr", [
-    " & ".join(["X(o)"] * 1000),
-    " & ".join(["o"] * 400),
     "(" * 500 + "o" + ")" * 500,
-], ids=["1000-conjuncts", "400-conjuncts", "500-parentheses"])
+], ids=["500-parentheses"])
 def test_cli_deeply_nested_expression_exits_1_without_traceback(
         tmp_path, capsys, expr):
     target = tmp_path / "deep.spec"
@@ -280,6 +295,25 @@ def test_cli_deeply_nested_expression_exits_1_without_traceback(
     err = capsys.readouterr().err
     assert err.startswith("gr1report: ") and err.count("\n") == 1
     assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("section, expr", [
+    ("SYS_TRANS", " & ".join(["X(o)"] * 1000)),
+    ("SYS_TRANS", " & ".join(["o"] * 400)),
+    ("ENV_TRANS", " | ".join(["X(r)", "!r"] * 500)),
+], ids=["1000-conjuncts", "400-conjuncts", "1000-disjuncts"])
+def test_cli_long_chain_is_one_node_and_runs(tmp_path, capsys, section,
+                                             expr):
+    # a chain of `&` or `|` is one node of any width: only nesting
+    # counts against the recursion limit
+    target = tmp_path / "chain.spec"
+    target.write_text(f"[INPUT]\nr\n[OUTPUT]\no\n[{section}]\n{expr}\n")
+    assert cli_main([str(target)]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert out == "gr1report: chain.spec: realizable; 9 analyses written\n"
+    data = json.loads((tmp_path / "chain.spec.report.json").read_text())
+    assert data["baseline"]["realizable"] == "realizable"
 
 
 def test_cli_dump_bdd(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from gr1report.syntax import (
     parse_spec, parse_expr, pretty, SpecError,
-    Atom, Next, Compare, Add, Implies, Iff, Or, And, Not, IntConst,
+    Atom, Next, Op, Not, IntConst,
 )
 from gr1report.compiler import validate_gr1_shape
 
@@ -57,28 +57,34 @@ def test_syntax_error_has_location():
 def test_precedence():
     e = parse_expr("!a & b | c -> d <-> e")
     # <-> loosest, then ->, |, &, !
-    assert isinstance(e, Iff)
-    assert isinstance(e.left, Implies)
-    assert isinstance(e.left.left, Or)
-    assert isinstance(e.left.left.left, And)
-    assert isinstance(e.left.left.left.left, Not)
+    assert isinstance(e, Op) and e.op == "<->" and len(e.args) == 2
+    imp = e.args[0]
+    assert isinstance(imp, Op) and imp.op == "->"
+    disj = imp.args[0]
+    assert isinstance(disj, Op) and disj.op == "|"
+    conj = disj.args[0]
+    assert isinstance(conj, Op) and conj.op == "&"
+    assert isinstance(conj.args[0], Not)
 
 
 def test_implies_right_associative():
     e = parse_expr("a -> b -> c")
-    assert isinstance(e, Implies) and isinstance(e.right, Implies)
+    assert isinstance(e, Op) and e.op == "->"
+    assert e.args[0] == Atom("a")
+    assert isinstance(e.args[1], Op) and e.args[1].op == "->"
 
 
 def test_arithmetic_parsing():
     e = parse_expr("x + 1 < y + 2")
-    assert isinstance(e, Compare) and e.op == "<"
-    assert isinstance(e.left, Add) and e.left.right == IntConst(1)
+    assert isinstance(e, Op) and e.op == "<"
+    assert isinstance(e.args[0], Op) and e.args[0].op == "+"
+    assert e.args[0].args[1] == IntConst(1)
 
 
 def test_next_parsing():
     e = parse_expr("X(x) = x + 1")
-    assert isinstance(e, Compare)
-    assert e.left == Next(Atom("x"))
+    assert isinstance(e, Op) and e.op == "="
+    assert e.args[0] == Next(Atom("x"))
 
 
 def test_roundtrip_regression_corpus(specs_dir):
