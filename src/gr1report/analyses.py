@@ -358,22 +358,55 @@ class PrecommitResult:
 
 def precommit_analysis(spec: BooleanSpec | Session) -> PrecommitResult:
     """Which outputs can have their next value fixed before the next
-    input is observed, individually and greedily jointly."""
+    input is observed, individually and greedily jointly.
+
+    The verdict is monotone in the committed set: committing a superset
+    Q of P only takes power from the system (a move of the Q-game, with
+    Q's next values fixed before the next input, is a move of the
+    P-game too), so cpre_Q is inside cpre_P, W_Q inside W_P, and
+    realizable(Q) implies realizable(P).  Each solved set is kept: any
+    subset of a realizable set is answered realizable and any superset
+    of an unrealizable one unrealizable, without a solve.  The
+    per-output verdicts come from halving (adaptive group testing,
+    Hwang 1972): all outputs are tried as one set, and an unrealizable
+    set of several outputs is split in two until every output is
+    settled; the greedy maximal set, built in output order, asks the
+    same memo.  When every output is committable this is one solve in
+    all; the worst case, every output failing alone, is 2k - 1 solves
+    for k outputs, against k singleton solves.
+    """
     session = _session(spec)
     session.require_realizable("precommit analysis")
     game = session.game()
     win = session.region().win
+    yes: list[frozenset[str]] = []   # solved sets that were realizable
+    no: list[frozenset[str]] = []    # solved sets that were not
 
     def realizable_with(outs: list[str]) -> bool:
-        # committing early only takes power from the system
+        key = frozenset(outs)
+        if any(key <= y for y in yes):
+            return True
+        if any(n <= key for n in no):
+            return False
         committed = replace(game, precommit=outs)
         r = solve_game(committed, start=win)
-        return check_realizability(committed, r) == "realizable"
+        ok = check_realizability(committed, r) == "realizable"
+        (yes if ok else no).append(key)
+        return ok
 
     outputs = session.spec.output_props
-    per_output = {}
-    for o in outputs:
-        per_output[o] = realizable_with([o])
+    settled: dict[str, bool] = {}
+    work = [outputs] if outputs else []
+    while work:  # a stack of groups, left halves first
+        group = work.pop()
+        if realizable_with(group):
+            settled.update(dict.fromkeys(group, True))
+        elif len(group) == 1:
+            settled[group[0]] = False
+        else:
+            half = len(group) // 2
+            work += [group[half:], group[:half]]
+    per_output = {o: settled[o] for o in outputs}
     maximal: list[str] = []
     for o in outputs:
         if per_output[o] and realizable_with(maximal + [o]):

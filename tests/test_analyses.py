@@ -1,11 +1,13 @@
 """The seven debugging analyses and their invariants."""
 
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SPEC_DIR, _variant, load_spec, random_boolean_spec
+from conftest import (SPEC_DIR, _formula, _variant, load_spec,
+                      random_boolean_spec)
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.analyses import (
     AnalysisError, Session, semantics_comparison, position_statistics,
@@ -239,30 +241,142 @@ def test_precommit_copying_output_fails():
 
 
 def test_precommit_subset_closure_random():
-    from gr1report.game import solve_game as sg
-    checked = 0
-    for seed in range(30):
+    # the search's premise: committing a superset Q of P only takes power
+    # from the system, so W_Q is inside W_P and realizable(Q) implies
+    # realizable(P); P may be empty, the baseline every variant starts from
+    for seed in range(40):
         spec = random_boolean_spec(seed)
-        game = build_game(spec)
-        region = solve_game(game)
-        if check_realizability(game, region) != "realizable":
-            continue
-        if len(spec.output_props) < 2:
-            continue
         outs = spec.output_props
+        rng = random.Random(seed)
+        for robotics in (False, True):
+            game = build_game(spec, robotics=robotics)
+            for _ in range(4):
+                big = rng.sample(outs, rng.randint(1, len(outs)))
+                small = rng.sample(big, rng.randint(0, len(big)))
+                solved = []
+                for sub in (small, big):
+                    committed = replace(game, precommit=sub)
+                    region = solve_game(committed)
+                    solved.append((region.win, check_realizability(
+                        committed, region) == "realizable"))
+                (w_small, r_small), (w_big, r_big) = solved
+                assert w_big.implies(w_small).is_true(), (seed, small, big)
+                assert r_small or not r_big, (seed, robotics, small, big)
 
-        def realizable_with(sub):
-            committed = replace(game, precommit=list(sub))
-            r = sg(committed)
-            return check_realizability(committed, r) == "realizable"
 
-        full = [o for o in outs if realizable_with(outs)]
-        if full:
-            for o in outs:
-                assert realizable_with([o]), (seed, o)
-            checked += 1
-        if checked >= 5:
-            break
+def _old_precommit(session):
+    """The search before the memo: one solve per output, then one per
+    greedy step."""
+    game = session.game()
+    win = session.region().win
+
+    def realizable_with(outs):
+        committed = replace(game, precommit=outs)
+        return check_realizability(
+            committed, solve_game(committed, start=win)) == "realizable"
+
+    outputs = session.spec.output_props
+    per_output = {o: realizable_with([o]) for o in outputs}
+    maximal = []
+    for o in outputs:
+        if per_output[o] and realizable_with(maximal + [o]):
+            maximal.append(o)
+    return per_output, maximal
+
+
+def copy_spec_text(seed):
+    """Random spec in which a random subset of the outputs must copy the
+    next input and random pairs of outputs must together cover it, so
+    single outputs, and sets of outputs that commit one by one, fail to
+    commit."""
+    rng = random.Random(seed)
+    ins = [f"i{k}" for k in range(rng.randint(1, 2))]
+    outs = [f"o{k}" for k in range(rng.randint(2, 6))]
+    trans = [f"X({o}) <-> X({rng.choice(ins)})"
+             for o in outs if rng.random() < 0.3]
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.sample(outs, 2)
+        trans.append(f"(X({a}) | X({b})) <-> X({rng.choice(ins)})")
+    lines = ["[INPUT]", *ins, "[OUTPUT]", *outs]
+    if trans:
+        lines += ["[SYS_TRANS]", *trans]
+    lines += ["[SYS_LIVENESS]", _formula(rng, ins + outs, 1)]
+    return "\n".join(lines) + "\n"
+
+
+def _precommit_solves(monkeypatch, session):
+    """precommit_analysis(session) and the committed sets it solved."""
+    import gr1report.analyses as analyses_mod
+    session.region()
+    solved = []
+
+    def spy(game, start=None):
+        solved.append(game.precommit)
+        return solve_game(game, start=start)
+
+    with monkeypatch.context() as m:
+        m.setattr(analyses_mod, "solve_game", spy)
+        result = precommit_analysis(session)
+    return result, solved
+
+
+def _halves(outs):
+    """Every group the halving can try: outs and, recursively, its
+    halves."""
+    groups, work = [], [outs]
+    while work:
+        group = work.pop()
+        groups.append(group)
+        if len(group) > 1:
+            work += [group[:len(group) // 2], group[len(group) // 2:]]
+    return groups
+
+
+def _precommit_sessions():
+    for p in sorted(SPEC_DIR.glob("*.spec")):
+        yield Session(load_spec(p.stem))
+    for seed in range(100):
+        for robotics in (False, True):
+            yield Session(random_boolean_spec(seed), robotics=robotics)
+            yield Session(compile_text(copy_spec_text(seed)),
+                          robotics=robotics)
+
+
+def test_precommit_search_matches_per_output_and_greedy(monkeypatch):
+    compared = halved = greedy = 0
+    for k, session in enumerate(_precommit_sessions()):
+        if session.verdict() != "realizable":
+            continue
+        want = _old_precommit(session)
+        got, solved = _precommit_solves(monkeypatch, session)
+        assert (got.per_output, got.maximal_set) == want, k
+        assert list(got.per_output) == session.spec.output_props
+        compared += 1
+        halved += len(solved) > 1
+        greedy += any(outs not in _halves(session.spec.output_props)
+                      for outs in solved)
+    assert compared >= 150
+    assert halved >= 20 and greedy >= 20, (halved, greedy)
+
+
+@pytest.mark.parametrize("name,most", [
+    ("delivery", 1), ("delivery_ready", 1), ("doors", 1), ("mutex", 1),
+    ("mutex_fixed", 1), ("tworobot", 7), ("tworobot_weak", 7)])
+def test_precommit_solve_count(monkeypatch, name, most):
+    # a realizable set settles all its outputs and every greedy step
+    # inside it; the per-output search made k + (greedy steps) solves
+    _, solved = _precommit_solves(monkeypatch, Session(load_spec(name)))
+    assert 1 <= len(solved) <= most
+
+
+@pytest.mark.parametrize("name", ["tworobot", "tworobot_weak"])
+def test_full_report_within_node_budget(tmp_path, name):
+    rep = run_report(SPEC_DIR / f"{name}.spec",
+                     ReportConfig(node_budget=60000),
+                     json_path=tmp_path / "r.json",
+                     html_path=tmp_path / "r.html", log=None)
+    assert {a: r["status"] for a, r in rep.analyses.items()} == dict.fromkeys(
+        rep.analyses, "ok")
 
 
 # ----------------------------------------------------------------------
