@@ -1,10 +1,11 @@
 """Specification debugging analyses.
 
 The analyses of one report share a Session: one manager holding the
-baseline games, regions and machine.  Every other game (classical
-implication, a goal set to FALSE, an assumption dropped, a signal
-pinned, outputs committed early, glitch positions filtered out) is a
-dataclasses.replace edit of the strict baseline game in that manager,
+baseline games and regions and the positions the canonical strategy
+reaches, all as BDDs; no explicit machine is built.  Every other game
+(classical implication, a goal set to FALSE, an assumption dropped, a
+signal pinned, outputs committed early, glitch positions filtered out)
+is a dataclasses.replace edit of the strict baseline game in that manager,
 compared with it as BDDs; only the strict baseline is built from the
 specification, and no game is mutated.  The session also carries the
 settings every analysis run in it uses (robotics realizability, the
@@ -25,7 +26,7 @@ from .bdd import BddManager, BddRef, Cube
 from .compiler import BooleanSpec, BoolPart
 from .game import (
     SymbolicGame, WinningRegion, build_game, classical, solve_game,
-    check_realizability, extract_strategy, _union,
+    check_realizability, reached_positions, _union,
 )
 
 INFINITE = float("inf")
@@ -40,7 +41,10 @@ class Session:
     use, with the settings of every analysis run in it: robotics
     realizability, a node budget bounding the one manager, and a
     cooperative timeout whose deadline starts here and again at each
-    `restart` (run_report restarts before each analysis)."""
+    `restart` (run_report restarts before each analysis).  The session
+    keeps the canonical strategy's reached positions, never the strategy
+    itself: test (d) and the nominal trace get its moves from
+    `canonical_moves` as BDD relations."""
 
     def __init__(self, spec: BooleanSpec, robotics=False, node_budget=None,
                  timeout=None):
@@ -50,7 +54,7 @@ class Session:
         self.mgr = BddManager(node_budget=node_budget)
         self._games: dict[str, SymbolicGame] = {}
         self._regions: dict[str, WinningRegion] = {}
-        self._machine = None
+        self._reached: list[BddRef] | None = None
         self.restart()
 
     def restart(self):
@@ -87,11 +91,13 @@ class Session:
         if self.verdict() != "realizable":
             raise error(f"{what} needs a realizable specification")
 
-    def machine(self):
-        """The canonical machine of the strict baseline."""
-        if self._machine is None:
-            self._machine = extract_strategy(self.game(), self.region())
-        return self._machine
+    def reached(self) -> list[BddRef]:
+        """The positions the canonical strategy of the strict baseline
+        reaches, one set per goal it pursues there (`reached_positions`).
+        Only these sets are kept, no strategy relation."""
+        if self._reached is None:
+            self._reached = reached_positions(self.game(), self.region())
+        return self._reached
 
 
 def _session(spec: BooleanSpec | Session) -> Session:
@@ -203,7 +209,7 @@ class AssumptionVerdict:
     test_a: bool          # removing it changes realizability
     test_b: bool          # it makes more positions winning
     test_c: bool          # it shrinks some reactive distance
-    test_d: bool          # ... at a position the canonical machine reaches
+    test_d: bool          # ... at a position the canonical strategy reaches
     test_c_goals: list[int] = field(default_factory=list)
 
     @property
@@ -218,16 +224,13 @@ def classify_assumptions(
 
     An assumption is superfluous when removing it neither changes
     realizability (a) nor the winning set (b) nor any reactive distance
-    (c), including distances at the reachable states of the canonically
-    extracted machine (d).
+    (c), including distances at the positions the canonical strategy
+    reaches while it pursues the goal in question (d).
     """
     session = _session(spec)
     session.require_realizable("assumption classification")
     region = session.region()
-    machine = session.machine()
-    # positions the machine visits, split by pursued goal
-    visited = [[machine.position(st) for st in machine.states
-                if st.goal == j] for j in range(len(region.strata))]
+    visited = session.reached()
     verdicts = []
     for kind in ("env_init", "env_trans", "env_liveness"):
         for part in session.spec.parts[kind]:
@@ -251,7 +254,7 @@ def _without(session: Session, part: BoolPart) -> SymbolicGame:
 
 
 def _drop_assumption(session: Session, region: WinningRegion,
-                     visited: list[list[dict]],
+                     visited: list[BddRef],
                      part: BoolPart) -> AssumptionVerdict:
     # removing an assumption only takes power from the system
     game = _without(session, part)
@@ -271,7 +274,7 @@ def _drop_assumption(session: Session, region: WinningRegion,
         helped = _union(mgr, [f & ~w for f, w in zip(sf, sw)]) & both
         if not helped.is_false():
             test_c_goals.append(j)
-            test_d = test_d or any(mgr.eval(helped, p) for p in visited[j])
+            test_d = test_d or not (helped & visited[j]).is_false()
     return AssumptionVerdict(
         kind=part.kind, index=part.index, text=part.text,
         test_a=check_realizability(game, sub_region) != "realizable",

@@ -34,8 +34,9 @@ first grows with stationary waiting only (assumption-starving moves
 that repeat the current output, T_s & !a_i & stay); the unrestricted
 waiting relation is used as a fallback when the stationary chain
 stalls, which keeps the winning-set limit exact.  The inner
-nu-fixpoints are kept per stratum and assumption for deterministic
-strategy extraction.
+nu-fixpoints are kept per stratum and assumption for the canonical
+strategy, which `canonical_moves` gives as BDD relations and
+`extract_strategy` as an explicit machine.
 """
 
 from __future__ import annotations
@@ -613,6 +614,102 @@ def extract_strategy(game: SymbolicGame, region: WinningRegion) -> MealyMachine:
         input_names=list(inputs), output_names=list(outputs),
         states=order, initial=initial, transitions=transitions,
         n_goals=n_goals)
+
+
+# ----------------------------------------------------------------------
+# the canonical strategy as relations
+
+def _lexmin(mgr: BddManager, rel: BddRef, names: list[str]) -> BddRef:
+    """`rel` narrowed, for each valuation of its other variables, to its
+    lexicographically smallest valuation of `names` (in the order given,
+    false before true): `pick_min_model`'s tie-break, one name at a
+    time."""
+    for n in names:
+        low = mgr.and_exists(rel, mgr.nvar(n), names)  # n can be false
+        rel = mgr.apply("diff", rel, mgr.var(n) & low)
+    return rel
+
+
+def canonical_moves(game: SymbolicGame, region: WinningRegion, j: int,
+                    src: BddRef) -> tuple[BddRef, BddRef]:
+    """The moves of `extract_strategy`'s machine for goal j from `src`, a
+    set over positions and next inputs.
+
+    Returns (moves, goal): `moves` relates each pair in `src` with the
+    next outputs the machine picks, and `goal` holds the pairs whose
+    move is a goal move, after which the machine pursues goal j+1.  The
+    priorities are the machine's: a goal move into the winning set;
+    else, from exact stratum d, a move into stratum d-1; else a waiting
+    move inside the first xcore of stratum d that holds the position and
+    has one.  Each priority applies where none above it has a move, and
+    `_lexmin` over the primed outputs breaks the remaining ties.  Each
+    term is built from the part of `src` it applies to, so no per-goal
+    relation is kept.
+    """
+    mgr = game.mgr
+    outs = game.primed_outputs
+    strata = region.strata[j]
+    terms = [src & game._ts_goal[j] & game.prime(region.win)]
+    goal = mgr.exists(outs, terms[0])
+    rest = mgr.apply("diff", src, goal)
+    for d, stratum in enumerate(strata):
+        if rest.is_false():
+            break
+        part = rest & stratum
+        if part.is_false():
+            continue
+        rest = mgr.apply("diff", rest, stratum)
+        if d > 0:
+            terms.append(part & game.trans_sys & game.prime(strata[d - 1]))
+            part = mgr.apply("diff", part, mgr.exists(outs, terms[-1]))
+        wait = (game._ts_nota_stay if region.stationary[j][d]
+                else game._ts_nota)
+        for x, w in zip(region.xcores[j][d], wait):
+            if part.is_false():
+                break
+            terms.append(part & x & w & game.prime(x))
+            part = mgr.apply("diff", part, mgr.exists(outs, terms[-1]))
+    return _lexmin(mgr, _union(mgr, terms), outs), goal
+
+
+def reached_positions(game: SymbolicGame,
+                      region: WinningRegion) -> list[BddRef]:
+    """The positions `extract_strategy`'s machine reaches, one set per
+    goal it pursues there, found by a breadth-first search over
+    `canonical_moves` without building the machine.
+
+    The machine starts at goal 0 from the smallest winning initial
+    output of each initial input the assumptions admit.
+    """
+    if check_realizability(game, region) != "realizable":
+        raise GameError("reached_positions on an unrealizable game")
+    mgr = game.mgr
+    n = len(game.live_sys)
+    init = (mgr.exists(game.outputs, game.init_env) & game.init_sys
+            & region.win)
+    visited = [mgr.false] * n
+    frontier = [mgr.false] * n
+    visited[0] = frontier[0] = _lexmin(mgr, init, game.outputs)
+    while any(not f.is_false() for f in frontier):
+        found = [mgr.false] * n
+        for j, src in enumerate(frontier):
+            if src.is_false():
+                continue
+            moves, goal = canonical_moves(game, region, j,
+                                          src & game.trans_env)
+            nxt = (j + 1) % n
+            found[nxt] = found[nxt] | mgr.and_exists(moves, goal,
+                                                     game.positions)
+            found[j] = found[j] | mgr.and_exists(moves, ~goal,
+                                                 game.positions)
+        for j in range(n):
+            frontier[j] = mgr.apply("diff", mgr.rename(found[j], "unprime"),
+                                    visited[j])
+            visited[j] = visited[j] | frontier[j]
+        # the layer's relations are dead here: let a collection free them
+        del moves, goal, found
+        mgr.maybe_collect()
+    return visited
 
 
 def reactive_distance(region: WinningRegion, position: dict[str, bool],

@@ -1,10 +1,11 @@
 """Nominal-case traces and abstract safety (counter-)strategies.
 
-nominal_trace plays the extracted machine against an environment that
-follows a non-deterministic generalized-Buchi strategy for its own
-liveness assumptions (goal rotation; all distance-minimal moves kept,
-lexicographically smallest emitted) until the product laces into a
-lasso.
+nominal_trace plays the canonical strategy, one move at a time from
+`canonical_moves` with no explicit machine built, against an
+environment that follows a non-deterministic generalized-Buchi strategy
+for its own liveness assumptions (goal rotation; all distance-minimal
+moves kept, lexicographically smallest emitted) until the product laces
+into a lasso: a repeated (position, system goal, environment goal).
 
 abstract_strategy handles games decided by the safety parts alone: it
 probes, round by round and proposition by proposition, whether fixing a
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from .analyses import Session, _session
 from .bdd import BddManager, BddRef
 from .compiler import BooleanSpec
-from .game import SymbolicGame, _conj, standard_start_ok
+from .game import SymbolicGame, _conj, canonical_moves, standard_start_ok
 
 STAR = "star"
 VIOLATION = "X"
@@ -61,6 +62,12 @@ def _decode_vals(spec: BooleanSpec, assignment: dict[str, bool],
     return spec.decode(sub)
 
 
+def _cube(mgr: BddManager, assignment: dict[str, bool]) -> BddRef:
+    """The single assignment as a BDD."""
+    return _conj(mgr, [mgr.var(n) if v else mgr.nvar(n)
+                       for n, v in assignment.items()])
+
+
 def _env_buchi(game: SymbolicGame):
     """Winning set and per-goal attractor iterates for the environment's
     generalized-Buchi objective (all liveness assumptions, rotating)."""
@@ -98,7 +105,6 @@ def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64):
     session.require_realizable("nominal trace", TraceError)
     spec, game = session.spec, session.game()
     region = session.region()
-    machine = session.machine()
     mgr = game.mgr
     starts = game.init_env & game.init_sys & region.win
     if starts.is_false():
@@ -109,16 +115,13 @@ def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64):
         return {"finding": "the environment cannot satisfy its liveness "
                            "assumptions from the initial position"}
 
-    state = None
-    in_names, out_names = machine.input_names, machine.output_names
-    want_inputs = tuple(p0[n] for n in in_names)
-    for sid in machine.initial:
-        if machine.states[sid].inputs == want_inputs:
-            state = machine.states[sid]
-            break
-    if state is None or state.outputs != tuple(p0[n] for n in out_names):
-        raise TraceError("initial machine state does not cover the chosen "
-                         "initial position")
+    # the canonical strategy's initial output for p0's inputs
+    first = mgr.pick_min_model(
+        mgr.restrict(game.init_sys & region.win,
+                     {n: p0[n] for n in game.inputs}), game.outputs)
+    if any(first[n] != p0[n] for n in game.outputs):
+        raise TraceError("the canonical strategy's initial output differs "
+                         "from the chosen initial position")
 
     m = len(game.live_env)
     move_ok_memo: dict[tuple[int, int], BddRef] = {}
@@ -138,21 +141,20 @@ def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64):
         move_ok_memo[key] = got
         return got
 
-    trans = {sid: dict(machine.transitions[sid])
-             for sid in machine.transitions}
+    in_names, out_names = game.inputs, game.outputs
+    n_goals = len(game.live_sys)
     steps: list[TraceStep] = []
-    seen: dict[tuple[int, int], int] = {}
-    c = 0
+    seen: dict[tuple, int] = {}
+    pos, j, c = p0, 0, 0
     while len(steps) < max_steps:
-        pos = machine.position(state)
-        key = (state.sid, c)
+        key = (tuple(pos[n] for n in game.positions), j, c)
         if key in seen:
             return AnnotatedTrace(steps=steps, lasso_start=seen[key])
         seen[key] = len(steps)
         steps.append(TraceStep(
             inputs=_decode_vals(spec, pos, in_names),
             outputs=_decode_vals(spec, pos, out_names),
-            env_goal=c, sys_goal=state.goal))
+            env_goal=c, sys_goal=j))
         rank = next((r for r, s in enumerate(iterates[c])
                      if mgr.eval(s, pos)), None)
         if rank is None:
@@ -160,19 +162,19 @@ def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64):
         moves = mgr.restrict(move_filter(c, rank), pos)
         if moves.is_false():
             raise TraceError("environment strategy has no move")
-        imodel = mgr.pick_min_model(moves, game.primed_inputs)
-        ivals = tuple(imodel[n + "'"] for n in in_names)
-        nxt_sid = trans[state.sid].get(ivals)
-        if nxt_sid is None:
-            raise TraceError("machine is missing a transition for an "
+        step = dict(pos)
+        step.update(mgr.pick_min_model(moves, game.primed_inputs))
+        reply, goal = canonical_moves(game, region, j, _cube(mgr, step))
+        if reply.is_false():
+            raise TraceError("the canonical strategy has no move for an "
                              "admissible input")
-        nxt = machine.states[nxt_sid]
-        full = dict(pos)
-        full.update({n + "'": v for n, v in
-                     zip(in_names + out_names, nxt.inputs + nxt.outputs)})
-        if mgr.eval(game.live_env[c], full):
+        step.update(mgr.pick_min_model(mgr.restrict(reply, step),
+                                       game.primed_outputs))
+        if mgr.eval(game.live_env[c], step):
             c = (c + 1) % m
-        state = nxt
+        if not goal.is_false():
+            j = (j + 1) % n_goals
+        pos = {n: step[n + "'"] for n in game.positions}
     return AnnotatedTrace(steps=steps, lasso_start=len(steps))
 
 

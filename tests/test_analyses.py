@@ -544,8 +544,9 @@ def test_classification_tests_abc_match_oracle():
 
 def _collections(monkeypatch, analysis, session):
     """How many times `analysis` collects garbage in `session`, with the
-    baseline region and machine already built."""
-    session.machine()
+    baseline region and the canonical strategy's reached positions
+    already built."""
+    session.reached()
     collect = BddManager.collect
     calls = []
 

@@ -11,7 +11,7 @@ from gr1report import parse_spec, compile_to_boolean
 from gr1report.game import (
     SymbolicGame, build_game, classical, solve_game,
     check_realizability, extract_strategy, ir_to_bdd, reactive_distance,
-    GameError, _mu_y, _level_order, _conj, _union,
+    reached_positions, GameError, _mu_y, _level_order, _conj, _union,
 )
 from test_bdd import build_bdd, fresh, trees
 
@@ -307,6 +307,53 @@ def test_machine_json_shape():
     assert "ints" in st["inputs"] and "sx" in st["inputs"]["ints"]
     tr = data["transitions"][0]
     assert set(tr) == {"from", "input", "to"}
+
+
+# ----------------------------------------------------------------------
+# differential check: the canonical strategy's reached positions against
+# the states of the extracted machine
+
+def _arbiter_specs(monkeypatch):
+    import pathlib
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    import specgen
+    return [compile_to_boolean(parse_spec(specgen.arbiter(n)))
+            for n in (3, 4, 5)]
+
+
+# only moving waits starve an assumption here, and the two assumptions'
+# waits pick different outputs, so the order of the xcores shows
+MOVING_WAITS = ("[OUTPUT]\no\np\n[ENV_LIVENESS]\no <-> X(o)\np <-> X(p)\n"
+                "[SYS_LIVENESS]\nFALSE\n")
+
+
+def test_reached_positions_match_the_machine_states(monkeypatch):
+    specs = [load_spec(p.stem) for p in sorted(SPEC_DIR.glob("*.spec"))]
+    specs += _arbiter_specs(monkeypatch)
+    specs.append(compile_to_boolean(parse_spec(MOVING_WAITS)))
+    specs += [random_boolean_spec(seed) for seed in range(200)]
+    compared = 0
+    for k, spec in enumerate(specs):
+        for robotics in (False, True):
+            game = build_game(spec, robotics=robotics)
+            region = solve_game(game)
+            if check_realizability(game, region) != "realizable":
+                with pytest.raises(GameError, match="unrealizable"):
+                    reached_positions(game, region)
+                continue
+            machine = extract_strategy(game, region)
+            reached = reached_positions(game, region)
+            assert len(reached) == machine.n_goals
+            for j, visited in enumerate(reached):
+                states = [machine.position(s) for s in machine.states
+                          if s.goal == j]
+                assert game.mgr.count_models(visited, game.positions) \
+                    == len(states), (k, robotics, j)
+                assert all(game.mgr.eval(visited, p) for p in states), (
+                    k, robotics, j)
+            compared += 1
+    assert compared >= 190
 
 
 # ----------------------------------------------------------------------

@@ -529,3 +529,44 @@ def test_compile_leaves_no_functions_in_reference_cycles(tmp_path):
     # cyclic collector
     garbage = _cyclic_garbage_after_report(tmp_path)
     assert _functions_of(garbage, "compiler.py") == []
+
+
+@pytest.mark.parametrize("name", ["doors", "arbiter4"])
+def test_full_report_never_extracts_a_machine(tmp_path, monkeypatch, name):
+    # test (d) and the nominal trace get the canonical strategy from
+    # relations; the explicit machine is API and differential reference
+    import pathlib
+    import gr1report.analyses as analyses_mod
+    import gr1report.game as game_mod
+    import gr1report.report as report_mod
+    import gr1report.traces as traces_mod
+    if name == "arbiter4":
+        monkeypatch.syspath_prepend(
+            str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+        import specgen
+        path = tmp_path / "arbiter4.spec"
+        path.write_text(specgen.arbiter(4))
+    else:
+        path = spec_path(name)
+    for mod in (analyses_mod, report_mod, traces_mod):
+        assert not hasattr(mod, "extract_strategy"), mod.__name__
+    calls = []
+    extract = game_mod.extract_strategy
+    monkeypatch.setattr(game_mod, "extract_strategy",
+                        lambda *a: calls.append(a) or extract(*a))
+    rep = run_report(path, ReportConfig(), json_path=tmp_path / "r.json",
+                     html_path=tmp_path / "r.html", log=None)
+    assert rep.baseline["realizable"] == "realizable"
+    assert all(e["status"] == "ok" for e in rep.analyses.values())
+    assert calls == []
+
+
+def test_weak_tworobot_assumptions_fit_a_30000_node_budget(tmp_path):
+    # the session keeps only the reached positions, never the strategy
+    # relations, so the assumption tests fit in the budget
+    rep = run_report(spec_path("tworobot_weak"),
+                     ReportConfig(node_budget=30000),
+                     json_path=tmp_path / "r.json",
+                     html_path=tmp_path / "r.html", log=None)
+    assert rep.analyses["assumptions"]["status"] == "ok", (
+        rep.analyses["assumptions"])

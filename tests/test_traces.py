@@ -2,12 +2,14 @@
 
 import pytest
 
-from conftest import load_spec
+from conftest import SPEC_DIR, load_spec, random_boolean_spec
 from gr1report import parse_spec, compile_to_boolean
+from gr1report.analyses import Session
+from gr1report.game import extract_strategy
 from gr1report.oracle import eval_ir
 from gr1report.traces import (
-    nominal_trace, abstract_strategy, AnnotatedTrace, TraceError, STAR,
-    VIOLATION,
+    nominal_trace, abstract_strategy, AnnotatedTrace, TraceError, TraceStep,
+    STAR, VIOLATION, _decode_vals, _env_buchi,
 )
 
 
@@ -105,6 +107,77 @@ def test_trace_json_shape():
     data = nominal_trace(spec).to_json()
     assert set(data) == {"steps", "lassoStart"}
     assert set(data["steps"][0]) == {"in", "out", "envGoal", "sysGoal"}
+
+
+# ----------------------------------------------------------------------
+# differential check: the nominal trace played on the extracted machine,
+# kept only here
+
+def _machine_trace(session, max_steps=64):
+    """The nominal trace that walks the transitions of the whole
+    extracted machine; its lasso key is (state, environment goal)."""
+    spec, game, region = session.spec, session.game(), session.region()
+    mgr = game.mgr
+    starts = game.init_env & game.init_sys & region.win
+    if starts.is_false():
+        return {"finding": "no initial position satisfies the initial parts"}
+    p0 = mgr.pick_min_model(starts, game.positions)
+    w_env, iterates = _env_buchi(game)
+    if not mgr.eval(w_env, p0):
+        return {"finding": "the environment cannot satisfy its liveness "
+                           "assumptions from the initial position"}
+    machine = extract_strategy(game, region)
+    in_names, out_names = machine.input_names, machine.output_names
+    state = next(machine.states[sid] for sid in machine.initial
+                 if machine.states[sid].inputs
+                 == tuple(p0[n] for n in in_names))
+    assert state.outputs == tuple(p0[n] for n in out_names)
+    trans = {sid: dict(edges) for sid, edges in machine.transitions.items()}
+    m = len(game.live_env)
+    steps, seen, c = [], {}, 0
+    while len(steps) < max_steps:
+        pos = machine.position(state)
+        if (state.sid, c) in seen:
+            return AnnotatedTrace(steps=steps, lasso_start=seen[state.sid, c])
+        seen[state.sid, c] = len(steps)
+        steps.append(TraceStep(
+            inputs=_decode_vals(spec, pos, in_names),
+            outputs=_decode_vals(spec, pos, out_names),
+            env_goal=c, sys_goal=state.goal))
+        rank = next(r for r, s in enumerate(iterates[c]) if mgr.eval(s, pos))
+        good = game.live_env[c] & game.prime(w_env)
+        if rank > 0:
+            good = good | game.prime(iterates[c][rank - 1])
+        moves = mgr.restrict(game.trans_env & game.forced(good), pos)
+        imodel = mgr.pick_min_model(moves, game.primed_inputs)
+        nxt = machine.states[
+            trans[state.sid][tuple(imodel[n + "'"] for n in in_names)]]
+        full = dict(pos)
+        full.update({n + "'": v for n, v in
+                     zip(in_names + out_names, nxt.inputs + nxt.outputs)})
+        if mgr.eval(game.live_env[c], full):
+            c = (c + 1) % m
+        state = nxt
+    return AnnotatedTrace(steps=steps, lasso_start=len(steps))
+
+
+def test_nominal_trace_matches_the_machine_played_trace():
+    specs = [load_spec(p.stem) for p in sorted(SPEC_DIR.glob("*.spec"))]
+    specs += [random_boolean_spec(seed) for seed in range(200)]
+    traces = cut = 0
+    for k, spec in enumerate(specs):
+        for robotics in (False, True):
+            session = Session(spec, robotics=robotics)
+            if session.verdict() != "realizable":
+                continue
+            for max_steps in (64, 3):
+                want = _machine_trace(session, max_steps)
+                assert nominal_trace(session, max_steps) == want, (
+                    k, robotics, max_steps)
+                if isinstance(want, AnnotatedTrace):
+                    traces += 1
+                    cut += want.lasso_start == len(want.steps) == max_steps
+    assert traces >= 50 and cut >= 15, (traces, cut)
 
 
 # ----------------------------------------------------------------------
