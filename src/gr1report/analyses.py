@@ -7,9 +7,14 @@ reaches, all as BDDs; no explicit machine is built.  Every other game
 signal pinned, outputs committed early, glitch positions filtered out)
 is a dataclasses.replace edit of the strict baseline game in that manager,
 compared with it as BDDs; only the strict baseline is built from the
-specification, and no game is mutated.  The session also carries the
-settings every analysis run in it uses (robotics realizability, the
-node budget and the timeout).  Called on a plain BooleanSpec, an
+specification, and no game is mutated.  A variant is solved only when
+the strict baseline does not already settle its verdict: a variant
+with the baseline's solver inputs has the baseline's region
+(`Session.solve`), and the stuck-at and resilience analyses settle
+their variants from the baseline winning set when an inclusion
+between the two winning sets proves the verdict.  The session also
+carries the settings every analysis run in it uses (robotics
+realizability, the node budget and the timeout).  Called on a plain BooleanSpec, an
 analysis runs in a fresh Session(spec) with the default settings, so
 such calls may run concurrently.  All results are deterministic
 functions of (specification, options).
@@ -26,7 +31,7 @@ from .bdd import BddManager, BddRef, Cube
 from .compiler import BooleanSpec, BoolPart
 from .game import (
     SymbolicGame, WinningRegion, build_game, classical, solve_game,
-    check_realizability, reached_positions, _union,
+    check_realizability, reached_positions, solves_alike, _union,
 )
 
 INFINITE = float("inf")
@@ -44,7 +49,9 @@ class Session:
     `restart` (run_report restarts before each analysis).  The session
     keeps the canonical strategy's reached positions, never the strategy
     itself: test (d) and the nominal trace get its moves from
-    `canonical_moves` as BDD relations."""
+    `canonical_moves` as BDD relations.  The analyses solve their
+    variant games through `solve`, which reuses the strict baseline's
+    region for a variant with the same solver inputs."""
 
     def __init__(self, spec: BooleanSpec, robotics=False, node_budget=None,
                  timeout=None):
@@ -80,8 +87,31 @@ class Session:
         """Baseline winning region, recorded (strata, xcores and
         stationary flags of the solver's last sweep)."""
         if semantics not in self._regions:
-            self._regions[semantics] = solve_game(self.game(semantics))
+            game = self.game(semantics)
+            self._regions[semantics] = (solve_game(game)
+                                        if semantics == "strict"
+                                        else self.solve(game))
         return self._regions[semantics]
+
+    def solve(self, game: SymbolicGame,
+              start: BddRef | None = None) -> WinningRegion:
+        """Winning region of `game`, an edit of the strict baseline game,
+        solved warm from `start` (a valid upper bound, as `solve_game`
+        asks).
+
+        When `solves_alike(game, baseline)` the strict baseline's region
+        is returned without a solve: `solve_game` reads nothing else of a
+        game, and the sweep it records ran against the greatest fixpoint,
+        so it would return the same winning set, strata, xcores and
+        flags.  The initial conditions may still differ, and
+        `check_realizability` reads them from `game`.  That holds for a
+        dropped initial assumption, for a dropped safety assumption the
+        others imply, and for the classical game when no position forces
+        an assumption violation (its widened guarantees are then the
+        strict ones)."""
+        if solves_alike(game, self.game()):
+            return self.region()
+        return solve_game(game, start=start)
 
     def verdict(self, semantics="strict") -> str:
         return check_realizability(self.game(semantics),
@@ -187,15 +217,24 @@ def assumption_falsification(spec: BooleanSpec | Session,
                              max_cubes: int = 10) -> FalsificationResult:
     """Winning set of the game whose only system goal is FALSE: exactly
     the positions from which the system can force an assumption
-    violation."""
-    baseline = _session(spec).game()
-    game = replace(baseline, live_sys=[baseline.mgr.false])
-    win = solve_game(game).win
+    violation.
+
+    Such a position wins under any goals, so that set lies inside the
+    baseline winning set W, and one sweep from W is deflationary: the
+    solve starts from W and returns what it returns from TRUE."""
+    session = _session(spec)
+    game = _goal_false(session.game())
+    win = session.solve(game, start=session.region().win).win
     mgr = game.mgr
     return FalsificationResult(
         count=mgr.count_models(win, game.positions),
         cubes=list(islice(mgr.prime_cubes(win, game.positions), max_cubes)),
         game=game, region_bdd=win)
+
+
+def _goal_false(game: SymbolicGame) -> SymbolicGame:
+    """`game` with FALSE as its only system goal."""
+    return replace(game, live_sys=[game.mgr.false])
 
 
 # ----------------------------------------------------------------------
@@ -256,9 +295,11 @@ def _without(session: Session, part: BoolPart) -> SymbolicGame:
 def _drop_assumption(session: Session, region: WinningRegion,
                      visited: list[BddRef],
                      part: BoolPart) -> AssumptionVerdict:
-    # removing an assumption only takes power from the system
+    # removing an assumption only takes power from the system; a dropped
+    # initial assumption, or a safety one the others imply, leaves the
+    # solver inputs as they are and is settled without a solve
     game = _without(session, part)
-    sub_region = solve_game(game, start=region.win)
+    sub_region = session.solve(game, start=region.win)
     mgr = game.mgr
     win, win_wo = region.win, sub_region.win
     both = win & win_wo
@@ -323,6 +364,16 @@ def error_resilience(spec: BooleanSpec | Session,
     restricted to positions from which every glitch successor admits a
     system reply back into W_k.  Chain stabilization proves saturation,
     i.e. an infinite level.
+
+    Step k filters out `hole`, the positions with a glitch successor
+    that has no system reply into w = W_{k-1}.  When no position of w is
+    in `hole` the chain has stabilized and no solve is made: the holes
+    only grow along the chain (w shrinks), so the game of step k is the
+    game that returned w with more positions filtered out, all of them
+    outside w.  Every fixpoint of the sweep that settled w lies inside
+    w, so none of them changes, and the solve would return w.  When
+    `hole` meets w the solve cannot return w, as every filtered
+    controllable predecessor excludes `hole`.
     """
     if max_k < 1:
         raise AnalysisError("max_k must be at least 1")
@@ -341,9 +392,10 @@ def error_resilience(spec: BooleanSpec | Session,
     for k in range(1, max_k + 1):
         canv = game.can(game.trans_sys, w)
         hole = mgr.and_exists(glitch, ~canv, game.primed_inputs)
-        region_k = solve_game(replace(game, position_filter=~hole), start=w)
-        if region_k.win == w:
+        if (hole & w).is_false():  # W_k would be w: see the docstring
             return ResilienceResult(level=INFINITE)
+        region_k = session.solve(replace(game, position_filter=~hole),
+                                 start=w)
         if check_realizability(game, region_k) != "realizable":
             return ResilienceResult(level=k - 1)
         w = region_k.win
@@ -392,7 +444,7 @@ def precommit_analysis(spec: BooleanSpec | Session) -> PrecommitResult:
         if any(n <= key for n in no):
             return False
         committed = replace(game, precommit=outs)
-        r = solve_game(committed, start=win)
+        r = session.solve(committed, start=win)
         ok = check_realizability(committed, r) == "realizable"
         (yes if ok else no).append(key)
         return ok
@@ -427,6 +479,20 @@ class StuckAtTable:
     entries: dict[tuple[str, bool], str]  # (signal, value) -> verdict
 
 
+def _stuck(game: SymbolicGame, sig: str, value: bool,
+           output: bool) -> SymbolicGame:
+    """`game` with `sig` forced to `value` from power-on: an output by the
+    guarantees, an input by added assumptions."""
+    pin = game.mgr.var(sig) if value else game.mgr.nvar(sig)
+    step = game.prime(pin)
+    if output:
+        return replace(game, init_sys=game.init_sys & pin,
+                       trans_sys=game.trans_sys & step)
+    return replace(game,
+                   init_env_parts=game.init_env_parts + [(None, pin)],
+                   trans_env_parts=game.trans_env_parts + [(None, step)])
+
+
 def stuck_at_analysis(spec: BooleanSpec | Session) -> StuckAtTable:
     """Realizability with one signal forced constant from power-on.
 
@@ -434,33 +500,47 @@ def stuck_at_analysis(spec: BooleanSpec | Session) -> StuckAtTable:
     realizable means the output never needs to react.  Unrealizable
     specification: inputs are stuck via added assumptions; persisting
     unrealizability means that input's freedom is not the cause.
+
+    A variant is solved only when the baseline winning set W leaves its
+    verdict open; the realizability check is monotone in the winning set
+    under both conditions.  A stuck output only takes power from the
+    system (W_v inside W), so a variant that fails the check with W is
+    unrealizable.  Under the standard condition it is realizable when
+    every position the canonical strategy reaches has the output at the
+    stuck value: that strategy never moves the output, so it wins the
+    stuck game from its initial positions.  (The robotics condition asks
+    about every initial output, not only the strategy's.)  A stuck
+    input gives the system power (W inside W_v), so a variant that
+    passes the check with W is realizable.
     """
     session = _session(spec)
     base = session.game()
     mgr = base.mgr
     baseline = session.verdict()
-    if baseline == "realizable":
-        # a stuck output only takes power from the system
+    region = session.region()
+    outputs = baseline == "realizable"
+    if outputs:
         direction, signals = "outputs", session.spec.output_props
-        start = session.region().win
+        start, settles = region.win, "unrealizable"
     else:
         # a stuck input gives the system power: solve from scratch
         direction, signals = "inputs", session.spec.input_props
-        start = None
+        start, settles = None, "realizable"
+
+    def machine_stays(sig: str, value: bool) -> bool:
+        off = mgr.nvar(sig) if value else mgr.var(sig)
+        return (outputs and not base.robotics
+                and all((r & off).is_false() for r in session.reached()))
+
     entries = {}
     for sig in signals:
         for value in (False, True):
-            pin = mgr.var(sig) if value else mgr.nvar(sig)
-            step = base.prime(pin)
-            if direction == "outputs":
-                game = replace(base, init_sys=base.init_sys & pin,
-                               trans_sys=base.trans_sys & step)
-            else:
-                game = replace(
-                    base, init_env_parts=base.init_env_parts + [(None, pin)],
-                    trans_env_parts=base.trans_env_parts + [(None, step)])
-            entries[(sig, value)] = check_realizability(
-                game, solve_game(game, start=start))
+            game = _stuck(base, sig, value, outputs)
+            verdict = check_realizability(game, region)
+            if verdict != settles and not machine_stays(sig, value):
+                verdict = check_realizability(
+                    game, session.solve(game, start=start))
+            entries[(sig, value)] = verdict
             del game  # a collection here, if any, frees the variant's nodes
             session.mgr.maybe_collect()
     return StuckAtTable(direction=direction, baseline=baseline,

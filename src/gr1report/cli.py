@@ -13,8 +13,15 @@ from .syntax import SpecError
 from .compiler import CompileError
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2, the code of a baseline out of resources
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gr1report",
         description="Run the specification-debugging analyses on a GR(1) "
                     "specification and write JSON and HTML reports.")
@@ -25,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: SPEC.report.json)")
     p.add_argument("--analyses", metavar="LIST",
                    help="comma-separated subset of: " + ",".join(ANALYSIS_ORDER))
-    p.add_argument("--semantics", choices=["strict", "nonstrict", "both"],
+    p.add_argument("--semantics", choices=["strict", "nonstrict"],
                    default=ReportConfig.semantics)
     p.add_argument("--robotics", action="store_true",
                    help="require every admissible initial output to be winning")

@@ -294,6 +294,19 @@ def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
                          stationary=stat, game=game)
 
 
+def solves_alike(a: SymbolicGame, b: SymbolicGame) -> bool:
+    """Whether `solve_game` reads the same inputs from `a` and `b`, and so
+    returns the same region for both: the manager and signals, both
+    safety relations, both liveness lists, the precommitted outputs and
+    the position filter.  It never reads `init_env` or `init_sys`.  Each
+    BDD comparison is O(1)."""
+    return (a.mgr is b.mgr and a.inputs == b.inputs
+            and a.outputs == b.outputs and a.precommit == b.precommit
+            and a.position_filter == b.position_filter
+            and a.trans_sys == b.trans_sys and a.live_sys == b.live_sys
+            and a.live_env == b.live_env and a.trans_env == b.trans_env)
+
+
 def standard_start_ok(game: SymbolicGame, v: BddRef) -> bool:
     """The standard initial condition for target `v`: for some value of
     the precommitted outputs (none outside the precommit analysis), every

@@ -55,7 +55,7 @@ REPORT_SCHEMA = {
                          "max_cubes", "max_trace_steps", "abstract_horizon"],
             "properties": {
                 "analyses": {"type": "array", "items": {"type": "string"}},
-                "semantics": {"enum": ["strict", "nonstrict", "both"]},
+                "semantics": {"enum": ["strict", "nonstrict"]},
                 "robotics": {"type": "boolean"},
                 "max_k": {"type": "integer"},
                 "max_cubes": {"type": "integer"},
@@ -135,7 +135,7 @@ class BaselineResourceError(ReportError):
 @dataclass
 class ReportConfig:
     analyses: tuple[str, ...] = ANALYSIS_ORDER
-    semantics: str = "strict"          # strict | nonstrict | both
+    semantics: str = "strict"          # strict | nonstrict
     robotics: bool = False
     max_k: int = 16
     max_cubes: int = 10
@@ -156,7 +156,7 @@ class ReportConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:  # also NaN
                 raise ReportError(f"{name} must be positive")
-        if self.semantics not in ("strict", "nonstrict", "both"):
+        if self.semantics not in ("strict", "nonstrict"):
             raise ReportError(f"bad semantics {self.semantics!r}")
 
 
@@ -282,14 +282,13 @@ def run_report(spec_path, config: ReportConfig | None = None,
         raise ReportError("specification nested too deeply: "
                           + _limit_reason(exc)) from None
 
-    base_sem = "nonstrict" if config.semantics == "nonstrict" else "strict"
     session = Session(spec, config.robotics, config.node_budget,
                       config.timeout_seconds)
     try:
-        verdict = session.verdict(base_sem)
+        verdict = session.verdict(config.semantics)
     except (ResourceLimitError, RecursionError) as exc:
         raise BaselineResourceError(_limit_reason(exc)) from exc
-    baseline = {"semantics": base_sem, "realizable": verdict}
+    baseline = {"semantics": config.semantics, "realizable": verdict}
 
     results: dict[str, dict] = {}
     timings: dict[str, float] = {}
@@ -333,7 +332,8 @@ def run_report(spec_path, config: ReportConfig | None = None,
                          encoding="utf-8")
     if dot_path:
         Path(dot_path).write_text(session.mgr.to_dot(
-            session.region(base_sem).win, "winning_set"), encoding="utf-8")
+            session.region(config.semantics).win, "winning_set"),
+            encoding="utf-8")
     return report
 
 

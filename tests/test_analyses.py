@@ -13,10 +13,12 @@ from gr1report.analyses import (
     AnalysisError, Session, semantics_comparison, position_statistics,
     assumption_falsification, classify_assumptions, error_resilience,
     precommit_analysis, stuck_at_analysis, INFINITE, _exactly_one_violated,
+    _stuck, _without,
 )
 from gr1report.bdd import BddManager, ResourceLimitError
 from gr1report.compiler import BoolPart
-from gr1report.game import build_game, solve_game, check_realizability
+from gr1report.game import (build_game, check_realizability, classical,
+                            solve_game, _union)
 from gr1report.oracle import explicit_solve
 from gr1report.report import (ANALYSIS_ORDER, ReportConfig, _run_analysis,
                               run_report)
@@ -630,19 +632,25 @@ def test_kept_computed_table_matches_collecting_every_variant():
 # ----------------------------------------------------------------------
 # variant games against games built from the variant specifications
 
-def _solved_games(monkeypatch, analysis, session):
-    """Every game `analysis` solves in `session`, in call order (the
-    baseline is solved before, so only variants are caught)."""
+_VARIANT_BUILDERS = ("_goal_false", "_without", "_stuck")
+
+
+def _built_games(monkeypatch, analysis, session):
+    """Every variant game `analysis` builds in `session`, in call order,
+    whether a solve settles its verdict or the baseline does."""
     import gr1report.analyses as analyses_mod
     session.region()
     games = []
 
-    def spy(game, start=None):
-        games.append(game)
-        return solve_game(game, start=start)
+    def spy(build):
+        def built(*args):
+            games.append(build(*args))
+            return games[-1]
+        return built
 
     with monkeypatch.context() as m:
-        m.setattr(analyses_mod, "solve_game", spy)
+        for name in _VARIANT_BUILDERS:
+            m.setattr(analyses_mod, name, spy(getattr(analyses_mod, name)))
         analysis(session)
     return games
 
@@ -676,15 +684,16 @@ def _reference_specs(spec, realizable):
 
 
 def _check_variants(monkeypatch, spec, robotics):
-    """Kinds of variant checked; each game an analysis solves equals the
-    game built from the variant spec in the same manager: its parts, and
-    its winning set, strata and verdict."""
+    """Kinds of variant checked; each game an analysis builds, solved or
+    settled from the baseline, equals the game built from the variant
+    spec in the same manager: its parts, and its winning set, strata and
+    verdict."""
     session = Session(spec, robotics=robotics)
     realizable = session.verdict() == "realizable"
-    games = _solved_games(monkeypatch, assumption_falsification, session)
+    games = _built_games(monkeypatch, assumption_falsification, session)
     if realizable:
-        games += _solved_games(monkeypatch, classify_assumptions, session)
-    games += _solved_games(monkeypatch, stuck_at_analysis, session)
+        games += _built_games(monkeypatch, classify_assumptions, session)
+    games += _built_games(monkeypatch, stuck_at_analysis, session)
     refs = _reference_specs(spec, realizable)
     assert len(games) == len(refs)
     for game, (what, ref_spec) in zip(games, refs):
@@ -718,19 +727,23 @@ def test_variant_games_match_rebuilt_variants_corpus(monkeypatch, name):
     _check_variants(monkeypatch, load_spec(name), robotics=False)
 
 
-def _first_variant(monkeypatch, analysis, session):
-    """The first variant game `analysis` would solve, left unsolved."""
+def _first_variant(monkeypatch, analysis, session, builder="solve_game"):
+    """The first variant game `analysis` would solve (`builder`
+    "solve_game") or builds (a name in _VARIANT_BUILDERS), left
+    unsolved."""
     import gr1report.analyses as analyses_mod
     session.region()
+    build = getattr(analyses_mod, builder)
 
     class Caught(Exception):
         pass
 
-    def spy(game, start=None):
-        raise Caught(game)
+    def spy(*args, **kwargs):
+        raise Caught(args[0] if builder == "solve_game"
+                     else build(*args, **kwargs))
 
     with monkeypatch.context() as m:
-        m.setattr(analyses_mod, "solve_game", spy)
+        m.setattr(analyses_mod, builder, spy)
         with pytest.raises(Caught) as caught:
             analysis(session)
     return caught.value.args[0]
@@ -746,11 +759,143 @@ def test_variants_carry_the_baseline_relations_only_when_unchanged(
         assert game.precommit or game.position_filter is not None
         for name in relations:
             assert getattr(game, name) == getattr(base, name), name
-    for analysis in (assumption_falsification, stuck_at_analysis):
-        game = _first_variant(monkeypatch, analysis, session)
+    for analysis, builder in ((assumption_falsification, "_goal_false"),
+                              (stuck_at_analysis, "_stuck")):
+        game = _first_variant(monkeypatch, analysis, session, builder)
         assert (game.trans_sys, game.live_sys) != (base.trans_sys,
                                                    base.live_sys)
         for name in relations:
             assert getattr(game, name) is not getattr(base, name), name
         assert game._ts_goal == [game.trans_sys & g for g in game.live_sys]
         assert game._ts_nota == [game.trans_sys & ~a for a in game.live_env]
+
+
+# ----------------------------------------------------------------------
+# verdicts settled from the baseline against direct solves
+
+def _direct_verdicts(session):
+    """The semantics, assumption, resilience and stuck-at results with
+    every variant game solved from scratch by `solve_game` itself, as
+    the analyses did before the baseline settled some of them."""
+    game = session.game()
+    mgr = game.mgr
+    region = solve_game(game)
+    verdict = check_realizability(game, region)
+    nonstrict = classical(game)
+    out = {"semantics": (verdict, check_realizability(
+        nonstrict, solve_game(nonstrict)))}
+    outputs = verdict == "realizable"
+    spec = session.spec
+    signals = spec.output_props if outputs else spec.input_props
+    out["stuckat"] = {}
+    for sig in signals:
+        for value in (False, True):
+            stuck = _stuck(game, sig, value, outputs)
+            out["stuckat"][(sig, value)] = check_realizability(
+                stuck, solve_game(stuck))
+    if not outputs:
+        return out
+    out["assumptions"] = []
+    for kind in ("env_init", "env_trans", "env_liveness"):
+        for part in spec.parts[kind]:
+            if part.synthetic:
+                continue
+            sub_game = _without(session, part)
+            sub = solve_game(sub_game)
+            goals, test_d = [], False
+            for j, (sf, sw) in enumerate(zip(region.strata, sub.strata)):
+                depth = max(len(sf), len(sw))
+                sf = sf + [region.win] * (depth - len(sf))
+                sw = sw + [sub.win] * (depth - len(sw))
+                helped = (_union(mgr, [f & ~w for f, w in zip(sf, sw)])
+                          & region.win & sub.win)
+                if not helped.is_false():
+                    goals.append(j)
+                    test_d |= not (helped & session.reached()[j]).is_false()
+            out["assumptions"].append((
+                check_realizability(sub_game, sub) != "realizable",
+                region.win != sub.win, bool(goals), test_d, goals))
+    out["resilience"] = _direct_resilience(game, region.win)
+    return out
+
+
+def _direct_resilience(game, w, max_k=16):
+    """`error_resilience`'s level with every step of the chain solved."""
+    mgr = game.mgr
+    parts = [b for _p, b in game.trans_env_parts]
+    glitch = _exactly_one_violated(mgr, parts) if parts else mgr.false
+    if glitch.is_false():
+        return INFINITE
+    for k in range(1, max_k + 1):
+        hole = mgr.and_exists(glitch, ~game.can(game.trans_sys, w),
+                              game.primed_inputs)
+        region_k = solve_game(replace(game, position_filter=~hole), start=w)
+        if region_k.win == w:
+            return INFINITE
+        if check_realizability(game, region_k) != "realizable":
+            return k - 1
+        w = region_k.win
+    return max_k
+
+
+def _settled_verdicts(session):
+    """The same results from the analyses."""
+    sem = semantics_comparison(session)
+    out = {"semantics": (sem.strict, sem.nonstrict),
+           "stuckat": stuck_at_analysis(session).entries}
+    if session.verdict() == "realizable":
+        out["assumptions"] = [(v.test_a, v.test_b, v.test_c, v.test_d,
+                               v.test_c_goals)
+                              for v in classify_assumptions(session)]
+        out["resilience"] = error_resilience(session).level
+    return out
+
+
+def _check_settled(spec, robotics):
+    want = _direct_verdicts(Session(spec, robotics=robotics))
+    got = _settled_verdicts(Session(spec, robotics=robotics))
+    assert got == want
+    return want
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in
+                                        SPEC_DIR.glob("*.spec")))
+@pytest.mark.parametrize("robotics", [False, True])
+def test_settled_verdicts_match_direct_solves_corpus(name, robotics):
+    _check_settled(load_spec(name), robotics)
+
+
+def test_settled_verdicts_match_direct_solves_random():
+    kinds = set()
+    for seed in range(200):
+        spec = random_boolean_spec(seed)
+        for robotics in (False, True):
+            want = _check_settled(spec, robotics)
+            kinds.add(("realizable" if "resilience" in want
+                       else "unrealizable", robotics))
+    assert len(kinds) == 4
+
+
+@pytest.mark.parametrize("name,analysis,most", [
+    ("tworobot", stuck_at_analysis, 4), ("tworobot", error_resilience, 0),
+    ("delivery", stuck_at_analysis, 0),
+    ("tworobot_weak", semantics_comparison, 1)])
+def test_solves_left_after_settling_from_the_baseline(monkeypatch, name,
+                                                      analysis, most):
+    # solves after the strict baseline's, the classical game's solve of
+    # its forced-violation set inside game.py included
+    import gr1report.analyses as analyses_mod
+    import gr1report.game as game_mod
+    session = Session(load_spec(name))
+    session.region()
+    calls = []
+
+    def spy(game, start=None):
+        calls.append(game)
+        return solve_game(game, start=start)
+
+    with monkeypatch.context() as m:
+        m.setattr(analyses_mod, "solve_game", spy)
+        m.setattr(game_mod, "solve_game", spy)
+        analysis(session)
+    assert len(calls) <= most

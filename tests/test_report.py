@@ -18,8 +18,9 @@ def test_config_validates_names_and_bounds():
         ReportConfig(analyses=("positions", "wat"))
     with pytest.raises(ReportError, match="positive"):
         ReportConfig(max_k=0)
-    with pytest.raises(ReportError, match="semantics"):
-        ReportConfig(semantics="fuzzy")
+    for semantics in ("fuzzy", "both"):
+        with pytest.raises(ReportError, match="semantics"):
+            ReportConfig(semantics=semantics)
 
 
 @pytest.mark.parametrize("option, value", [
@@ -204,6 +205,21 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main([str(target), "--node-budget", "64",
                      "--dump-bdd", str(dot)]) == 2
     assert not dot.exists()
+
+
+@pytest.mark.parametrize("args", [["--semantics", "both"],
+                                  ["--max-k", "abc"]])
+def test_cli_usage_errors_exit_1(tmp_path, args):
+    # argparse would exit 2, the code of a baseline out of resources
+    target = tmp_path / "m.spec"
+    target.write_text(spec_path("mutex").read_text())
+    proc = subprocess.run(
+        [sys.executable, "-m", "gr1report.cli", str(target), *args],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("usage: gr1report")
+    assert args[0] in proc.stderr
+    assert not (tmp_path / "m.spec.report.json").exists()
 
 
 def test_reports_validate_against_shipped_schema(tmp_path, specs_dir):
