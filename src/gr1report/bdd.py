@@ -10,12 +10,12 @@ fixed level order.  Model, cube and truth-table enumerations follow the
 order of the names they are given, not the level order, so their
 results do not depend on it.
 
-The kernel is recursive Python, so it is kept specialised.  AND and OR,
-which make nearly all of the game solver's calls, are its only binary
-recursions; each orders its operands into a standard triple (the lower
+The kernel is recursive Python, so it is kept specialised.  AND and OR
+make nearly all of the game solver's calls; XOR, which every `<->` of
+a specification compiles to (iff is NOT of XOR), is the third binary
+recursion.  Each orders its operands into a standard triple (the lower
 node id first), so `a & b` and `b & a` share one computed-table entry.
-The rarer operators (xor, implies, iff, diff) are built from AND, OR
-and NOT.
+The rarer operators (implies, diff) are built from AND, OR and NOT.
 The relational product `and_exists` (exists Q: f & g, Burch, Clarke &
 Long 1991) hands off to AND once both operands lie below the deepest
 quantified level, and merges quantified cofactors with OR.  Its dual
@@ -26,6 +26,18 @@ call (what complement edges would give for free).  On a computed-table
 miss each recursion looks its result up in the unique table itself and
 calls `_mk` only for a new node.  The deadline is checked only when one
 is set, once every 8192 misses.
+
+The computed table is bounded, as in Brace, Rudell & Bryant and in
+CUDD: each public operation first checks its size, and once it holds
+more than `cache_limit` entries it keeps only the newer half, in
+insertion order.  Dropping entries never changes a result, only
+whether it is recomputed; the nodes stay in the unique table, so a
+recomputation allocates nothing.  The hot recursions never check the
+size, so the table may grow past the cap within one operation.  Keeping
+the newer half rather than clearing the table lets a sequence of
+operations that shares more entries than the cap (the variant solves of
+one analysis) keep its recent work.  A collection that frees anything
+still clears the whole table, since freed slots are reused.
 
 References
 ==========
@@ -41,12 +53,16 @@ partitioned transition relations", VLSI 1991.
 
 O. Coudert, J. C. Madre, "Implicit and incremental computation of primes
 and essential primes of Boolean functions", DAC 1992.
+
+F. Somenzi, "CUDD: CU Decision Diagram Package", University of Colorado
+at Boulder (the computed table as a cache of bounded size).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 FALSE = 0
 TRUE = 1
@@ -58,10 +74,11 @@ _OR = 1
 _NOT = 2
 _PRIME = 3
 _UNPRIME = 4
+_XOR = 5
 # computed-table keys of the quantifying recursions, per quantifier set
 # id qid: `_and_exists` uses (_QBASE + qid, f, g), above every op code;
 # `_or_forall` uses (-1 - qid, f, g), below every op code
-_QBASE = 5
+_QBASE = 6
 
 
 class BddError(Exception):
@@ -151,6 +168,9 @@ class BddManager:
     # node count (live plus dead not yet freed, i.e. `len(self)`) at
     # which `maybe_collect` collects when no node budget is set
     gc_threshold = 1 << 20
+    # computed-table entries past which a public operation first drops
+    # the older half of the table (see the module docstring)
+    cache_limit = 1 << 18
 
     def __init__(self, node_budget: int | None = None):
         # node 0 = FALSE, node 1 = TRUE
@@ -310,13 +330,23 @@ class BddManager:
             if r.mgr is not self:
                 raise BddError("BddRef belongs to a different manager")
 
+    def _bound_cache(self):
+        """Keep the newer half of the computed table once it holds more
+        than `cache_limit` entries; a dict iterates in insertion order.
+        The public operations call this first, never the recursions."""
+        c = self._cache
+        if len(c) > self.cache_limit:
+            self._cache = dict(islice(c.items(), len(c) // 2, None))
+
     def apply(self, op: str, f: BddRef, g: BddRef) -> BddRef:
         """f op g for op in and, or, xor, implies, iff, diff (f & !g)."""
         self._check_same(f, g)
+        self._bound_cache()
         return BddRef(self, self._apply(op, f.node, g.node))
 
     def negate(self, f: BddRef) -> BddRef:
         self._check_same(f)
+        self._bound_cache()
         return BddRef(self, self._not(f.node))
 
     # The hot recursions below share one shape: terminal rules, a
@@ -418,20 +448,57 @@ class BddManager:
         self._cache[key] = r
         return r
 
+    def _xor(self, f: int, g: int) -> int:
+        # standard triple, as in `_and`
+        if f == g:
+            return FALSE
+        if f > g:
+            f, g = g, f
+        if f <= TRUE:
+            return g if f == FALSE else self._not(g)
+        key = (_XOR, f, g)
+        r = self._cache.get(key)
+        if r is not None:
+            return r
+        if self.deadline is not None:
+            self._check_limits()
+        level = self._level
+        lf, lg = level[f], level[g]
+        if lf == lg:
+            top = lf
+            r0 = self._xor(self._lo[f], self._lo[g])
+            r1 = self._xor(self._hi[f], self._hi[g])
+        elif lf < lg:
+            top = lf
+            r0 = self._xor(self._lo[f], g)
+            r1 = self._xor(self._hi[f], g)
+        else:
+            top = lg
+            r0 = self._xor(f, self._lo[g])
+            r1 = self._xor(f, self._hi[g])
+        if r0 == r1:
+            r = r0
+        else:
+            r = self._unique.get((top, r0, r1))
+            if r is None:
+                r = self._mk(top, r0, r1)
+        self._cache[key] = r
+        return r
+
     def _apply(self, op: str, f: int, g: int) -> int:
         if op == "and":
             return self._and(f, g)
         if op == "or":
             return self._or(f, g)
-        # the other operators are rare: built from AND, OR and NOT
+        if op == "xor":
+            return self._xor(f, g)
+        if op == "iff":
+            return self._not(self._xor(f, g))
+        # implies and diff are rare: built from AND, OR and NOT
         if op == "diff":
             return self._and(f, self._not(g))
         if op == "implies":
             return self._or(self._not(f), g)
-        if op in ("xor", "iff"):
-            r = self._or(self._and(f, self._not(g)),
-                         self._and(self._not(f), g))
-            return r if op == "xor" else self._not(r)
         raise BddError(f"unknown operator {op!r}")
 
     # ------------------------------------------------------------------
@@ -451,6 +518,7 @@ class BddManager:
 
     def quantify(self, kind: str, names, f: BddRef) -> BddRef:
         self._check_same(f)
+        self._bound_cache()
         levels = self._levels_for(names)
         if kind == "exists":
             return BddRef(self, self._and_exists(f.node, TRUE,
@@ -469,12 +537,14 @@ class BddManager:
     def and_exists(self, f: BddRef, g: BddRef, names) -> BddRef:
         """exists names: f & g  (relational product)."""
         self._check_same(f, g)
+        self._bound_cache()
         qid = self._qset_id(self._levels_for(names))
         return BddRef(self, self._and_exists(f.node, g.node, qid))
 
     def or_forall(self, f: BddRef, g: BddRef, names) -> BddRef:
         """forall names: f | g  (the dual of `and_exists`)."""
         self._check_same(f, g)
+        self._bound_cache()
         qid = self._qset_id(self._levels_for(names))
         return BddRef(self, self._or_forall(f.node, g.node, qid))
 
@@ -559,6 +629,7 @@ class BddManager:
     def rename(self, f: BddRef, direction: str) -> BddRef:
         """Substitute every variable with its primed/unprimed counterpart."""
         self._check_same(f)
+        self._bound_cache()
         if direction == "prime":
             return BddRef(self, self._shift(f.node, _PRIME, +1))
         if direction == "unprime":

@@ -899,3 +899,43 @@ def test_solves_left_after_settling_from_the_baseline(monkeypatch, name,
         m.setattr(game_mod, "solve_game", spy)
         analysis(session)
     assert len(calls) <= most
+
+
+def test_a_variant_solve_past_the_cap_does_not_thrash(monkeypatch):
+    # the chain without its liveness assumption: a variant solve whose
+    # entries are reused across the fixpoint's iterations.  Keeping the
+    # newer half of the table at a cap a quarter of what the solve
+    # grows to costs at most half again the recursion calls; clearing
+    # the whole table there costs several times as many
+    from conftest import chain_text
+    from test_bdd import RECURSIONS
+    calls, sizes = [0], []
+    for name in RECURSIONS:
+        def counted(self, *args, _fn=getattr(BddManager, name)):
+            calls[0] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(BddManager, name, counted)
+    bound = BddManager._bound_cache
+
+    def noted(self):
+        sizes.append(len(self._cache))
+        bound(self)
+    monkeypatch.setattr(BddManager, "_bound_cache", noted)
+
+    def variant_solve(cache_limit=None):
+        session = Session(compile_text(chain_text(20)))
+        if cache_limit is not None:
+            session.mgr.cache_limit = cache_limit
+        region = session.region()
+        session.restart()
+        part = session.spec.parts["env_liveness"][0]
+        calls[0] = 0
+        sizes.clear()
+        session.solve(_without(session, part), start=region.win)
+        return calls[0], max(sizes)
+
+    uncapped, grown = variant_solve()
+    cap = grown // 4
+    capped, _ = variant_solve(cap)
+    assert max(sizes) > cap   # entries were dropped during the solve
+    assert capped <= 1.5 * uncapped

@@ -487,6 +487,94 @@ def test_collect_matches_a_reference_mark_sweep(items):
 
 
 # ----------------------------------------------------------------------
+# the bounded computed table
+
+RECURSIONS = ("_and", "_or", "_xor", "_not", "_and_exists", "_or_forall",
+              "_shift")
+PUBLIC = ("apply", "negate", "quantify", "and_exists", "or_forall", "rename")
+
+
+def random_operations(m, rng, steps):
+    """Apply `steps` random public operations to a pool of handles that
+    starts with the literals; yields each result's node.  About every
+    third step drops a handle, and every fiftieth collects."""
+    pool = [m.var(v) for v in LEVELS] + [m.nvar(v) for v in LEVELS]
+    for step in range(steps):
+        f, g = rng.choice(pool), rng.choice(pool)
+        q = rng.sample(LEVELS, rng.randint(0, 4))
+        kind = rng.randrange(9)
+        if kind < 5:
+            r = m.apply(("and", "or", "xor", "iff", "diff")[kind], f, g)
+        elif kind == 5:
+            r = m.negate(f)
+        elif kind == 6:
+            r = m.quantify(rng.choice(("exists", "forall")), q, f)
+        elif kind == 7:
+            r = (m.and_exists if rng.random() < 0.5 else m.or_forall)(f, g, q)
+        else:
+            unprimed = m.exists([v + "'" for v in KVARS], f)
+            r = m.rename(unprimed, "prime")
+        pool.append(r)
+        if len(pool) > 24 and rng.random() < 0.3:
+            pool.pop(rng.randrange(16, len(pool)))
+        if step % 50 == 49:
+            m.collect()
+        yield r.node
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_tiny_computed_table_gives_the_same_nodes(seed):
+    capped, uncapped = fresh(len(KVARS)), fresh(len(KVARS))
+    capped.cache_limit = 64
+    largest = 0
+    for got, want in zip(random_operations(capped, random.Random(seed), 300),
+                         random_operations(uncapped, random.Random(seed),
+                                           300)):
+        assert got == want
+        largest = max(largest, len(capped._cache))
+    assert largest > 64   # the cap was reached and entries were dropped
+    assert capped._unique == uncapped._unique
+    assert capped._free == uncapped._free
+
+
+def test_every_public_operation_starts_within_the_cap(monkeypatch):
+    # the first recursion of each public operation sees the table after
+    # the operation's own bound; later ones (diff's AND after its NOT)
+    # may see it grown
+    sizes, first = [], [False]
+    for name in PUBLIC:
+        def public(self, *args, _fn=getattr(BddManager, name)):
+            first[0] = True
+            return _fn(self, *args)
+        monkeypatch.setattr(BddManager, name, public)
+    for name in RECURSIONS:
+        def recursion(self, *args, _fn=getattr(BddManager, name)):
+            if first[0]:
+                first[0] = False
+                sizes.append(len(self._cache))
+            return _fn(self, *args)
+        monkeypatch.setattr(BddManager, name, recursion)
+    m = fresh(len(KVARS))
+    m.cache_limit = 64
+    largest = 0
+    for _ in random_operations(m, random.Random(7), 400):
+        largest = max(largest, len(m._cache))
+    assert largest > 64 and len(sizes) > 300
+    assert max(sizes) <= 64
+
+
+def test_trimming_keeps_the_newer_half_in_insertion_order():
+    m = fresh(len(KVARS))
+    m.cache_limit = 10
+    m._cache = {(0, i, i + 1): i for i in range(11)}
+    m.negate(m.true)
+    assert list(m._cache) == [(0, i, i + 1) for i in range(5, 11)]
+    m._cache = {(0, i, i + 1): i for i in range(10)}
+    m.negate(m.true)      # at the cap, nothing is dropped
+    assert len(m._cache) == 10
+
+
+# ----------------------------------------------------------------------
 # prime implicant enumeration
 
 def tt_of(m, f, names):

@@ -586,3 +586,22 @@ def test_weak_tworobot_assumptions_fit_a_30000_node_budget(tmp_path):
                      html_path=tmp_path / "r.html", log=None)
     assert rep.analyses["assumptions"]["status"] == "ok", (
         rep.analyses["assumptions"])
+
+
+def test_corpus_reports_do_not_depend_on_the_computed_table_cap(
+        tmp_path, monkeypatch, specs_dir):
+    # a 64-entry table drops entries at nearly every operation; results
+    # are recomputed, never changed
+    from gr1report.bdd import BddManager
+
+    def report_json(path):
+        out = tmp_path / "r.json"
+        run_report(path, json_path=out, html_path=tmp_path / "r.html",
+                   log=None)
+        return out.read_bytes()
+
+    paths = sorted(specs_dir.glob("*.spec"))
+    plain = [report_json(p) for p in paths]
+    monkeypatch.setattr(BddManager, "cache_limit", 64)
+    for path, want in zip(paths, plain):
+        assert report_json(path) == want, path.name
