@@ -79,8 +79,7 @@ class Session:
         if semantics not in self._games:
             self._games[semantics] = (
                 classical(self.game()) if semantics == "nonstrict"
-                else build_game(self.spec, semantics, self.robotics,
-                                self.mgr))
+                else build_game(self.spec, self.robotics, self.mgr))
         return self._games[semantics]
 
     def region(self, semantics="strict") -> WinningRegion:
@@ -217,14 +216,12 @@ def assumption_falsification(spec: BooleanSpec | Session,
                              max_cubes: int = 10) -> FalsificationResult:
     """Winning set of the game whose only system goal is FALSE: exactly
     the positions from which the system can force an assumption
-    violation.
-
-    Such a position wins under any goals, so that set lies inside the
-    baseline winning set W, and one sweep from W is deflationary: the
-    solve starts from W and returns what it returns from TRUE."""
+    violation.  The solve starts from TRUE; with the goal FALSE no
+    iterate reads the outer fixpoint Z, so the first sweep already
+    reaches the winning set and the second confirms it."""
     session = _session(spec)
     game = _goal_false(session.game())
-    win = session.solve(game, start=session.region().win).win
+    win = session.solve(game).win
     mgr = game.mgr
     return FalsificationResult(
         count=mgr.count_models(win, game.positions),

@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     # GR1REPORT_SEED is reserved; behavior is deterministic and the
     # variable is intentionally ignored.
     analyses = tuple(ANALYSIS_ORDER)
-    if args.analyses:
+    if args.analyses is not None:  # an empty list selects no analysis
         analyses = tuple(a.strip() for a in args.analyses.split(",") if a.strip())
     try:
         config = ReportConfig(

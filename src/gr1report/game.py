@@ -396,14 +396,12 @@ def _level_order(spec: BooleanSpec, signals: list[str]) -> list[str]:
     return order
 
 
-def build_game(spec: BooleanSpec, semantics: str = "strict",
-               robotics: bool = False,
+def build_game(spec: BooleanSpec, robotics: bool = False,
                mgr: BddManager | None = None) -> SymbolicGame:
-    """Build the synthesis game for a compiled specification.
-
-    strict: the native game; the system loses on violating its safety
-    parts unless the environment violated first.  nonstrict: classical
-    implication, the `classical` edit of the strict game.
+    """Build the strict synthesis game of a compiled specification: the
+    system loses on violating its safety parts unless the environment
+    violated first.  The game under classical implication is the
+    `classical` edit of this one; nothing else builds it.
 
     The game goes into a fresh manager without limits, or into `mgr`
     (whose own limits apply), reusing the signals it already has; the
@@ -411,10 +409,6 @@ def build_game(spec: BooleanSpec, semantics: str = "strict",
     depends on that order: `positions` and every enumeration follow the
     declaration order.
     """
-    if semantics == "nonstrict":
-        return classical(build_game(spec, robotics=robotics, mgr=mgr))
-    if semantics != "strict":
-        raise GameError(f"unknown semantics {semantics!r}")
     if mgr is None:
         mgr = BddManager()
     positions = list(spec.props)

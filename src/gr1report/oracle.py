@@ -142,9 +142,6 @@ class ExplicitResult:
     realizable: str
     n_positions: int
 
-    def is_winning(self, idx: int) -> bool:
-        return bool((self.win >> idx) & 1)
-
     def distance(self, idx: int, goal: int):
         for d, s in enumerate(self.strata[goal]):
             if (s >> idx) & 1:

@@ -269,7 +269,11 @@ def run_report(spec_path, config: ReportConfig | None = None,
         log = sys.stderr
     config = config or ReportConfig()
     spec_path = Path(spec_path)
-    text = spec_path.read_text(encoding="utf-8")
+    try:
+        text = spec_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{spec_path}: not UTF-8 text (byte {exc.start}: "
+                          f"{exc.reason})") from None
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     doc = parse_spec(text)
     try:
@@ -357,10 +361,19 @@ def _esc(x) -> str:
     return _html.escape(str(x))
 
 
-def _cube_str(cube: dict) -> str:
-    if not cube:
-        return "TRUE"
-    return " & ".join(n if v else "!" + n for n, v in cube.items())
+def _table(head, rows) -> str:
+    """A table of header cells `head` and body rows `rows`, whose cells
+    are already escaped or marked up."""
+    def row(tag, cells):
+        return "<tr>" + "".join(f"<{tag}>{c}</{tag}>" for c in cells) + "</tr>"
+    return ("<table>" + row("th", head)
+            + "".join(row("td", cells) for cells in rows) + "</table>")
+
+
+def _cubes(cubes) -> str:
+    items = "".join(f"<li><code>{_esc(Cube(tuple(c.items())))}</code></li>"
+                    for c in cubes)
+    return f"<ul>{items or '<li>none</li>'}</ul>"
 
 
 def render_html(data: dict) -> str:
@@ -388,99 +401,58 @@ def render_html(data: dict) -> str:
 
 
 def _render_result(name: str, r: dict) -> str:
+    if "finding" in r:  # trace or abstract: why there is none
+        return f"<p class='skip'>{_esc(r['finding'])}</p>"
     if name == "semantics":
         return (f"<p>strict: <b>{_esc(r['strict'])}</b>; nonstrict: "
                 f"<b>{_esc(r['nonstrict'])}</b>; differs: "
                 f"<b>{_esc(r['differs'])}</b></p>")
     if name == "positions":
-        rows = "".join(
-            f"<tr><td>{_esc(k)}</td><td>{_esc(v['total'])}</td>"
-            f"<td>{_esc(v['winning'])}</td></tr>"
-            for k, v in r["classes"].items())
-        cubes = "".join(
-            f"<li><code>{_esc(_cube_str(c))}</code></li>"
-            for c in r["winning_cubes"])
-        lcubes = "".join(
-            f"<li><code>{_esc(_cube_str(c))}</code></li>"
-            for c in r["losing_cubes"])
-        return (f"<table><tr><th>class</th><th>total</th><th>winning</th>"
-                f"</tr>{rows}</table>"
-                f"<p>largest winning cubes:</p><ul>{cubes or '<li>none</li>'}"
-                f"</ul><p>largest losing cubes:</p>"
-                f"<ul>{lcubes or '<li>none</li>'}</ul>")
+        return (_table(["class", "total", "winning"],
+                       [[_esc(k), _esc(v["total"]), _esc(v["winning"])]
+                        for k, v in r["classes"].items()])
+                + "<p>largest winning cubes:</p>" + _cubes(r["winning_cubes"])
+                + "<p>largest losing cubes:</p>" + _cubes(r["losing_cubes"]))
     if name == "falsify":
-        cubes = "".join(f"<li><code>{_esc(_cube_str(c))}</code></li>"
-                        for c in r["cubes"])
         return (f"<p>positions from which the system can force an "
                 f"assumption violation: <b>{_esc(r['count'])}</b></p>"
-                f"<ul>{cubes or '<li>none</li>'}</ul>")
+                + _cubes(r["cubes"]))
     if name == "assumptions":
-        rows = "".join(
-            "<tr><td><code>{}</code></td><td>{}</td><td>{}</td><td>{}</td>"
-            "<td>{}</td><td>{}</td><td><b>{}</b></td></tr>".format(
-                _esc(a["text"]), _esc(a["kind"]),
-                _esc(a["changes_realizability"]),
-                _esc(a["grows_winning_set"]),
-                _esc(a["shrinks_distance"]),
-                _esc(a["shrinks_distance_on_strategy"]),
-                _esc(a["verdict"]))
-            for a in r["assumptions"])
-        return ("<table><tr><th>assumption</th><th>kind</th><th>a</th>"
-                "<th>b</th><th>c</th><th>d</th><th>verdict</th></tr>"
-                f"{rows}</table>")
+        tests = ("changes_realizability", "grows_winning_set",
+                 "shrinks_distance", "shrinks_distance_on_strategy")
+        return _table(["assumption", "kind", "a", "b", "c", "d", "verdict"],
+                      [[f"<code>{_esc(a['text'])}</code>", _esc(a["kind"]),
+                        *(_esc(a[t]) for t in tests),
+                        f"<b>{_esc(a['verdict'])}</b>"]
+                       for a in r["assumptions"]])
     if name == "resilience":
         return f"<p>tolerated glitches: <b>{_esc(r['display'])}</b></p>"
     if name == "precommit":
-        rows = "".join(f"<tr><td>{_esc(o)}</td><td>{_esc(v)}</td></tr>"
-                       for o, v in r["per_output"].items())
-        return (f"<table><tr><th>output</th><th>precommittable</th></tr>"
-                f"{rows}</table><p>jointly precommittable (greedy): "
-                f"<code>{_esc(', '.join(r['maximal_set']) or 'none')}</code></p>")
+        joint = ", ".join(r["maximal_set"]) or "none"
+        return (_table(["output", "precommittable"],
+                       [[_esc(o), _esc(v)]
+                        for o, v in r["per_output"].items()])
+                + f"<p>jointly precommittable (greedy): "
+                f"<code>{_esc(joint)}</code></p>")
     if name == "stuckat":
-        rows = "".join(
-            f"<tr><td>{_esc(e['signal'])}</td>"
-            f"<td>{'1' if e['value'] else '0'}</td>"
-            f"<td>{_esc(e['verdict'])}</td></tr>"
-            for e in r["entries"])
         return (f"<p>direction: {_esc(r['direction'])}</p>"
-                f"<table><tr><th>signal</th><th>stuck at</th>"
-                f"<th>verdict</th></tr>{rows}</table>")
+                + _table(["signal", "stuck at", "verdict"],
+                         [[_esc(e["signal"]), "1" if e["value"] else "0",
+                           _esc(e["verdict"])] for e in r["entries"]]))
     if name == "trace":
-        if "finding" in r:
-            return f"<p class='skip'>{_esc(r['finding'])}</p>"
-        head = "".join(f"<th>{i}</th>" for i in range(len(r["steps"])))
-        names = []
-        for s in r["steps"]:
-            for k in list(s["in"]) + list(s["out"]):
-                if k not in names:
-                    names.append(k)
-        rows = []
-        for n in names:
-            cells = []
-            for s in r["steps"]:
-                v = s["in"].get(n, s["out"].get(n, ""))
-                cells.append(f"<td>{_esc(v)}</td>")
-            rows.append(f"<tr><td>{_esc(n)}</td>{''.join(cells)}</tr>")
-        goals = "".join(
-            f"<td>{s['envGoal']}/{s['sysGoal']}</td>" for s in r["steps"])
+        steps = r["steps"]
+        names = dict.fromkeys(n for s in steps for n in [*s["in"], *s["out"]])
+        rows = [[_esc(n), *(_esc(s["in"].get(n, s["out"].get(n, "")))
+                            for s in steps)] for n in names]
+        rows.append(["env/sys goal",
+                     *(f"{s['envGoal']}/{s['sysGoal']}" for s in steps)])
         return (f"<p>lasso starts at step {_esc(r['lassoStart'])}</p>"
-                f"<table><tr><th>step</th>{head}</tr>"
-                + "".join(rows)
-                + f"<tr><td>env/sys goal</td>{goals}</tr></table>")
+                + _table(["step", *range(len(steps))], rows))
     if name == "abstract":
-        if "finding" in r:
-            return f"<p class='skip'>{_esc(r['finding'])}</p>"
         rounds = r["rounds"]
-        head = "".join(f"<th>{i}</th>" for i in range(len(rounds)))
         names = list(rounds[0]) if rounds else []
-        rows = []
-        for n in names:
-            cells = "".join(
-                "<td>{}</td>".format(
-                    "&#9733;" if rd[n] == "star" else _esc(rd[n]))
-                for rd in rounds)
-            rows.append(f"<tr><td>{_esc(n)}</td>{cells}</tr>")
+        rows = [[_esc(n), *("&#9733;" if rd[n] == "star" else _esc(rd[n])
+                            for rd in rounds)] for n in names]
         return (f"<p>winner: <b>{_esc(r['winner'])}</b></p>"
-                f"<table><tr><th>proposition / round</th>{head}</tr>"
-                + "".join(rows) + "</table>")
+                + _table(["proposition / round", *range(len(rounds))], rows))
     return f"<pre>{_esc(json.dumps(r, indent=2, sort_keys=True))}</pre>"

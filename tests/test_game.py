@@ -52,7 +52,7 @@ def test_level_order_keeps_local_orders_and_places_bits_msb_first():
     assert build_game(spec).mgr.var_names[::2] == order
     # build_game places only the signals the manager does not have yet,
     # and the game's positions stay in declaration order
-    game = build_game(spec, semantics="nonstrict")
+    game = classical(build_game(spec))
     assert game.mgr.var_names[::2] == order
     assert game.positions == spec.props
 
@@ -156,9 +156,9 @@ def test_assumption_monotonicity_random():
 def test_strict_winning_set_inside_nonstrict():
     for seed in range(60):
         spec = random_boolean_spec(seed)
-        g_s = build_game(spec, semantics="strict")
+        g_s = build_game(spec)
         r_s = solve_game(g_s)
-        g_n = build_game(spec, semantics="nonstrict")
+        g_n = classical(build_game(spec))
         r_n = solve_game(g_n)
         t_s = g_s.mgr.to_truthtable(r_s.win, g_s.positions)
         t_n = g_n.mgr.to_truthtable(r_n.win, g_n.positions)
@@ -226,8 +226,8 @@ def test_chain_game_build_allocation_grows_near_linearly():
 
 
 def test_built_game_is_frozen():
-    for semantics in ("strict", "nonstrict"):
-        game = build_game(load_spec("doors"), semantics=semantics)
+    spec = load_spec("doors")
+    for game in (build_game(spec), classical(build_game(spec))):
         for f in fields(game):
             with pytest.raises(FrozenInstanceError):
                 setattr(game, f.name, getattr(game, f.name))
@@ -452,8 +452,7 @@ def test_decomposed_step_matches_monolithic_cpre():
     for seed in range(40):
         spec = random_boolean_spec(seed)
         rng = random.Random(seed)
-        for semantics in ("strict", "nonstrict"):
-            base = build_game(spec, semantics=semantics)
+        for base in (build_game(spec), classical(build_game(spec))):
             stay = _stay(base)
             outs = list(spec.output_props)
             variants = ((None, None),
@@ -485,8 +484,7 @@ def test_one_pass_solver_matches_two_pass():
         spec = (load_spec(case) if isinstance(case, str)
                 else random_boolean_spec(case))
         rng = random.Random(case)
-        for semantics in ("strict", "nonstrict"):
-            game = build_game(spec, semantics=semantics)
+        for game in (build_game(spec), classical(build_game(spec))):
             cold = solve_game(game)
             _assert_same_region(game, cold)
             # re-recording from the exact winning set, as a session does
@@ -601,6 +599,6 @@ def test_classical_declares_the_trackers_once_and_rejects_reserved_names():
     assert strict.mgr.var_names == names
     named = compile_to_boolean(parse_spec(
         "[INPUT]\nr\n[OUTPUT]\n__sys_viol\n"))
-    game = build_game(named, semantics="nonstrict")
+    game = classical(build_game(named))
     assert game.outputs == ["__sys_viol"]
     assert check_realizability(game, solve_game(game)) == "realizable"

@@ -96,6 +96,89 @@ def test_html_generated_purely_from_json(tmp_path):
     assert "<table>" in written and written.startswith("<!DOCTYPE html>")
 
 
+_STEPS = [{"in": {"r": True}, "out": {"g": False, "n": 3},
+           "envGoal": 0, "sysGoal": 1},
+          {"in": {"r": False}, "out": {"g": True, "n": 0},
+           "envGoal": 1, "sysGoal": 0}]
+
+
+@pytest.mark.parametrize("name, result, html", [
+    ("semantics",
+     {"strict": "realizable", "nonstrict": "unrealizable", "differs": True},
+     "<p>strict: <b>realizable</b>; nonstrict: <b>unrealizable</b>; "
+     "differs: <b>True</b></p>"),
+    ("positions",
+     {"classes": {"all": {"total": 8, "winning": 5},
+                  "init_both": {"total": 2, "winning": 0}},
+      "winning_cubes": [{"a": True, "b": False}, {}], "losing_cubes": []},
+     "<table><tr><th>class</th><th>total</th><th>winning</th></tr>"
+     "<tr><td>all</td><td>8</td><td>5</td></tr>"
+     "<tr><td>init_both</td><td>2</td><td>0</td></tr></table>"
+     "<p>largest winning cubes:</p><ul><li><code>a &amp; !b</code></li>"
+     "<li><code>TRUE</code></li></ul>"
+     "<p>largest losing cubes:</p><ul><li>none</li></ul>"),
+    ("falsify", {"count": 0, "cubes": []},
+     "<p>positions from which the system can force an assumption "
+     "violation: <b>0</b></p><ul><li>none</li></ul>"),
+    ("falsify", {"count": 2, "cubes": [{"x<y": False}]},
+     "<p>positions from which the system can force an assumption "
+     "violation: <b>2</b></p><ul><li><code>!x&lt;y</code></li></ul>"),
+    ("assumptions",
+     {"assumptions": [
+         {"kind": "safety", "index": 0, "text": "a < 2 & b",
+          "changes_realizability": False, "grows_winning_set": True,
+          "shrinks_distance": False, "shrinks_distance_on_strategy": False,
+          "helped_goals": [], "verdict": "useful"}]},
+     "<table><tr><th>assumption</th><th>kind</th><th>a</th><th>b</th>"
+     "<th>c</th><th>d</th><th>verdict</th></tr>"
+     "<tr><td><code>a &lt; 2 &amp; b</code></td><td>safety</td>"
+     "<td>False</td><td>True</td><td>False</td><td>False</td>"
+     "<td><b>useful</b></td></tr></table>"),
+    ("resilience",
+     {"level": "infinite", "exceeded_max_k": False, "display": "> 16"},
+     "<p>tolerated glitches: <b>&gt; 16</b></p>"),
+    ("precommit", {"per_output": {"g": True, "h": False}, "maximal_set": []},
+     "<table><tr><th>output</th><th>precommittable</th></tr>"
+     "<tr><td>g</td><td>True</td></tr><tr><td>h</td><td>False</td></tr>"
+     "</table><p>jointly precommittable (greedy): <code>none</code></p>"),
+    ("precommit", {"per_output": {"g": True}, "maximal_set": ["g", "h"]},
+     "<table><tr><th>output</th><th>precommittable</th></tr>"
+     "<tr><td>g</td><td>True</td></tr>"
+     "</table><p>jointly precommittable (greedy): <code>g, h</code></p>"),
+    ("stuckat",
+     {"direction": "output",
+      "entries": [{"signal": "g", "value": True, "verdict": "unrealizable"},
+                  {"signal": "h", "value": False, "verdict": "realizable"}]},
+     "<p>direction: output</p><table><tr><th>signal</th><th>stuck at</th>"
+     "<th>verdict</th></tr><tr><td>g</td><td>1</td><td>unrealizable</td>"
+     "</tr><tr><td>h</td><td>0</td><td>realizable</td></tr></table>"),
+    ("trace", {"steps": _STEPS, "lassoStart": 1},
+     "<p>lasso starts at step 1</p><table><tr><th>step</th><th>0</th>"
+     "<th>1</th></tr><tr><td>r</td><td>True</td><td>False</td></tr>"
+     "<tr><td>g</td><td>False</td><td>True</td></tr>"
+     "<tr><td>n</td><td>3</td><td>0</td></tr>"
+     "<tr><td>env/sys goal</td><td>0/1</td><td>1/0</td></tr></table>"),
+    ("trace", {"finding": "no initial position satisfies the initial parts"},
+     "<p class='skip'>no initial position satisfies the initial parts</p>"),
+    ("abstract",
+     {"winner": "system", "horizon": 4, "note": "n",
+      "rounds": [{"r": "1", "g": "star"}, {"r": "0", "g": "<&>"}]},
+     "<p>winner: <b>system</b></p><table><tr><th>proposition / round</th>"
+     "<th>0</th><th>1</th></tr><tr><td>r</td><td>1</td><td>0</td></tr>"
+     "<tr><td>g</td><td>&#9733;</td><td>&lt;&amp;&gt;</td></tr></table>"),
+    ("abstract",
+     {"winner": "environment", "horizon": 0, "note": "n", "rounds": []},
+     "<p>winner: <b>environment</b></p><table><tr>"
+     "<th>proposition / round</th></tr></table>"),
+    ("abstract",
+     {"finding": "neither player wins with the safety parts alone"},
+     "<p class='skip'>neither player wins with the safety parts alone</p>"),
+])
+def test_html_fragment_of_each_analysis(name, result, html):
+    from gr1report.report import _render_result
+    assert _render_result(name, result) == html
+
+
 def test_cooperative_timeout_fires_inside_analyses():
     from gr1report.bdd import ResourceLimitError
     from gr1report.analyses import Session, assumption_falsification
@@ -205,6 +288,29 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main([str(target), "--node-budget", "64",
                      "--dump-bdd", str(dot)]) == 2
     assert not dot.exists()
+
+
+def test_cli_spec_not_utf8_exits_1_without_traceback(tmp_path):
+    target = tmp_path / "latin.spec"
+    target.write_bytes(b"[OUTPUT]\ng\xff\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gr1report.cli", str(target)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert f"{target}: not UTF-8 text" in proc.stderr
+
+
+def test_cli_empty_analyses_list_gives_verdict_only_report(tmp_path):
+    target = tmp_path / "m.spec"
+    target.write_text(spec_path("mutex").read_text())
+    assert cli_main([str(target), "--analyses", ""]) == 0
+    written = (tmp_path / "m.spec.report.json").read_bytes()
+    run_report(target, ReportConfig(analyses=()),
+               json_path=tmp_path / "v.json", html_path=tmp_path / "v.html",
+               log=None)
+    assert written == (tmp_path / "v.json").read_bytes()
+    assert json.loads(written)["analyses"] == {}
 
 
 @pytest.mark.parametrize("args", [["--semantics", "both"],
@@ -344,7 +450,7 @@ def test_cli_dump_bdd(tmp_path):
 
 def test_cli_dump_bdd_follows_semantics(tmp_path):
     from conftest import load_spec
-    from gr1report.game import build_game, solve_game
+    from gr1report.game import build_game, classical, solve_game
     target = tmp_path / "p.spec"
     target.write_text(spec_path("parity_tracker").read_text())
     dot = tmp_path / "w.dot"
@@ -352,8 +458,9 @@ def test_cli_dump_bdd_follows_semantics(tmp_path):
                      "--analyses", "positions", "--dump-bdd", str(dot)])
     assert code == 0
     dots = {}
-    for semantics in ("strict", "nonstrict"):
-        game = build_game(load_spec("parity_tracker"), semantics=semantics)
+    spec = load_spec("parity_tracker")
+    for semantics, game in (("strict", build_game(spec)),
+                            ("nonstrict", classical(build_game(spec)))):
         win = solve_game(game).win
         dots[semantics] = game.mgr.to_dot(win, "winning_set")
     assert dots["strict"] != dots["nonstrict"]
