@@ -22,10 +22,14 @@ quantified level, and merges quantified cofactors with OR.  Its dual
 `or_forall` (forall Q: f | g) hands off to OR and merges with AND; it
 gives universal quantification, and the game's predecessors from a
 negated transition relation built once, without negating a BDD per
-call (what complement edges would give for free).  On a computed-table
-miss each recursion looks its result up in the unique table itself and
-calls `_mk` only for a new node.  The deadline is checked only when one
-is set, once every 8192 misses.
+call (what complement edges would give for free).  Restriction, and
+each cofactor that an enumeration takes below a node's top, is also a
+relational product: with the cube of the fixed values, quantifying
+their variables (Bryant 1986), so enumerations share the bounded
+computed table and the deadline.  On a computed-table miss each
+recursion looks its result up in the unique table itself and calls
+`_mk` only for a new node.  The deadline is checked only when one is
+set, once every 8192 misses.
 
 The computed table is bounded, as in Brace, Rudell & Bryant and in
 CUDD: each public operation first checks its size, and once it holds
@@ -694,46 +698,28 @@ class BddManager:
         return n == TRUE
 
     def restrict(self, f: BddRef, assignment: dict[str, bool]) -> BddRef:
-        """Cofactor: fix some variables to constants."""
+        """Cofactor: fix some variables to constants.  This is the
+        relational product of f with the assignment's cube, quantifying
+        the assigned variables (Bryant 1986)."""
         self._check_same(f)
-        fixed = {self._var_level[n]: v for n, v in assignment.items()}
-        return BddRef(self, self._cofactor(f.node, fixed, {}))
-
-    def _cofactor(self, f: int, fixed: dict[int, bool], memo: dict) -> int:
-        """f with the variables at the levels in `fixed` set to constants.
-        `memo` maps nodes to results for this `fixed` only; the walk
-        stops below the deepest fixed level."""
-        if not fixed:
-            return f
-        return self._cofactor_rec(f, fixed, max(fixed), memo)
-
-    def _cofactor_rec(self, n: int, fixed: dict[int, bool], bottom: int,
-                      memo: dict) -> int:
-        lvl = self._level[n]
-        if lvl > bottom:  # terminals included
-            return n
-        r = memo.get(n)
-        if r is not None:
-            return r
-        v = fixed.get(lvl)
-        if v is None:
-            r = self._mk(lvl,
-                         self._cofactor_rec(self._lo[n], fixed, bottom, memo),
-                         self._cofactor_rec(self._hi[n], fixed, bottom, memo))
-        else:
-            r = self._cofactor_rec(self._hi[n] if v else self._lo[n],
-                                   fixed, bottom, memo)
-        memo[n] = r
-        return r
+        self._bound_cache()
+        fixed = sorted(((self._var_level[n], v)
+                        for n, v in assignment.items()), reverse=True)
+        cube = TRUE
+        for lvl, v in fixed:
+            cube = self._mk(lvl, *((FALSE, cube) if v else (cube, FALSE)))
+        qid = self._qset_id(self._levels_for(assignment))
+        return BddRef(self, self._and_exists(f.node, cube, qid))
 
     def _splitter(self, names: list[str]):
         """split(n, i) = (n with names[i] false, n with names[i] true).
 
         The enumerations below walk `names` in the order given and
         cofactor on each name's level wherever it sits, so their results
-        do not depend on the level order."""
+        do not depend on the level order.  Below the top of n, a cofactor
+        is the relational product with the name's literal."""
         levels = [self._var_level[n] for n in names]
-        memos: dict[tuple[int, bool], dict] = {}
+        qids = [self._qset_id(frozenset((lvl,))) for lvl in levels]
         level, lo, hi = self._level, self._lo, self._hi
 
         def split(n: int, i: int) -> tuple[int, int]:
@@ -743,11 +729,8 @@ class BddManager:
                 return n, n
             if top == lvl:
                 return lo[n], hi[n]
-            return (
-                self._cofactor(n, {lvl: False},
-                               memos.setdefault((lvl, False), {})),
-                self._cofactor(n, {lvl: True},
-                               memos.setdefault((lvl, True), {})))
+            return (self._and_exists(n, self._mk(lvl, TRUE, FALSE), qids[i]),
+                    self._and_exists(n, self._mk(lvl, FALSE, TRUE), qids[i]))
 
         return split
 
@@ -799,14 +782,8 @@ class BddManager:
         names = list(names)
         if not self._support_levels(f.node) <= self._levels_for(names):
             raise BddError("support escapes the model variables")
-        split = self._splitter(names)
-        out: dict[str, bool] = {}
-        n = f.node
-        for i, name in enumerate(names):
-            n0, n1 = split(n, i)
-            out[name] = n0 == FALSE
-            n = n1 if out[name] else n0
-        return out
+        return next(self._models(f.node, 0, names, self._splitter(names),
+                                 {}))
 
     def iter_models(self, f: BddRef, names):
         """All satisfying assignments over `names`, in lexicographic

@@ -270,7 +270,7 @@ def run_report(spec_path, config: ReportConfig | None = None,
     config = config or ReportConfig()
     spec_path = Path(spec_path)
     try:
-        text = spec_path.read_text(encoding="utf-8")
+        text = spec_path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ReportError(f"{spec_path}: not UTF-8 text (byte {exc.start}: "
                           f"{exc.reason})") from None

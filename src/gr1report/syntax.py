@@ -442,12 +442,10 @@ def pretty(doc: SpecDocument) -> str:
         out.append("[OUTPUT]")
         for v in outs:
             out.append(v.name if not v.is_int else f"{v.name}: {v.lo}...{v.hi}")
-    headers = {"env_init": "ENV_INIT", "env_trans": "ENV_TRANS",
-               "env_liveness": "ENV_LIVENESS", "sys_init": "SYS_INIT",
-               "sys_trans": "SYS_TRANS", "sys_liveness": "SYS_LIVENESS"}
+    header_of = {kind: header for header, kind in _SECTION_OF.items()}
     for kind in PART_KINDS:
         if doc.parts[kind]:
-            out.append(f"[{headers[kind]}]")
+            out.append(f"[{header_of[kind]}]")
             for p in doc.parts[kind]:
                 out.append(format_expr(p.formula))
     return "\n".join(out) + "\n"

@@ -70,7 +70,11 @@ def _cube(mgr: BddManager, assignment: dict[str, bool]) -> BddRef:
 
 def _env_buchi(game: SymbolicGame):
     """Winning set and per-goal attractor iterates for the environment's
-    generalized-Buchi objective (all liveness assumptions, rotating)."""
+    generalized-Buchi objective (all liveness assumptions, rotating).
+
+    Sweeps the assumptions until one whole sweep leaves W unchanged; the
+    mu-R evaluations of that sweep all ran against the final W, so their
+    iterates are the recorded ones, as in `solve_game`."""
     mgr = game.mgr
 
     def mu_r(i: int, w: BddRef):
@@ -85,16 +89,18 @@ def _env_buchi(game: SymbolicGame):
             rs.append(r)
         return r, rs
 
-    m = len(game.live_env)
     w = mgr.true
     while True:
-        wprev = w
-        for i in range(m):
-            w, _ = mu_r(i, w)
-        if w == wprev:
-            break
-    iterates = [mu_r(i, w)[1] for i in range(m)]
-    return w, iterates
+        changed = False
+        iterates = []
+        for i in range(len(game.live_env)):
+            r, rs = mu_r(i, w)
+            if r != w:
+                changed = True
+                w = r
+            iterates.append(rs)
+        if not changed:
+            return w, iterates
 
 
 def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64):
@@ -236,23 +242,26 @@ def abstract_strategy(spec: BooleanSpec | Session, horizon: int = 64):
     """
     session = _session(spec)
     spec, game = session.spec, session.game()
-    a_sys = _attractor(game, game.cox, horizon)
-    h_sys = next((h for h in range(len(a_sys))
-                  if standard_start_ok(game, a_sys[h])), None)
-    a_env = _attractor(game, game.pre_env, horizon)
-    h_env = next((h for h in range(len(a_env))
-                  if _env_start_ok(game, a_env[h])), None)
-    if h_sys is not None and h_env is not None:
+    wins = []
+    for winner, owner, pre, start_ok in (
+            ("system", "output", game.cox, standard_start_ok),
+            ("environment", "input", game.pre_env, _env_start_ok)):
+        attr = _attractor(game, pre, horizon)
+        h = next((h for h in range(len(attr)) if start_ok(game, attr[h])),
+                 None)
+        if h is not None:
+            wins.append((winner, owner, pre, start_ok, h, attr))
+    if len(wins) > 1:
         raise TraceError("both players cannot force a safety win")
-    if h_sys is not None:
-        return _build_table(game, spec, "system", h_sys, a_sys)
-    if h_env is not None:
-        return _build_table(game, spec, "environment", h_env, a_env)
-    return None
+    return _build_table(game, spec, *wins[0]) if wins else None
 
 
 def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
-                 h: int, attr: list[BddRef]) -> AbstractStrategy:
+                 owner: str, pre, start_ok, h: int,
+                 attr: list[BddRef]) -> AbstractStrategy:
+    """The table of `winner`, who owns the `owner` variables and forces
+    the opponent's violation within h rounds: `attr` are the attractor
+    sets of `pre`, and `start_ok` the initial condition that reached h."""
     if h == 0:
         # the loser's initial condition is already unsatisfiable: the
         # table is the violation round alone
@@ -266,10 +275,6 @@ def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
         k = h - t
         return attr[k] if k < len(attr) else attr[-1]
 
-    if winner == "environment":
-        pre, start_ok, owner = game.pre_env, _env_start_ok, "input"
-    else:
-        pre, start_ok, owner = game.cox, standard_start_ok, "output"
     winner_vars = [v for v in spec.user_vars() if _owner(spec, v) == owner]
 
     cons: list[BddRef] = [mgr.true for _ in range(h)]
@@ -305,7 +310,6 @@ def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
     # forward reachable sets under the final constraints fill the
     # opponent's rows
     final: list[BddRef] = [mgr.false] * (h + 1)
-    final[h] = mgr.false
     for s in range(h - 1, -1, -1):
         final[s] = pre(final[s + 1]) & cons[s]
 

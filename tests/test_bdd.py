@@ -323,6 +323,9 @@ def test_kernel_matches_truth_tables(t1, t2, t3, data):
     assert r == m.and_exists(g, f, q) and tt(r) == exists_table(tf & tg, q)
     assert tt(m.exists(q, f)) == exists_table(tf, q)
     assert tt(m.forall(q, f)) == FULL & ~exists_table(FULL & ~tf, q)
+    fixed = {n: data.draw(st.booleans()) for n in q}
+    assert tt(m.restrict(f, fixed)) == table(
+        lambda env: eval_tree(t1, {**env, **fixed}))
     # renaming a function of the unprimed register
     h = build_bdd(m, t3)
     hp = m.rename(h, "prime")
@@ -491,7 +494,8 @@ def test_collect_matches_a_reference_mark_sweep(items):
 
 RECURSIONS = ("_and", "_or", "_xor", "_not", "_and_exists", "_or_forall",
               "_shift")
-PUBLIC = ("apply", "negate", "quantify", "and_exists", "or_forall", "rename")
+PUBLIC = ("apply", "negate", "quantify", "and_exists", "or_forall", "rename",
+          "restrict")
 
 
 def random_operations(m, rng, steps):
@@ -502,7 +506,7 @@ def random_operations(m, rng, steps):
     for step in range(steps):
         f, g = rng.choice(pool), rng.choice(pool)
         q = rng.sample(LEVELS, rng.randint(0, 4))
-        kind = rng.randrange(9)
+        kind = rng.randrange(10)
         if kind < 5:
             r = m.apply(("and", "or", "xor", "iff", "diff")[kind], f, g)
         elif kind == 5:
@@ -511,9 +515,11 @@ def random_operations(m, rng, steps):
             r = m.quantify(rng.choice(("exists", "forall")), q, f)
         elif kind == 7:
             r = (m.and_exists if rng.random() < 0.5 else m.or_forall)(f, g, q)
-        else:
+        elif kind == 8:
             unprimed = m.exists([v + "'" for v in KVARS], f)
             r = m.rename(unprimed, "prime")
+        else:
+            r = m.restrict(f, {v: rng.random() < 0.5 for v in q})
         pool.append(r)
         if len(pool) > 24 and rng.random() < 0.3:
             pool.pop(rng.randrange(16, len(pool)))

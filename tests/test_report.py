@@ -301,6 +301,22 @@ def test_cli_spec_not_utf8_exits_1_without_traceback(tmp_path):
     assert f"{target}: not UTF-8 text" in proc.stderr
 
 
+def test_cli_spec_with_byte_order_mark_reads_as_without(tmp_path):
+    # some editors start UTF-8 files with a byte-order mark; the digest
+    # is of the decoded text, so the reports are byte-identical
+    reports = []
+    for sub, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / sub).mkdir()
+        target = tmp_path / sub / "mutex.spec"
+        target.write_bytes(prefix + spec_path("mutex").read_bytes())
+        assert cli_main([str(target)]) == 0
+        reports.append((tmp_path / sub / "mutex.spec.report.json")
+                       .read_text())
+    assert reports[0] == reports[1]
+    assert all(e["status"] == "ok"
+               for e in json.loads(reports[1])["analyses"].values())
+
+
 def test_cli_empty_analyses_list_gives_verdict_only_report(tmp_path):
     target = tmp_path / "m.spec"
     target.write_text(spec_path("mutex").read_text())

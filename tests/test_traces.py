@@ -180,6 +180,41 @@ def test_nominal_trace_matches_the_machine_played_trace():
     assert traces >= 50 and cut >= 15, (traces, cut)
 
 
+def _env_buchi_two_pass(game):
+    """`_env_buchi` as a fixpoint first, then one more sweep of mu-R
+    against the final W for the iterates."""
+    mgr = game.mgr
+
+    def mu_r(i, w):
+        hit = game.live_env[i] & game.prime(w)
+        rs, r = [], mgr.false
+        while True:
+            rn = game.env_pre(hit | game.prime(r))
+            if rn == r:
+                return r, rs
+            r = rn
+            rs.append(r)
+
+    w = mgr.true
+    while True:
+        wprev = w
+        for i in range(len(game.live_env)):
+            w, _ = mu_r(i, w)
+        if w == wprev:
+            break
+    return w, [mu_r(i, w)[1] for i in range(len(game.live_env))]
+
+
+def test_env_buchi_records_the_last_sweep():
+    specs = [load_spec(p.stem) for p in sorted(SPEC_DIR.glob("*.spec"))]
+    specs += [random_boolean_spec(seed) for seed in range(200)]
+    for k, spec in enumerate(specs):
+        for robotics in (False, True):
+            game = Session(spec, robotics=robotics).game()
+            assert _env_buchi(game) == _env_buchi_two_pass(game), (
+                k, robotics)
+
+
 # ----------------------------------------------------------------------
 # abstract strategies
 
