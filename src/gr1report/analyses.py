@@ -7,17 +7,17 @@ reaches, all as BDDs; no explicit machine is built.  Every other game
 signal pinned, outputs committed early, glitch positions filtered out)
 is a dataclasses.replace edit of the strict baseline game in that manager,
 compared with it as BDDs; only the strict baseline is built from the
-specification, and no game is mutated.  A variant is solved only when
-the strict baseline does not already settle its verdict: a variant
-with the baseline's solver inputs has the baseline's region
-(`Session.solve`), and the stuck-at and resilience analyses settle
-their variants from the baseline winning set when an inclusion
-between the two winning sets proves the verdict.  The session also
-carries the settings every analysis run in it uses (robotics
-realizability, the node budget and the timeout).  Called on a plain BooleanSpec, an
-analysis runs in a fresh Session(spec) with the default settings, so
-such calls may run concurrently.  All results are deterministic
-functions of (specification, options).
+specification, and no game is mutated.  Every variant solve states its
+direction: whether the edit only takes power from the system, so that
+its winning set lies inside the baseline's W (`Session.solve`).  A
+variant with the baseline's solver inputs has the baseline's region,
+and `Session.settle` answers a verdict without a solve when W already
+decides it.  The session also carries the settings every analysis run
+in it uses (robotics realizability, the node budget and the timeout).
+Called on a plain BooleanSpec, an analysis runs in a fresh
+Session(spec) with the default settings, so such calls may run
+concurrently.  All results are deterministic functions of
+(specification, options).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ class Session:
     keeps the canonical strategy's reached positions, never the strategy
     itself: test (d) and the nominal trace get its moves from
     `canonical_moves` as BDD relations.  The analyses solve their
-    variant games through `solve`, which reuses the strict baseline's
-    region for a variant with the same solver inputs."""
+    variant games through `solve`, or ask `settle` for a variant's
+    verdict; both take the direction of the power change."""
 
     def __init__(self, spec: BooleanSpec, robotics=False, node_budget=None,
                  timeout=None):
@@ -89,28 +89,37 @@ class Session:
             game = self.game(semantics)
             self._regions[semantics] = (solve_game(game)
                                         if semantics == "strict"
-                                        else self.solve(game))
+                                        else self.solve(game, weaker=False))
         return self._regions[semantics]
 
-    def solve(self, game: SymbolicGame,
-              start: BddRef | None = None) -> WinningRegion:
-        """Winning region of `game`, an edit of the strict baseline game,
-        solved warm from `start` (a valid upper bound, as `solve_game`
-        asks).
+    def solve(self, game: SymbolicGame, weaker: bool) -> WinningRegion:
+        """Winning region of `game`, an edit of the strict baseline game.
+        `weaker` says that the edit only takes power from the system, so
+        that its winning set lies inside the baseline's W (Bloem et al.,
+        JCSS 2012): the solve starts from W, else from TRUE.
 
-        When `solves_alike(game, baseline)` the strict baseline's region
-        is returned without a solve: `solve_game` reads nothing else of a
-        game, and the sweep it records ran against the greatest fixpoint,
-        so it would return the same winning set, strata, xcores and
-        flags.  The initial conditions may still differ, and
-        `check_realizability` reads them from `game`.  That holds for a
-        dropped initial assumption, for a dropped safety assumption the
-        others imply, and for the classical game when no position forces
-        an assumption violation (its widened guarantees are then the
-        strict ones)."""
+        A game that `solves_alike` the baseline gets the baseline's region
+        without a solve: `solve_game` reads nothing else of a game, and
+        its recorded sweep ran against the greatest fixpoint, so the
+        winning set, strata, xcores and flags would be the same.  The
+        initial conditions may still differ; `check_realizability` reads
+        them from `game`.  That holds for a dropped initial assumption,
+        a dropped safety assumption the others imply, and the classical
+        game when no position forces an assumption violation."""
         if solves_alike(game, self.game()):
             return self.region()
-        return solve_game(game, start=start)
+        return solve_game(game, start=self.region().win if weaker else None)
+
+    def settle(self, game: SymbolicGame, weaker: bool) -> str:
+        """`check_realizability` of `game`, an edit of the strict baseline
+        game in the direction `weaker` (see `solve`), solved only when W
+        leaves it open.  The check is monotone in the winning set, so a
+        weaker variant (W_v inside W) that fails it with W is
+        unrealizable, and a stronger one that passes it is realizable."""
+        verdict = check_realizability(game, self.region())
+        if (verdict == "realizable") != weaker:
+            return verdict
+        return check_realizability(game, self.solve(game, weaker))
 
     def verdict(self, semantics="strict") -> str:
         return check_realizability(self.game(semantics),
@@ -216,12 +225,13 @@ def assumption_falsification(spec: BooleanSpec | Session,
                              max_cubes: int = 10) -> FalsificationResult:
     """Winning set of the game whose only system goal is FALSE: exactly
     the positions from which the system can force an assumption
-    violation.  The solve starts from TRUE; with the goal FALSE no
-    iterate reads the outer fixpoint Z, so the first sweep already
-    reaches the winning set and the second confirms it."""
+    violation.  The goal FALSE only takes power from the system, so the
+    solve starts from W; no iterate reads the outer fixpoint Z, so the
+    first sweep already reaches the winning set and the second confirms
+    it (the first does, when that set is W)."""
     session = _session(spec)
     game = _goal_false(session.game())
-    win = session.solve(game).win
+    win = session.solve(game, weaker=True).win
     mgr = game.mgr
     return FalsificationResult(
         count=mgr.count_models(win, game.positions),
@@ -296,7 +306,7 @@ def _drop_assumption(session: Session, region: WinningRegion,
     # initial assumption, or a safety one the others imply, leaves the
     # solver inputs as they are and is settled without a solve
     game = _without(session, part)
-    sub_region = session.solve(game, start=region.win)
+    sub_region = session.solve(game, weaker=True)
     mgr = game.mgr
     win, win_wo = region.win, sub_region.win
     both = win & win_wo
@@ -392,7 +402,7 @@ def error_resilience(spec: BooleanSpec | Session,
         if (hole & w).is_false():  # W_k would be w: see the docstring
             return ResilienceResult(level=INFINITE)
         region_k = session.solve(replace(game, position_filter=~hole),
-                                 start=w)
+                                 weaker=True)
         if check_realizability(game, region_k) != "realizable":
             return ResilienceResult(level=k - 1)
         w = region_k.win
@@ -416,21 +426,22 @@ def precommit_analysis(spec: BooleanSpec | Session) -> PrecommitResult:
     Q of P only takes power from the system (a move of the Q-game, with
     Q's next values fixed before the next input, is a move of the
     P-game too), so cpre_Q is inside cpre_P, W_Q inside W_P, and
-    realizable(Q) implies realizable(P).  Each solved set is kept: any
-    subset of a realizable set is answered realizable and any superset
-    of an unrealizable one unrealizable, without a solve.  The
+    realizable(Q) implies realizable(P).  Each set is settled against
+    the baseline (`Session.settle`; committing only takes power, so a set
+    that fails the check with W is unrealizable without a solve) and
+    kept: any subset of a realizable set is answered realizable and any
+    superset of an unrealizable one unrealizable, with neither.  The
     per-output verdicts come from halving (adaptive group testing,
     Hwang 1972): all outputs are tried as one set, and an unrealizable
     set of several outputs is split in two until every output is
     settled; the greedy maximal set, built in output order, asks the
-    same memo.  When every output is committable this is one solve in
-    all; the worst case, every output failing alone, is 2k - 1 solves
-    for k outputs, against k singleton solves.
+    same memo.  When every output is committable this is at most one
+    solve in all; the worst case, every output failing alone, is at
+    most 2k - 1 solves for k outputs, against k singleton solves.
     """
     session = _session(spec)
     session.require_realizable("precommit analysis")
     game = session.game()
-    win = session.region().win
     yes: list[frozenset[str]] = []   # solved sets that were realizable
     no: list[frozenset[str]] = []    # solved sets that were not
 
@@ -441,8 +452,7 @@ def precommit_analysis(spec: BooleanSpec | Session) -> PrecommitResult:
         if any(n <= key for n in no):
             return False
         committed = replace(game, precommit=outs)
-        r = session.solve(committed, start=win)
-        ok = check_realizability(committed, r) == "realizable"
+        ok = session.settle(committed, weaker=True) == "realizable"
         (yes if ok else no).append(key)
         return ok
 
@@ -498,31 +508,21 @@ def stuck_at_analysis(spec: BooleanSpec | Session) -> StuckAtTable:
     specification: inputs are stuck via added assumptions; persisting
     unrealizability means that input's freedom is not the cause.
 
-    A variant is solved only when the baseline winning set W leaves its
-    verdict open; the realizability check is monotone in the winning set
-    under both conditions.  A stuck output only takes power from the
-    system (W_v inside W), so a variant that fails the check with W is
-    unrealizable.  Under the standard condition it is realizable when
-    every position the canonical strategy reaches has the output at the
-    stuck value: that strategy never moves the output, so it wins the
-    stuck game from its initial positions.  (The robotics condition asks
-    about every initial output, not only the strategy's.)  A stuck
-    input gives the system power (W inside W_v), so a variant that
-    passes the check with W is realizable.
+    A stuck output only takes power from the system and a stuck input
+    gives it power; `Session.settle` answers each variant in that
+    direction.  Under the standard condition a stuck output is also
+    realizable when every position the canonical strategy reaches has
+    the output at the stuck value: that strategy never moves the output,
+    so it wins the stuck game from its initial positions.  (The robotics
+    condition asks about every initial output, not only the strategy's.)
     """
     session = _session(spec)
     base = session.game()
     mgr = base.mgr
     baseline = session.verdict()
-    region = session.region()
     outputs = baseline == "realizable"
-    if outputs:
-        direction, signals = "outputs", session.spec.output_props
-        start, settles = region.win, "unrealizable"
-    else:
-        # a stuck input gives the system power: solve from scratch
-        direction, signals = "inputs", session.spec.input_props
-        start, settles = None, "realizable"
+    direction, signals = (("outputs", session.spec.output_props) if outputs
+                          else ("inputs", session.spec.input_props))
 
     def machine_stays(sig: str, value: bool) -> bool:
         off = mgr.nvar(sig) if value else mgr.var(sig)
@@ -533,11 +533,9 @@ def stuck_at_analysis(spec: BooleanSpec | Session) -> StuckAtTable:
     for sig in signals:
         for value in (False, True):
             game = _stuck(base, sig, value, outputs)
-            verdict = check_realizability(game, region)
-            if verdict != settles and not machine_stays(sig, value):
-                verdict = check_realizability(
-                    game, session.solve(game, start=start))
-            entries[(sig, value)] = verdict
+            entries[(sig, value)] = (
+                "realizable" if machine_stays(sig, value)
+                else session.settle(game, weaker=outputs))
             del game  # a collection here, if any, frees the variant's nodes
             session.mgr.maybe_collect()
     return StuckAtTable(direction=direction, baseline=baseline,

@@ -10,7 +10,6 @@ from .report import (
     run_report,
 )
 from .syntax import SpecError
-from .compiler import CompileError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,7 +78,7 @@ def main(argv=None) -> int:
         print(f"gr1report: baseline realizability check exhausted "
               f"resources: {exc}", file=sys.stderr)
         return 2
-    except (SpecError, CompileError, ReportError, OSError) as exc:
+    except (SpecError, ReportError, OSError) as exc:
         print(f"gr1report: {exc}", file=sys.stderr)
         return 1
     verdict = report.baseline["realizable"]

@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import __version__
 from .bdd import Cube, ResourceLimitError
-from .compiler import compile_to_boolean, validate_gr1_shape
+from .compiler import (  # validate_gr1_shape: patched by bench/tracing.py
+    CompileError, compile_to_boolean, validate_gr1_shape)
 from .game import GameError
 from .syntax import parse_spec
 from .analyses import (
@@ -277,11 +278,9 @@ def run_report(spec_path, config: ReportConfig | None = None,
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     doc = parse_spec(text)
     try:
-        violations = validate_gr1_shape(doc)
-        if violations:
-            raise ReportError("specification violates the grammar:\n  "
-                              + "\n  ".join(str(v) for v in violations))
         spec = compile_to_boolean(doc)
+    except CompileError as exc:
+        raise ReportError(str(exc)) from None
     except RecursionError as exc:
         raise ReportError("specification nested too deeply: "
                           + _limit_reason(exc)) from None

@@ -1,5 +1,6 @@
 """The seven debugging analyses and their invariants."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -369,6 +370,13 @@ def test_precommit_solve_count(monkeypatch, name, most):
     # inside it; the per-output search made k + (greedy steps) solves
     _, solved = _precommit_solves(monkeypatch, Session(load_spec(name)))
     assert 1 <= len(solved) <= most
+
+
+def test_precommit_screened_by_the_baseline_region(monkeypatch):
+    # request_grant's one committed set fails the check with W already
+    _, solved = _precommit_solves(monkeypatch,
+                                  Session(load_spec("request_grant")))
+    assert solved == []
 
 
 @pytest.mark.parametrize("name", ["tworobot", "tworobot_weak"])
@@ -876,6 +884,52 @@ def test_settled_verdicts_match_direct_solves_random():
     assert len(kinds) == 4
 
 
+def _settle_variants(session):
+    """Every stuck output and every set of at most two committed outputs
+    (variants with less system power), and every stuck input (more),
+    each with its `weaker` flag."""
+    game = session.game()
+    outs = session.spec.output_props
+    for sig in outs:
+        for value in (False, True):
+            yield _stuck(game, sig, value, True), True
+    for sig in session.spec.input_props:
+        for value in (False, True):
+            yield _stuck(game, sig, value, False), False
+    for k in (1, 2):
+        for committed in itertools.combinations(outs, k):
+            yield replace(game, precommit=list(committed)), True
+
+
+def _check_settle(spec, by_bound):
+    """`Session.settle` against a cold solve of every variant, under the
+    standard and the robotics condition (the game's flag is all that
+    differs between them); counts in `by_bound` the variants, by
+    direction, that W settles without a solve."""
+    session = Session(spec)
+    for variant, weaker in _settle_variants(session):
+        cold = solve_game(variant)
+        for robotics in (False, True):
+            v = replace(variant, robotics=robotics)
+            want = check_realizability(v, cold)
+            assert session.settle(v, weaker) == want, (v, weaker)
+            bound = check_realizability(v, session.region())
+            by_bound[weaker] += (bound == "realizable") != weaker
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in
+                                        SPEC_DIR.glob("*.spec")))
+def test_settle_matches_cold_solves_corpus(name):
+    _check_settle(load_spec(name), {False: 0, True: 0})
+
+
+def test_settle_matches_cold_solves_random():
+    by_bound = {False: 0, True: 0}
+    for seed in range(100):
+        _check_settle(random_boolean_spec(seed), by_bound)
+    assert min(by_bound.values()) >= 100, by_bound
+
+
 @pytest.mark.parametrize("name,analysis,most", [
     ("tworobot", stuck_at_analysis, 4), ("tworobot", error_resilience, 0),
     ("delivery", stuck_at_analysis, 0),
@@ -926,12 +980,12 @@ def test_a_variant_solve_past_the_cap_does_not_thrash(monkeypatch):
         session = Session(compile_text(chain_text(20)))
         if cache_limit is not None:
             session.mgr.cache_limit = cache_limit
-        region = session.region()
+        session.region()
         session.restart()
         part = session.spec.parts["env_liveness"][0]
         calls[0] = 0
         sizes.clear()
-        session.solve(_without(session, part), start=region.win)
+        session.solve(_without(session, part), weaker=True)
         return calls[0], max(sizes)
 
     uncapped, grown = variant_solve()
