@@ -10,26 +10,36 @@ fixed level order.  Model, cube and truth-table enumerations follow the
 order of the names they are given, not the level order, so their
 results do not depend on it.
 
-The kernel is recursive Python, so it is kept specialised.  AND and OR
-make nearly all of the game solver's calls; XOR, which every `<->` of
-a specification compiles to (iff is NOT of XOR), is the third binary
-recursion.  Each orders its operands into a standard triple (the lower
-node id first), so `a & b` and `b & a` share one computed-table entry.
-The rarer operators (implies, diff) are built from AND, OR and NOT.
-The relational product `and_exists` (exists Q: f & g, Burch, Clarke &
-Long 1991) hands off to AND once both operands lie below the deepest
-quantified level, and merges quantified cofactors with OR.  Its dual
-`or_forall` (forall Q: f | g) hands off to OR and merges with AND; it
-gives universal quantification, and the game's predecessors from a
-negated transition relation built once, without negating a BDD per
-call (what complement edges would give for free).  Restriction, and
-each cofactor that an enumeration takes below a node's top, is also a
-relational product: with the cube of the fixed values, quantifying
-their variables (Bryant 1986), so enumerations share the bounded
-computed table and the deadline.  On a computed-table miss each
-recursion looks its result up in the unique table itself and calls
-`_mk` only for a new node.  The deadline is checked only when one is
-set, once every 8192 misses.
+The kernel is recursive Python, so it is kept specialised, and its
+cost is the number of Python calls it makes.  AND and OR make nearly all
+of the game solver's calls; XOR, which every `<->` of a specification
+compiles to (iff is NOT of XOR), is the third binary recursion.  Each
+orders its operands into a standard triple (the lower node id first), so
+`a & b` and `b & a` share one computed-table entry.  The rarer operators
+(implies, diff) are built from AND, OR and NOT.  The relational product
+`and_exists` (exists Q: f & g, Burch, Clarke & Long 1991) hands off to
+AND once both operands lie below the deepest quantified level, and merges
+quantified cofactors with OR.  Its dual `or_forall` (forall Q: f | g)
+hands off to OR and merges with AND; it gives universal quantification,
+and the game's predecessors from a negated transition relation built
+once, without negating a BDD per call (what complement edges would give
+for free).  `and_exists_primed` (exists Q: f & g') is the relational
+product that the game's controllable step needs: it reads each node of
+an unprimed g one level down, at its primed copy's level, so g' is never
+built.  Restriction, and each cofactor that an enumeration takes below a
+node's top, is also a relational product: with the cube of the fixed
+values, quantifying their variables (Bryant 1986), so enumerations share
+the bounded computed table and the deadline.
+
+Every recursion decides a child's terminal case before it calls the
+child, as Brace, Rudell & Bryant do: a FALSE operand of AND or of an
+exists-product, a FALSE or TRUE operand of OR, a TRUE operand of
+`or_forall`, and the merge of two quantified cofactors once one side
+decides it.  The cofactors are read into locals, never packed into
+tuples, and a quantifier set's id is memoised by its names as given.
+On a computed-table miss each recursion looks its result up in the
+unique table itself and calls `_mk` only for a new node.  The deadline
+is checked only when one is set, once every 8192 misses.
 
 The computed table is bounded, as in Brace, Rudell & Bryant and in
 CUDD: each public operation first checks its size, and once it holds
@@ -80,13 +90,27 @@ _PRIME = 3
 _UNPRIME = 4
 _XOR = 5
 # computed-table keys of the quantifying recursions, per quantifier set
-# id qid: `_and_exists` uses (_QBASE + qid, f, g), above every op code;
-# `_or_forall` uses (-1 - qid, f, g), below every op code
+# id qid, all 3-tuples: `_and_exists` uses (_QBASE + 2 qid, f, g) and
+# `_and_exists_primed` (_QBASE + 2 qid + 1, f, g), above every op code
+# and apart from each other; `_or_forall` uses (-1 - qid, f, g), below
+# every op code
 _QBASE = 6
 
 
 class BddError(Exception):
     pass
+
+
+def _distinct(names) -> list[str]:
+    """`names` as a list, for an enumeration over them; a name given
+    twice is an error, as it would count or split one variable twice."""
+    names = list(names)
+    seen = set()
+    for n in names:
+        if n in seen:
+            raise BddError(f"name {n!r} is repeated")
+        seen.add(n)
+    return names
 
 
 class ResourceLimitError(BddError):
@@ -186,6 +210,7 @@ class BddManager:
         self.var_names: list[str] = []
         self._var_level: dict[str, int] = {}
         self._qsets: dict[frozenset, int] = {}
+        self._qnames: dict[tuple, int] = {}   # names as given -> qid
         self._qset_levels: list[frozenset] = []
         self._qset_bottom: list[int] = []   # deepest level of each set
         self._extref: dict[int, int] = {}
@@ -355,8 +380,12 @@ class BddManager:
 
     # The hot recursions below share one shape: terminal rules, a
     # computed-table lookup, a deadline check only when a deadline is
-    # set, the recursive calls, and then the unique-table lookup made in
-    # place, with `_mk` called only to allocate a node that is new.
+    # set, the cofactors read into locals, the recursive calls, and then
+    # the unique-table lookup made in place, with `_mk` called only to
+    # allocate a node that is new.  A child whose operand decides it (a
+    # terminal, mostly) is settled before the call, since a Python call
+    # costs more than the test; the entry rules stay for the public
+    # callers.  Every recursive call goes through `self.`.
 
     def _not(self, f: int) -> int:
         if f <= TRUE:
@@ -368,8 +397,10 @@ class BddManager:
         if self.deadline is not None:
             self._check_limits()
         top = self._level[f]
-        r0 = self._not(self._lo[f])
-        r1 = self._not(self._hi[f])
+        c = self._lo[f]
+        r0 = TRUE - c if c <= TRUE else self._not(c)
+        c = self._hi[f]
+        r1 = TRUE - c if c <= TRUE else self._not(c)
         # negation is injective, so r0 != r1
         r = self._unique.get((top, r0, r1))
         if r is None:
@@ -393,19 +424,24 @@ class BddManager:
         if self.deadline is not None:
             self._check_limits()
         level = self._level
-        lf, lg = level[f], level[g]
-        if lf == lg:
+        lf = level[f]
+        lg = level[g]
+        if lf <= lg:
             top = lf
-            r0 = self._and(self._lo[f], self._lo[g])
-            r1 = self._and(self._hi[f], self._hi[g])
-        elif lf < lg:
-            top = lf
-            r0 = self._and(self._lo[f], g)
-            r1 = self._and(self._hi[f], g)
+            f0 = self._lo[f]
+            f1 = self._hi[f]
         else:
             top = lg
-            r0 = self._and(f, self._lo[g])
-            r1 = self._and(f, self._hi[g])
+            f0 = f1 = f
+        if lg <= lf:
+            g0 = self._lo[g]
+            g1 = self._hi[g]
+        else:
+            g0 = g1 = g
+        # with a terminal operand the product of the two ids is the AND:
+        # FALSE (0) absorbs and TRUE (1) is the unit
+        r0 = self._and(f0, g0) if f0 > TRUE and g0 > TRUE else f0 * g0
+        r1 = self._and(f1, g1) if f1 > TRUE and g1 > TRUE else f1 * g1
         if r0 == r1:
             r = r0
         else:
@@ -430,19 +466,29 @@ class BddManager:
         if self.deadline is not None:
             self._check_limits()
         level = self._level
-        lf, lg = level[f], level[g]
-        if lf == lg:
+        lf = level[f]
+        lg = level[g]
+        if lf <= lg:
             top = lf
-            r0 = self._or(self._lo[f], self._lo[g])
-            r1 = self._or(self._hi[f], self._hi[g])
-        elif lf < lg:
-            top = lf
-            r0 = self._or(self._lo[f], g)
-            r1 = self._or(self._hi[f], g)
+            f0 = self._lo[f]
+            f1 = self._hi[f]
         else:
             top = lg
-            r0 = self._or(f, self._lo[g])
-            r1 = self._or(f, self._hi[g])
+            f0 = f1 = f
+        if lg <= lf:
+            g0 = self._lo[g]
+            g1 = self._hi[g]
+        else:
+            g0 = g1 = g
+        # a terminal operand: FALSE leaves the other, TRUE absorbs
+        if f0 > TRUE and g0 > TRUE:
+            r0 = self._or(f0, g0)
+        else:
+            r0 = g0 if f0 == FALSE else f0 if g0 == FALSE else TRUE
+        if f1 > TRUE and g1 > TRUE:
+            r1 = self._or(f1, g1)
+        else:
+            r1 = g1 if f1 == FALSE else f1 if g1 == FALSE else TRUE
         if r0 == r1:
             r = r0
         else:
@@ -467,19 +513,31 @@ class BddManager:
         if self.deadline is not None:
             self._check_limits()
         level = self._level
-        lf, lg = level[f], level[g]
-        if lf == lg:
+        lf = level[f]
+        lg = level[g]
+        if lf <= lg:
             top = lf
-            r0 = self._xor(self._lo[f], self._lo[g])
-            r1 = self._xor(self._hi[f], self._hi[g])
-        elif lf < lg:
-            top = lf
-            r0 = self._xor(self._lo[f], g)
-            r1 = self._xor(self._hi[f], g)
+            f0 = self._lo[f]
+            f1 = self._hi[f]
         else:
             top = lg
-            r0 = self._xor(f, self._lo[g])
-            r1 = self._xor(f, self._hi[g])
+            f0 = f1 = f
+        if lg <= lf:
+            g0 = self._lo[g]
+            g1 = self._hi[g]
+        else:
+            g0 = g1 = g
+        # a terminal operand: FALSE leaves the other, TRUE negates it
+        if f0 > TRUE and g0 > TRUE:
+            r0 = self._xor(f0, g0)
+        else:
+            t, o = (f0, g0) if f0 <= TRUE else (g0, f0)
+            r0 = o if t == FALSE else TRUE - o if o <= TRUE else self._not(o)
+        if f1 > TRUE and g1 > TRUE:
+            r1 = self._xor(f1, g1)
+        else:
+            t, o = (f1, g1) if f1 <= TRUE else (g1, f1)
+            r1 = o if t == FALSE else TRUE - o if o <= TRUE else self._not(o)
         if r0 == r1:
             r = r0
         else:
@@ -520,16 +578,25 @@ class BddManager:
     def _levels_for(self, names) -> frozenset:
         return frozenset(self._var_level[n] for n in names)
 
+    def _names_qid(self, names) -> int:
+        """Quantifier-set id of `names`, memoised by the names as given,
+        so a caller that quantifies the same long list on every step
+        builds no set of levels."""
+        names = tuple(names)
+        qid = self._qnames.get(names)
+        if qid is None:
+            qid = self._qnames[names] = self._qset_id(self._levels_for(names))
+        return qid
+
     def quantify(self, kind: str, names, f: BddRef) -> BddRef:
         self._check_same(f)
         self._bound_cache()
-        levels = self._levels_for(names)
         if kind == "exists":
             return BddRef(self, self._and_exists(f.node, TRUE,
-                                                 self._qset_id(levels)))
+                                                 self._names_qid(names)))
         if kind == "forall":
             return BddRef(self, self._or_forall(FALSE, f.node,
-                                                self._qset_id(levels)))
+                                                self._names_qid(names)))
         raise BddError(f"unknown quantifier kind {kind!r}")
 
     def exists(self, names, f: BddRef) -> BddRef:
@@ -542,15 +609,29 @@ class BddManager:
         """exists names: f & g  (relational product)."""
         self._check_same(f, g)
         self._bound_cache()
-        qid = self._qset_id(self._levels_for(names))
-        return BddRef(self, self._and_exists(f.node, g.node, qid))
+        return BddRef(self, self._and_exists(f.node, g.node,
+                                             self._names_qid(names)))
+
+    def and_exists_primed(self, f: BddRef, g: BddRef, names) -> BddRef:
+        """exists names: f & g', where g' is `rename(g, "prime")`.
+
+        The product reads each node of g one level down, at its primed
+        copy's level, so g' is never built.  g must lie in the unprimed
+        register: a primed variable of g that the product reads raises
+        `rename`'s wrong-register BddError.  A part of g where f is
+        FALSE, or past a quantified cofactor that is already TRUE, is
+        not read; it cannot change the result."""
+        self._check_same(f, g)
+        self._bound_cache()
+        return BddRef(self, self._and_exists_primed(f.node, g.node,
+                                                    self._names_qid(names)))
 
     def or_forall(self, f: BddRef, g: BddRef, names) -> BddRef:
         """forall names: f | g  (the dual of `and_exists`)."""
         self._check_same(f, g)
         self._bound_cache()
-        qid = self._qset_id(self._levels_for(names))
-        return BddRef(self, self._or_forall(f.node, g.node, qid))
+        return BddRef(self, self._or_forall(f.node, g.node,
+                                            self._names_qid(names)))
 
     def _and_exists(self, f: int, g: int, qid: int) -> int:
         if f > g:
@@ -558,29 +639,101 @@ class BddManager:
         if f == FALSE:
             return FALSE
         level = self._level
-        lf, lg = level[f], level[g]
+        lf = level[f]
+        lg = level[g]
         top = lf if lf < lg else lg
         if top > self._qset_bottom[qid]:
             # nothing left to quantify (terminals included): a plain AND,
             # which shares its computed-table entries with `apply`
-            return self._and(f, g)
-        key = (_QBASE + qid, f, g)
+            return g if f == TRUE else self._and(f, g)
+        key = (_QBASE + 2 * qid, f, g)
         r = self._cache.get(key)
         if r is not None:
             return r
         if self.deadline is not None:
             self._check_limits()
-        f0, f1 = (self._lo[f], self._hi[f]) if lf == top else (f, f)
-        g0, g1 = (self._lo[g], self._hi[g]) if lg == top else (g, g)
-        if top in self._qset_levels[qid]:
-            r0 = self._and_exists(f0, g0, qid)
-            if r0 == TRUE:
-                r = TRUE
-            else:
-                r = self._or(r0, self._and_exists(f1, g1, qid))
+        if lf == top:
+            f0 = self._lo[f]
+            f1 = self._hi[f]
         else:
-            r0 = self._and_exists(f0, g0, qid)
-            r1 = self._and_exists(f1, g1, qid)
+            f0 = f1 = f
+        if lg == top:
+            g0 = self._lo[g]
+            g1 = self._hi[g]
+        else:
+            g0 = g1 = g
+        # a FALSE operand (0, so falsy) settles a child before the call
+        if top in self._qset_levels[qid]:
+            # OR of the cofactors, stopping once one side decides it
+            r = self._and_exists(f0, g0, qid) if f0 and g0 else FALSE
+            if r != TRUE:
+                r1 = self._and_exists(f1, g1, qid) if f1 and g1 else FALSE
+                if r == FALSE or r1 == TRUE:
+                    r = r1
+                elif r1 != FALSE and r1 != r:
+                    r = self._or(r, r1)
+        else:
+            r0 = self._and_exists(f0, g0, qid) if f0 and g0 else FALSE
+            r1 = self._and_exists(f1, g1, qid) if f1 and g1 else FALSE
+            if r0 == r1:
+                r = r0
+            else:
+                r = self._unique.get((top, r0, r1))
+                if r is None:
+                    r = self._mk(top, r0, r1)
+        self._cache[key] = r
+        return r
+
+    def _and_exists_primed(self, f: int, g: int, qid: int) -> int:
+        # `_and_exists` of f and g', reading g's node at level l as its
+        # primed copy at level l + 1; the operands play different parts,
+        # so there is no standard triple
+        if f == FALSE or g == FALSE:
+            return FALSE
+        if g == TRUE:
+            # exists names: f, which shares `_and_exists`'s entries
+            return f if f == TRUE else self._and_exists(f, TRUE, qid)
+        level = self._level
+        lg = level[g]
+        if lg & 1:
+            raise BddError(f"prime: variable {self.var_names[lg]!r} is in "
+                           "the wrong register")
+        lg += 1
+        lf = level[f]
+        top = lf if lf < lg else lg
+        if f == TRUE and top > self._qset_bottom[qid]:
+            # nothing left to quantify: g' itself, shared with `rename`
+            return self._shift(g, _PRIME, +1)
+        key = (_QBASE + 2 * qid + 1, f, g)
+        r = self._cache.get(key)
+        if r is not None:
+            return r
+        if self.deadline is not None:
+            self._check_limits()
+        if lf == top:
+            f0 = self._lo[f]
+            f1 = self._hi[f]
+        else:
+            f0 = f1 = f
+        if lg == top:
+            g0 = self._lo[g]
+            g1 = self._hi[g]
+        else:
+            g0 = g1 = g
+        # as in `_and_exists`; below the deepest quantified level the
+        # recursion goes on as an AND that builds f & g' directly
+        if top in self._qset_levels[qid]:
+            r = self._and_exists_primed(f0, g0, qid) if f0 and g0 else FALSE
+            if r != TRUE:
+                r1 = (self._and_exists_primed(f1, g1, qid) if f1 and g1
+                      else FALSE)
+                if r == FALSE or r1 == TRUE:
+                    r = r1
+                elif r1 != FALSE and r1 != r:
+                    r = self._or(r, r1)
+        else:
+            r0 = self._and_exists_primed(f0, g0, qid) if f0 and g0 else FALSE
+            r1 = self._and_exists_primed(f1, g1, qid) if f1 and g1 else FALSE
             if r0 == r1:
                 r = r0
             else:
@@ -597,27 +750,42 @@ class BddManager:
         if f == TRUE:
             return TRUE
         level = self._level
-        lf, lg = level[f], level[g]
+        lf = level[f]
+        lg = level[g]
         top = lf if lf < lg else lg
         if top > self._qset_bottom[qid]:
-            return self._or(f, g)
+            return g if f == FALSE else self._or(f, g)
         key = (-1 - qid, f, g)
         r = self._cache.get(key)
         if r is not None:
             return r
         if self.deadline is not None:
             self._check_limits()
-        f0, f1 = (self._lo[f], self._hi[f]) if lf == top else (f, f)
-        g0, g1 = (self._lo[g], self._hi[g]) if lg == top else (g, g)
-        if top in self._qset_levels[qid]:
-            r0 = self._or_forall(f0, g0, qid)
-            if r0 == FALSE:
-                r = FALSE
-            else:
-                r = self._and(r0, self._or_forall(f1, g1, qid))
+        if lf == top:
+            f0 = self._lo[f]
+            f1 = self._hi[f]
         else:
-            r0 = self._or_forall(f0, g0, qid)
-            r1 = self._or_forall(f1, g1, qid)
+            f0 = f1 = f
+        if lg == top:
+            g0 = self._lo[g]
+            g1 = self._hi[g]
+        else:
+            g0 = g1 = g
+        if top in self._qset_levels[qid]:
+            r = (TRUE if f0 == TRUE or g0 == TRUE
+                 else self._or_forall(f0, g0, qid))
+            if r != FALSE:
+                r1 = (TRUE if f1 == TRUE or g1 == TRUE
+                      else self._or_forall(f1, g1, qid))
+                if r == TRUE or r1 == FALSE:
+                    r = r1
+                elif r1 != TRUE and r1 != r:
+                    r = self._and(r, r1)
+        else:
+            r0 = (TRUE if f0 == TRUE or g0 == TRUE
+                  else self._or_forall(f0, g0, qid))
+            r1 = (TRUE if f1 == TRUE or g1 == TRUE
+                  else self._or_forall(f1, g1, qid))
             if r0 == r1:
                 r = r0
             else:
@@ -657,8 +825,10 @@ class BddManager:
         if self.deadline is not None:
             self._check_limits()
         top = lvl + delta
-        r0 = self._shift(self._lo[f], op, delta)
-        r1 = self._shift(self._hi[f], op, delta)
+        c = self._lo[f]
+        r0 = c if c <= TRUE else self._shift(c, op, delta)
+        c = self._hi[f]
+        r1 = c if c <= TRUE else self._shift(c, op, delta)
         # shifting is injective, so r0 != r1
         r = self._unique.get((top, r0, r1))
         if r is None:
@@ -708,8 +878,8 @@ class BddManager:
         cube = TRUE
         for lvl, v in fixed:
             cube = self._mk(lvl, *((FALSE, cube) if v else (cube, FALSE)))
-        qid = self._qset_id(self._levels_for(assignment))
-        return BddRef(self, self._and_exists(f.node, cube, qid))
+        return BddRef(self, self._and_exists(f.node, cube,
+                                             self._names_qid(assignment)))
 
     def _splitter(self, names: list[str]):
         """split(n, i) = (n with names[i] false, n with names[i] true).
@@ -745,7 +915,7 @@ class BddManager:
     def count_models(self, f: BddRef, names) -> int:
         """Exact number of assignments to `names` satisfying f."""
         self._check_same(f)
-        levels = sorted(self._var_level[n] for n in names)
+        levels = sorted(self._var_level[n] for n in _distinct(names))
         sup = self._support_levels(f.node)
         if not sup <= set(levels):
             extra = [self.var_names[v] for v in sorted(sup - set(levels))]
@@ -779,7 +949,7 @@ class BddManager:
         self._check_same(f)
         if f.node == FALSE:
             raise BddError("pick_min_model of FALSE")
-        names = list(names)
+        names = _distinct(names)
         if not self._support_levels(f.node) <= self._levels_for(names):
             raise BddError("support escapes the model variables")
         return next(self._models(f.node, 0, names, self._splitter(names),
@@ -789,7 +959,7 @@ class BddManager:
         """All satisfying assignments over `names`, in lexicographic
         order over `names` as given."""
         self._check_same(f)
-        names = list(names)
+        names = _distinct(names)
         yield from self._models(f.node, 0, names, self._splitter(names), {})
 
     def _models(self, n: int, i: int, names: list[str], split, acc: dict):
@@ -813,7 +983,7 @@ class BddManager:
         names[j] = bit (len(names)-1-j) of i.
         """
         self._check_same(f)
-        names = list(names)
+        names = _distinct(names)
         if not self._support_levels(f.node) <= self._levels_for(names):
             raise BddError("support escapes the truth-table variables")
         return self._table(f.node, 0, self._splitter(names), len(names), {})
@@ -849,7 +1019,7 @@ class BddManager:
         literal count.  FALSE yields nothing; TRUE yields the empty cube.
         """
         self._check_same(f)
-        names = list(names)
+        names = _distinct(names)
         if not self._support_levels(f.node) <= self._levels_for(names):
             raise BddError("support escapes the cube variables")
         if f.node == FALSE:

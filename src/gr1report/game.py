@@ -152,9 +152,9 @@ class SymbolicGame:
 
     def can(self, rel: BddRef, v: BddRef) -> BddRef:
         """exists O' (rel & v'): the system half of a controllable step.
-        Precommitted outputs stay free; `cpre` quantifies them."""
-        return self.mgr.and_exists(rel, self.prime(v),
-                                   self._chosen_outputs)
+        Precommitted outputs stay free; `cpre` quantifies them.  The
+        product reads v in place of v', so no primed copy is built."""
+        return self.mgr.and_exists_primed(rel, v, self._chosen_outputs)
 
     def cpre(self, can: BddRef) -> BddRef:
         """Positions where every legal env move admits a sys reply in

@@ -130,6 +130,39 @@ def test_rename_register_check_reaches_below_a_cached_rename():
     assert m.rename(a & b, "prime") == m.var("a'") & bp
 
 
+def test_primed_product_register_check_reaches_below_a_cached_entry():
+    m = fresh(3)
+    a, b, c = m.var("a"), m.var("b"), m.var("c")
+    q = ["b'"]
+    # the sub-product of TRUE and b is now a cache hit
+    assert m.and_exists_primed(m.true, b, q) == m.true
+    g = (~a & b) | (a & m.var("c'"))  # c' sits past b, on the other branch
+    with pytest.raises(BddError, match="prime: variable \"c'\" is in the "
+                                       "wrong register"):
+        m.and_exists_primed(m.true, g, q)
+    with pytest.raises(BddError, match="wrong register"):
+        m.and_exists_primed(m.var("c'"), m.var("b'"), [])
+    # nothing half-built was cached: the valid parts still give the product
+    f = m.var("a'") | c
+    assert m.and_exists_primed(f, a & b, q) == m.and_exists(
+        f, m.rename(a & b, "prime"), q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, f, names: m.count_models(f, names),
+    lambda m, f, names: list(m.iter_models(f, names)),
+    lambda m, f, names: m.pick_min_model(f, names),
+    lambda m, f, names: m.to_truthtable(f, names),
+    lambda m, f, names: list(m.prime_cubes(f, names)),
+], ids=["count_models", "iter_models", "pick_min_model", "to_truthtable",
+        "prime_cubes"])
+def test_enumerations_reject_a_repeated_name(call):
+    m = fresh(2)
+    for f, names in ((m.var("a"), ["a", "a"]), (m.true, ["a", "b", "a"])):
+        with pytest.raises(BddError, match="name 'a' is repeated"):
+            call(m, f, names)
+
+
 def test_manager_mismatch_rejected():
     m1, m2 = fresh(1), fresh(1)
     with pytest.raises(BddError, match="different manager"):
@@ -332,6 +365,13 @@ def test_kernel_matches_truth_tables(t1, t2, t3, data):
     assert tt(hp) == table(lambda env: eval_tree(
         t3, {v: env[v + "'"] for v in KVARS}))
     assert m.rename(hp, "unprime") == h
+    # the product with h read as its primed copy: nothing quantified, a
+    # part of the primed names (as a precommit variant quantifies), all
+    # of them, and the drawn set
+    primed = [v + "'" for v in KVARS]
+    part = data.draw(st.lists(st.sampled_from(primed), unique=True))
+    for names in ([], part, primed, q):
+        assert m.and_exists_primed(f, h, names) == m.and_exists(f, hp, names)
 
 
 @settings(max_examples=200, deadline=None)
@@ -363,22 +403,25 @@ def test_quantifying_products_keep_their_computed_table_entries_apart():
         ap, bp, cp, dp = (m.var(v + "'") for v in KVARS)
         f = (a & bp) | (c ^ dp) | (b & ~ap & cp)
         g = (ap ^ b) & (d | cp) | (a & ~dp)
-        return m, f, g
+        h = (a ^ c) | (b & ~d)  # unprimed, for the primed product
+        return m, f, g, h
 
-    ops = [lambda m, f, g, q: f & g,
-           lambda m, f, g, q: m.or_forall(f, g, q),
-           lambda m, f, g, q: m.and_exists(f, g, q),
-           lambda m, f, g, q: f | g,
-           lambda m, f, g, q: m.or_forall(g, f, q),
-           lambda m, f, g, q: m.and_exists(g, f, q)]
+    ops = [lambda m, f, g, h, q: f & g,
+           lambda m, f, g, h, q: m.or_forall(f, g, q),
+           lambda m, f, g, h, q: m.and_exists(f, g, q),
+           lambda m, f, g, h, q: m.and_exists_primed(f, h, q),
+           lambda m, f, g, h, q: f | g,
+           lambda m, f, g, h, q: m.or_forall(g, f, q),
+           lambda m, f, g, h, q: m.and_exists(g, f, q),
+           lambda m, f, g, h, q: m.and_exists_primed(g, h, q)]
 
     def alone(op, q):
-        m, f, g = operands()
-        return m.to_truthtable(op(m, f, g, q), LEVELS)
+        m, f, g, h = operands()
+        return m.to_truthtable(op(m, f, g, h, q), LEVELS)
 
     sets = list(itertools.combinations(LEVELS, 2))[:20]
-    m, f, g = operands()
-    got = [[op(m, f, g, q) for op in ops] for q in sets]
+    m, f, g, h = operands()
+    got = [[op(m, f, g, h, q) for op in ops] for q in sets]
     assert len(m._qset_levels) == len(sets) > 16
     for q, row in zip(sets, got):
         assert ([m.to_truthtable(r, LEVELS) for r in row]
@@ -440,6 +483,27 @@ def test_a_past_deadline_stops_a_large_dual_product():
         m.or_forall(nf, ng, primed)
 
 
+def test_a_past_deadline_stops_a_large_primed_product():
+    # g' pairs the primed copies as f pairs x_i with x_(n-1-i)', so the
+    # product misses as often as the relational product above
+    def operands():
+        m, f, _g, primed = crossed_operands(14)
+        n = len(primed)
+        g = m.true
+        for i in range(n):
+            g = g & (m.var(f"x{i}") | m.var(f"x{(i + 3) % n}"))
+        return m, f, g, primed
+
+    m, f, g, primed = operands()
+    m.deadline = float("inf")
+    m.and_exists_primed(f, g, primed[::2])
+    assert m._tick >= 2 * 0x2000
+    m, f, g, primed = operands()
+    m.deadline = time.monotonic() - 1.0
+    with pytest.raises(ResourceLimitError, match="deadline exceeded"):
+        m.and_exists_primed(f, g, primed[::2])
+
+
 def test_node_budget_stops_a_dual_product():
     def operands():
         m = fresh(len(KVARS))
@@ -492,10 +556,10 @@ def test_collect_matches_a_reference_mark_sweep(items):
 # ----------------------------------------------------------------------
 # the bounded computed table
 
-RECURSIONS = ("_and", "_or", "_xor", "_not", "_and_exists", "_or_forall",
-              "_shift")
-PUBLIC = ("apply", "negate", "quantify", "and_exists", "or_forall", "rename",
-          "restrict")
+RECURSIONS = ("_and", "_or", "_xor", "_not", "_and_exists",
+              "_and_exists_primed", "_or_forall", "_shift")
+PUBLIC = ("apply", "negate", "quantify", "and_exists", "and_exists_primed",
+          "or_forall", "rename", "restrict")
 
 
 def random_operations(m, rng, steps):
@@ -517,7 +581,10 @@ def random_operations(m, rng, steps):
             r = (m.and_exists if rng.random() < 0.5 else m.or_forall)(f, g, q)
         elif kind == 8:
             unprimed = m.exists([v + "'" for v in KVARS], f)
-            r = m.rename(unprimed, "prime")
+            if rng.random() < 0.5:
+                r = m.rename(unprimed, "prime")
+            else:
+                r = m.and_exists_primed(g, unprimed, q)
         else:
             r = m.restrict(f, {v: rng.random() < 0.5 for v in q})
         pool.append(r)

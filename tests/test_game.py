@@ -1,5 +1,6 @@
 """Game construction, the GR(1) fixpoint, extraction, realizability."""
 
+import itertools
 import random
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import SPEC_DIR, chain_text, load_spec, random_boolean_spec
 from gr1report import parse_spec, compile_to_boolean
+from gr1report.bdd import FALSE, TRUE, BddManager
 from gr1report.game import (
     SymbolicGame, build_game, classical, solve_game,
     check_realizability, extract_strategy, ir_to_bdd, reactive_distance,
@@ -602,3 +604,84 @@ def test_classical_declares_the_trackers_once_and_rejects_reserved_names():
     game = classical(build_game(named))
     assert game.outputs == ["__sys_viol"]
     assert check_realizability(game, solve_game(game)) == "realizable"
+
+
+# ----------------------------------------------------------------------
+# the kernel's fast path during a solve
+
+# per recursion: whether its operands decide it without a recursion
+DECIDED = {
+    "_and": lambda f, g: f <= TRUE or g <= TRUE,
+    "_or": lambda f, g: f <= TRUE or g <= TRUE,
+    "_xor": lambda f, g: f <= TRUE or g <= TRUE,
+    "_not": lambda f: f <= TRUE,
+    "_shift": lambda f, op, delta: f <= TRUE,
+    "_and_exists": lambda f, g, qid: FALSE in (f, g),
+    "_and_exists_primed": lambda f, g, qid: FALSE in (f, g),
+    "_or_forall": lambda f, g, qid: TRUE in (f, g),
+}
+
+
+@pytest.mark.parametrize("spec", ["chain", "tworobot"])
+def test_a_solve_renames_nothing_and_settles_terminals_before_the_call(
+        monkeypatch, spec):
+    spec = (compile_to_boolean(parse_spec(chain_text(20))) if spec == "chain"
+            else load_spec(spec))
+    game = build_game(spec)
+    renames, settled_late, entered = [], [], [0]
+    depth = [0]
+
+    def recursion(name, fn):
+        def wrapped(self, *args):
+            entered[0] += 1
+            if depth[0] and DECIDED[name](*args):
+                settled_late.append((name, args))
+            depth[0] += 1
+            try:
+                return fn(self, *args)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    for name in DECIDED:
+        monkeypatch.setattr(BddManager, name,
+                            recursion(name, getattr(BddManager, name)))
+
+    def counted_rename(self, f, direction, _rename=BddManager.rename):
+        renames.append(direction)
+        return _rename(self, f, direction)
+
+    monkeypatch.setattr(BddManager, "rename", counted_rename)
+    region = solve_game(game)
+    assert check_realizability(game, region) == "realizable"
+    assert entered[0] > 1000
+    assert renames == []
+    assert settled_late == []
+
+
+def test_can_matches_the_product_with_the_primed_copy():
+    # every corpus game, strict and classical, and each precommit variant
+    # of at most two outputs, against the sets of the game's own solve
+    checked = 0
+    for path in sorted(SPEC_DIR.glob("*.spec")):
+        spec = load_spec(path.stem)
+        for base in (build_game(spec), classical(build_game(spec))):
+            m = base.mgr
+            region = solve_game(base)
+            sets = [m.true, m.false, region.win]
+            sets += [s for strata in region.strata for s in strata[:2]]
+            outs = base.outputs
+            commits = [None] + [list(c) for k in (1, 2)
+                                for c in itertools.combinations(outs, k)]
+            for precommit in commits:
+                game = replace(base, precommit=precommit)
+                rels = [game.trans_sys, *game._ts_goal, *game._ts_nota,
+                        *game._ts_nota_stay]
+                for rel in rels:
+                    for v in sets:
+                        want = m.and_exists(rel, game.prime(v),
+                                            game._chosen_outputs)
+                        assert game.can(rel, v) == want, (path.stem,
+                                                          precommit)
+                        checked += 1
+    assert checked > 1000
