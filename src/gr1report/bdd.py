@@ -53,6 +53,14 @@ operations that shares more entries than the cap (the variant solves of
 one analysis) keep its recent work.  A collection that frees anything
 still clears the whole table, since freed slots are reused.
 
+A `BddRef` keeps its node through collections; a bare node id is valid
+only until the next collection, which frees every node no handle
+reaches and reuses its slot.  A caller may chain the recursions on ids
+between collections, as the game solver does through each fixpoint
+sweep, if it calls `_bound_cache` itself once per step and wraps in a
+BddRef whatever must outlive the next collection: CUDD's split between
+recursions on raw nodes and referenced results.
+
 References
 ==========
 
@@ -362,7 +370,8 @@ class BddManager:
     def _bound_cache(self):
         """Keep the newer half of the computed table once it holds more
         than `cache_limit` entries; a dict iterates in insertion order.
-        The public operations call this first, never the recursions."""
+        The public operations call this first, never the recursions; a
+        caller that chains recursions on node ids calls it per step."""
         c = self._cache
         if len(c) > self.cache_limit:
             self._cache = dict(islice(c.items(), len(c) // 2, None))

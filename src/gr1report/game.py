@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
-from .bdd import BddManager, BddRef
+from .bdd import FALSE, TRUE, BddManager, BddRef
 from .compiler import BooleanSpec, BoolPart, IR, balanced, ir_support
 
 
@@ -150,11 +150,42 @@ class SymbolicGame:
     def prime(self, v: BddRef) -> BddRef:
         return self.mgr.rename(v, "prime")
 
+    @cached_property
+    def _step(self):
+        """(can, cpre) on node ids: the controllable step that `solve_game`
+        runs, with the relations and quantifier-set ids read once.  The
+        ids they hold stay valid while this game lives, since it keeps
+        their handles."""
+        m = self.mgr
+        chosen = m._names_qid(self._chosen_outputs)
+        env = m._names_qid(self.primed_inputs)
+        not_env = self._not_trans_env.node
+        fixed = (m._names_qid([o + "'" for o in self.precommit])
+                 if self.precommit else None)
+        where = (None if self.position_filter is None
+                 else self.position_filter.node)
+
+        def can(rel: int, v: int) -> int:
+            return m._and_exists_primed(rel, v, chosen)
+
+        def cpre(c: int) -> int:
+            good = m._or_forall(not_env, c, env)
+            if fixed is not None:
+                good = m._and_exists(good, TRUE, fixed)
+            if where is not None:
+                good = m._and(good, where)
+            return good
+
+        return can, cpre
+
     def can(self, rel: BddRef, v: BddRef) -> BddRef:
         """exists O' (rel & v'): the system half of a controllable step.
         Precommitted outputs stay free; `cpre` quantifies them.  The
         product reads v in place of v', so no primed copy is built."""
-        return self.mgr.and_exists_primed(rel, v, self._chosen_outputs)
+        m = self.mgr
+        m._check_same(rel, v)
+        m._bound_cache()
+        return BddRef(m, self._step[0](rel.node, v.node))
 
     def cpre(self, can: BddRef) -> BddRef:
         """Positions where every legal env move admits a sys reply in
@@ -163,12 +194,9 @@ class SymbolicGame:
         controllable step.  A deadlocked environment counts as
         controllable."""
         m = self.mgr
-        good = m.or_forall(self._not_trans_env, can, self.primed_inputs)
-        if self.precommit:
-            good = m.exists([o + "'" for o in self.precommit], good)
-        if self.position_filter is not None:
-            good = good & self.position_filter
-        return good
+        m._check_same(can)
+        m._bound_cache()
+        return BddRef(m, self._step[1](can.node))
 
     def cox(self, v: BddRef) -> BddRef:
         """Positions where every legal env move has a legal sys reply into v."""
@@ -197,6 +225,7 @@ class WinningRegion:
     xcores: list[list[list[BddRef]]]      # [goal][d][assumption]
     stationary: list[list[bool]]          # [goal][d]: waits were stationary
     game: SymbolicGame
+    steps: int                            # controllable steps (nu-X rounds)
 
     def distance(self, position: dict[str, bool], goal: int):
         """Smallest stratum index containing the position; inf if losing."""
@@ -206,43 +235,56 @@ class WinningRegion:
         return float("inf")
 
 
-def _nu_x(game: SymbolicGame, base: BddRef, wait: BddRef) -> BddRef:
-    """nu X. cpre(base | can(wait, X)) for a fixed system half `base`."""
-    x = game.mgr.true
-    while True:
-        xn = game.cpre(base | game.can(wait, x))
-        if xn == x:
-            return x
-        x = xn
+class _Fixpoint:
+    """One solve's fixpoint, run on node ids: the game's relations and
+    step are read once, and a controllable step (one nu-X round) trims
+    the computed table once and makes no handle.  An id is valid until
+    the manager's next collection, and none runs inside a sweep."""
 
+    def __init__(self, game: SymbolicGame):
+        self.mgr = game.mgr
+        self.can, self.cpre = game._step
+        self.trans_sys = game.trans_sys.node
+        self.goals = [r.node for r in game._ts_goal]
+        self.waits = ([r.node for r in game._ts_nota_stay],
+                      [r.node for r in game._ts_nota])
+        self.steps = 0
 
-def _mu_y(game: SymbolicGame, z: BddRef, j: int):
-    """One mu-Y evaluation for goal j against outer value z.
-    Returns (y, strata list, xcore rows, stationary flags)."""
-    mgr = game.mgr
-    goal_z = game.can(game._ts_goal[j], z)
-    y = mgr.false
-    strata: list[BddRef] = []
-    xrows: list[list[BddRef]] = []
-    flags: list[bool] = []
-    while True:
-        base = goal_z | game.can(game.trans_sys, y)
-        xrow = [_nu_x(game, base, w) for w in game._ts_nota_stay]
-        ynew = _union(mgr, xrow)
-        stationary = True
-        if ynew == y:
-            # free waiting made no progress; allow moving waits so the
-            # chain still converges to the exact winning set
-            xrow = [_nu_x(game, base, w) for w in game._ts_nota]
-            ynew = _union(mgr, xrow)
-            stationary = False
-            if ynew == y:
-                break
-        y = ynew
-        strata.append(y)
-        xrows.append(xrow)
-        flags.append(stationary)
-    return y, strata, xrows, flags
+    def nu_x(self, base: int, wait: int) -> int:
+        """nu X. cpre(base | can(wait, X)) for a fixed system half `base`."""
+        bound, or_, can, cpre = (self.mgr._bound_cache, self.mgr._or,
+                                 self.can, self.cpre)
+        x = TRUE
+        while True:
+            bound()
+            self.steps += 1
+            xn = cpre(or_(base, can(wait, x)))
+            if xn == x:
+                return x
+            x = xn
+
+    def mu_y(self, z: int, j: int):
+        """One mu-Y evaluation for goal j against outer value z.
+        Returns (y, strata list, xcore rows, stationary flags)."""
+        mgr = self.mgr
+        goal_z = self.can(self.goals[j], z)
+        y, strata, xrows, flags = FALSE, [], [], []
+        while True:
+            mgr._bound_cache()
+            base = mgr._or(goal_z, self.can(self.trans_sys, y))
+            # free waiting first; if it makes no progress, allow moving
+            # waits so the chain still converges to the exact winning set
+            for stationary, waits in zip((True, False), self.waits):
+                xrow = [self.nu_x(base, w) for w in waits]
+                ynew = balanced(mgr._or, FALSE, xrow)
+                if ynew != y:
+                    break
+            else:
+                return y, strata, xrows, flags
+            y = ynew
+            strata.append(y)
+            xrows.append(xrow)
+            flags.append(stationary)
 
 
 def _union(mgr: BddManager, sets: list[BddRef]) -> BddRef:
@@ -261,7 +303,10 @@ def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
 
     Sweeps the goals until one whole sweep leaves Z unchanged; the mu-Y
     evaluations of that sweep all ran against the final Z, so their
-    strata, xcores and stationary flags are the recorded ones.
+    strata, xcores and stationary flags are the recorded ones.  The
+    sweeps run on node ids (`_Fixpoint`); only Z between sweeps and the
+    recorded sets are held through BddRefs, so the collection at the
+    safe point between sweeps keeps exactly what outlives a sweep.
 
     `start` may give a known upper bound on the winning set (e.g. the
     previous element of a shrinking chain of games); correctness needs
@@ -273,25 +318,27 @@ def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
     recorded.  It is still accepted because `bench/selftest.py` passes it.
     """
     mgr = game.mgr
+    fix = _Fixpoint(game)
     z = start if start is not None else mgr.true
-    strata, xcores, stat = [], [], []
     while True:
-        changed = False
-        for j in range(len(game.live_sys)):
-            y, ys, xrows, flags = _mu_y(game, z, j)
-            if y != z:
+        zn, changed, rows = z.node, False, []
+        for j in range(len(fix.goals)):
+            row = fix.mu_y(zn, j)
+            if row[0] != zn:
                 changed = True
-                z = y
-            strata.append(ys)
-            xcores.append(xrows)
-            stat.append(flags)
+                zn = row[0]
+            rows.append(row)
         if not changed:
             break
-        strata, xcores, stat = [], [], []  # stale: Z moved during the sweep
-        # safe point: everything the solver keeps is held through BddRefs
+        # safe point: Z is held through a BddRef; the rows are stale, as Z
+        # moved during the sweep, and their nodes may be freed
+        z = BddRef(mgr, zn)
         mgr.maybe_collect()
-    return WinningRegion(win=z, strata=strata, xcores=xcores,
-                         stationary=stat, game=game)
+    ref = partial(BddRef, mgr)
+    return WinningRegion(
+        win=z, strata=[list(map(ref, r[1])) for r in rows],
+        xcores=[[list(map(ref, x)) for x in r[2]] for r in rows],
+        stationary=[r[3] for r in rows], game=game, steps=fix.steps)
 
 
 def solves_alike(a: SymbolicGame, b: SymbolicGame) -> bool:
@@ -656,7 +703,8 @@ def canonical_moves(game: SymbolicGame, region: WinningRegion, j: int,
     mgr = game.mgr
     outs = game.primed_outputs
     strata = region.strata[j]
-    terms = [src & game._ts_goal[j] & game.prime(region.win)]
+    # each `rel & v'` reads v in place of v', so no primed copy is built
+    terms = [mgr.and_exists_primed(src & game._ts_goal[j], region.win, [])]
     goal = mgr.exists(outs, terms[0])
     rest = mgr.apply("diff", src, goal)
     for d, stratum in enumerate(strata):
@@ -667,14 +715,15 @@ def canonical_moves(game: SymbolicGame, region: WinningRegion, j: int,
             continue
         rest = mgr.apply("diff", rest, stratum)
         if d > 0:
-            terms.append(part & game.trans_sys & game.prime(strata[d - 1]))
+            terms.append(mgr.and_exists_primed(part & game.trans_sys,
+                                               strata[d - 1], []))
             part = mgr.apply("diff", part, mgr.exists(outs, terms[-1]))
         wait = (game._ts_nota_stay if region.stationary[j][d]
                 else game._ts_nota)
         for x, w in zip(region.xcores[j][d], wait):
             if part.is_false():
                 break
-            terms.append(part & x & w & game.prime(x))
+            terms.append(mgr.and_exists_primed(part & x & w, x, []))
             part = mgr.apply("diff", part, mgr.exists(outs, terms[-1]))
     return _lexmin(mgr, _union(mgr, terms), outs), goal
 

@@ -7,13 +7,15 @@ from dataclasses import FrozenInstanceError, fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SPEC_DIR, chain_text, load_spec, random_boolean_spec
+from conftest import (
+    SPEC_DIR, chain_text, load_spec, random_boolean_spec, spec_path,
+)
 from gr1report import parse_spec, compile_to_boolean
-from gr1report.bdd import FALSE, TRUE, BddManager
+from gr1report.bdd import FALSE, TRUE, BddManager, BddRef
 from gr1report.game import (
     SymbolicGame, build_game, classical, solve_game,
     check_realizability, extract_strategy, ir_to_bdd, reactive_distance,
-    reached_positions, GameError, _mu_y, _level_order, _conj, _union,
+    reached_positions, GameError, _Fixpoint, _level_order, _conj, _union,
 )
 from test_bdd import build_bdd, fresh, trees
 
@@ -119,8 +121,8 @@ def test_fixpoint_stability_on_regression(specs_dir):
         game = build_game(spec)
         region = solve_game(game)
         for j in range(len(game.live_sys)):
-            y, _, _, _ = _mu_y(game, region.win, j)
-            assert y == region.win, (path.name, j)
+            y, _, _, _ = _Fixpoint(game).mu_y(region.win.node, j)
+            assert y == region.win.node, (path.name, j)
 
 
 def test_strata_are_increasing_and_cover_win(specs_dir):
@@ -185,16 +187,39 @@ def test_robotics_semantics_is_stricter():
     assert check_realizability(game_r, region_r) == "unrealizable"
 
 
-def test_solver_correct_under_aggressive_gc():
-    spec = load_spec("doors")
-    game = build_game(spec)
-    game.mgr.gc_threshold = 2000  # force collections between sweeps
-    region = solve_game(game)
-    game2 = build_game(spec)
-    region2 = solve_game(game2)
-    assert (game.mgr.to_truthtable(region.win, game.positions)
-            == game2.mgr.to_truthtable(region2.win, game2.positions))
-    assert check_realizability(game, region) == "realizable"
+def _region_text(region):
+    """A solved region as text: each set by `to_dot`, which names nodes in
+    first-visit order, so that in managers with one level order equal
+    sets give equal text."""
+    dot = region.game.mgr.to_dot
+    return (dot(region.win), [[dot(s) for s in per] for per in region.strata],
+            [[[dot(x) for x in row] for row in per] for per in region.xcores],
+            region.stationary, region.steps,
+            check_realizability(region.game, region))
+
+
+def test_solver_correct_under_aggressive_gc(monkeypatch):
+    # the sweeps run on node ids, valid only until the next collection:
+    # where every safe point between sweeps collects and freed slots are
+    # reused, a stale id would change the region
+    freed = []
+
+    def counted(self, _collect=BddManager.collect):
+        freed.append(_collect(self))
+        return freed[-1]
+
+    monkeypatch.setattr(BddManager, "collect", counted)
+    specs = [load_spec(p.stem) for p in sorted(SPEC_DIR.glob("*.spec"))]
+    specs += _arbiter_specs(monkeypatch)
+    specs += [random_boolean_spec(seed) for seed in range(30)]
+    for k, spec in enumerate(specs):
+        eager = BddManager()
+        eager.gc_threshold = 1    # every safe point collects
+        budgeted = BddManager(node_budget=1 << 24)
+        plain, *others = [_region_text(solve_game(build_game(spec, mgr=m)))
+                          for m in (BddManager(), eager, budgeted)]
+        assert all(o == plain for o in others), k
+    assert sum(n > 0 for n in freed) > 50
 
 
 def test_empty_conjunction_and_disjunction():
@@ -315,13 +340,18 @@ def test_machine_json_shape():
 # differential check: the canonical strategy's reached positions against
 # the states of the extracted machine
 
-def _arbiter_specs(monkeypatch):
+def _specgen(monkeypatch):
     import pathlib
     monkeypatch.syspath_prepend(
         str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
     import specgen
+    return specgen
+
+
+def _arbiter_specs(monkeypatch, sizes=(3, 4, 5)):
+    specgen = _specgen(monkeypatch)
     return [compile_to_boolean(parse_spec(specgen.arbiter(n)))
-            for n in (3, 4, 5)]
+            for n in sizes]
 
 
 # only moving waits starve an assumption here, and the two assumptions'
@@ -685,3 +715,38 @@ def test_can_matches_the_product_with_the_primed_copy():
                                                           precommit)
                         checked += 1
     assert checked > 1000
+
+
+# ----------------------------------------------------------------------
+# the fixpoint on node ids
+
+def test_a_solve_wraps_only_the_sets_it_keeps(monkeypatch):
+    # handles are made for Z between sweeps and for the recorded sets,
+    # not per kernel operation (1433 on this solve when each made one)
+    game = build_game(_arbiter_specs(monkeypatch, (4,))[0])
+    for name in ("_step", "_ts_goal", "_ts_nota", "_ts_nota_stay"):
+        getattr(game, name)    # the game's relations, built beforehand
+    made = [0]
+
+    def counted(self, mgr, node, _init=BddRef.__init__):
+        made[0] += 1
+        _init(self, mgr, node)
+
+    monkeypatch.setattr(BddRef, "__init__", counted)
+    region = solve_game(game)
+    assert 0 < made[0] <= 200
+    assert check_realizability(game, region) == "realizable"
+
+
+def test_a_solve_counts_its_controllable_steps(monkeypatch):
+    # a step is one nu-X round: a `cpre` call when the solver ran on
+    # handles, whose counts these are
+    specgen = _specgen(monkeypatch)
+    texts = {"tworobot": spec_path("tworobot").read_text(),
+             "doors": spec_path("doors").read_text(),
+             "arbiter4": specgen.arbiter(4), "chain300": specgen.chain(300)}
+    steps = {name: solve_game(build_game(
+                 compile_to_boolean(parse_spec(text)))).steps
+             for name, text in texts.items()}
+    assert steps == {"tworobot": 60, "doors": 162, "arbiter4": 344,
+                     "chain300": 903}

@@ -2,9 +2,12 @@
 symbolic engine."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 
+import gr1report
 from conftest import load_spec, random_boolean_spec
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.game import (
@@ -176,3 +179,20 @@ def test_bruteforce_primes_small():
             table |= 1 << i
     want = {frozenset({(0, True)}), frozenset({(1, True), (2, True)})}
     assert brute_force_primes(table, 3) == want
+
+
+def test_import_gr1report_leaves_the_oracle_out():
+    # the oracles are test-facing: `import gr1report` does not compile
+    # them, and the package still gives them on first use
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gr1report\n"
+         "print('gr1report.oracle' in sys.modules)\n"
+         "from gr1report import explicit_solve, model_check\n"
+         "from gr1report.oracle import brute_force_primes\n"
+         "print(gr1report.brute_force_primes is brute_force_primes)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False", "True"]
+    with pytest.raises(AttributeError, match="no attribute 'oracles'"):
+        gr1report.oracles
