@@ -168,6 +168,10 @@ class BooleanSpec:
     props: list[str]                      # declaration order, bits expanded
     groups: dict[str, IntGroup]           # integer name -> bit group
     bool_vars: dict[str, str]             # boolean var name -> kind
+    # integer name -> the integers compared with it, transitively, in
+    # declaration order (itself included); an integer absent here is
+    # compared with no other
+    linked: dict[str, tuple[str, ...]] = field(default_factory=dict)
     parts: dict[str, list[BoolPart]] = field(
         default_factory=lambda: {k: [] for k in PART_KINDS})
     source: SpecDocument | None = None
@@ -391,6 +395,7 @@ class _Compiler:
         self.input_props: list[str] = []
         self.output_props: list[str] = []
         self.props: list[str] = []
+        self.linked: dict[str, tuple[str, ...]] = {}
         for v in doc.variables:
             target = self.input_props if v.kind == "input" else self.output_props
             if v.is_int:
@@ -433,9 +438,19 @@ class _Compiler:
             return _CONNECTIVE[e.op](
                 [self.compile(x, primed, text) for x in e.args])
         if isinstance(e, Op) and e.op in _COMPARE:
+            self.link({x.name for x in _walk(e) if isinstance(x, Atom)})
             return _COMPARE[e.op](*(self.int_vec(x, primed, text)
                                     for x in e.args))
         raise CompileError(f"cannot compile expression in: {text}")
+
+    def link(self, names: set[str]) -> None:
+        """Join the classes of integers that one comparison compares."""
+        for name in list(names):
+            names.update(self.linked.get(name, ()))
+        if len(names) > 1:
+            members = tuple(n for n in self.groups if n in names)
+            for name in members:
+                self.linked[name] = members
 
     def range_ir(self, g: IntGroup, primed: bool) -> IR:
         enc = _BitVec([ir_var(b, primed) for b in g.bits], 0, (1 << len(g.bits)) - 1)
@@ -452,7 +467,8 @@ def compile_to_boolean(doc: SpecDocument) -> BooleanSpec:
     c = _Compiler(doc)
     spec = BooleanSpec(
         input_props=c.input_props, output_props=c.output_props,
-        props=c.props, groups=c.groups, bool_vars=c.bool_vars, source=doc)
+        props=c.props, groups=c.groups, bool_vars=c.bool_vars,
+        linked=c.linked, source=doc)
     for kind in PART_KINDS:
         for part in doc.parts[kind]:
             spec.parts[kind].append(BoolPart(

@@ -392,40 +392,51 @@ def _level_order(spec: BooleanSpec, signals: list[str]) -> list[str]:
     """Static BDD level order for `signals` (a sub-list of the spec's
     propositions, in declaration order).
 
-    FORCE (Aloul, Markov & Sakallah, GLSVLSI 2003), started from the
-    declaration order with each integer's bits MSB first: every spec
-    part over two or more of the signals is a hyperedge over those in
-    its support (X(p) counts as p); a round moves each signal to the
-    mean centre of gravity of its edges (a signal without edges keeps
-    its place; the sort is stable) and is accepted only if it strictly
+    The order is made of units that are never split: a boolean signal,
+    or a class of integers that comparisons link (`spec.linked`), laid
+    out in bit slices MSB first, slice k holding bit k of each member in
+    declaration order.  An equality of two interleaved words has a BDD
+    of linear size, of exponential size when the words lie in separate
+    blocks (Bryant, IEEE TC 1986).  The units start in declaration order
+    and are moved by FORCE (Aloul, Markov & Sakallah, GLSVLSI 2003):
+    every spec part over two or more units is a hyperedge over those in
+    its support (X(p) counts as p); a round moves each unit to the mean
+    centre of gravity of its edges (a unit without edges keeps its
+    place; the sort is stable) and is accepted only if it strictly
     lowers the total edge span, so an order that is already local stays
     as it is.
     """
     todo = set(signals)
     group_of = {b: name for name, g in spec.groups.items() for b in g.bits}
-    order: list[str] = []
-    placed: set[str] = set()
+    units: list[list[str]] = []
+    unit_of: dict[str, int] = {}
     for p in signals:
+        if p in unit_of:
+            continue
         name = group_of.get(p)
         if name is None:
-            order.append(p)
-        elif name not in placed:
-            placed.add(name)
-            order.extend(b for b in reversed(spec.groups[name].bits)
-                         if b in todo)
-    start = {v: i for i, v in enumerate(order)}
+            unit = [p]
+        else:
+            words = [spec.groups[m].bits
+                     for m in spec.linked.get(name, (name,))]
+            unit = [w[k] for k in reversed(range(max(map(len, words))))
+                    for w in words if k < len(w) and w[k] in todo]
+        unit_of.update((b, len(units)) for b in unit)
+        units.append(unit)
     edges = []
     for parts in spec.parts.values():
         for part in parts:
-            edge = {name for name, _primed in ir_support(part.ir)} & todo
+            edge = {unit_of[name] for name, _primed in ir_support(part.ir)
+                    if name in todo}
             if len(edge) > 1:
-                edges.append(sorted(edge, key=start.__getitem__))
+                edges.append(edge)
 
-    def span(pos: dict[str, int]) -> int:
+    def span(pos: dict[int, int]) -> int:
         return sum(max(pos[v] for v in e) - min(pos[v] for v in e)
                    for e in edges)
 
-    pos = start
+    order = list(range(len(units)))
+    pos = {v: v for v in order}
     best = span(pos)
     for _ in range(_FORCE_ROUNDS):
         pull = {v: [] for v in order}
@@ -440,7 +451,7 @@ def _level_order(spec: BooleanSpec, signals: list[str]) -> list[str]:
         if cost >= best:
             break
         order, pos, best = new, new_pos, cost
-    return order
+    return [b for u in order for b in units[u]]
 
 
 def build_game(spec: BooleanSpec, robotics: bool = False,

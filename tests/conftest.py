@@ -40,7 +40,7 @@ def _variant(spec: BooleanSpec, drop: tuple[str, int] | None = None,
     out = BooleanSpec(
         input_props=spec.input_props, output_props=spec.output_props,
         props=spec.props, groups=spec.groups, bool_vars=spec.bool_vars,
-        source=spec.source)
+        linked=spec.linked, source=spec.source)
     for kind, parts in spec.parts.items():
         kept = [p for p in parts
                 if drop is None or (kind, p.index) != drop]
@@ -118,3 +118,40 @@ def random_spec_text(seed: int, max_bits: int = 8) -> str:
 
 def random_boolean_spec(seed: int, max_bits: int = 8):
     return compile_to_boolean(parse_spec(random_spec_text(seed, max_bits)))
+
+
+def random_compare_spec_text(seed: int) -> str:
+    """Small random specification whose comparisons link two or three
+    integers (of mixed widths and owners), so the level order lays them
+    out interleaved; deterministic in the seed.  At most 11 bits."""
+    rng = random.Random(seed)
+    ints = {name: (rng.choice(["input", "output"]), rng.choice([1, 2, 3, 5]))
+            for name in ("a", "b", "c")[:rng.randint(2, 3)]}
+    ins = [n for n, (kind, _) in ints.items() if kind == "input"]
+    cur = list(ints)
+    env_terms = cur + [f"X({n})" for n in ins]
+    sys_terms = cur + [f"X({n})" for n in ints]
+
+    def compare(terms):
+        x, y = rng.sample(terms, 2)
+        if rng.random() < 0.3:
+            y = f"{y} + 1"
+        return f"({x} {rng.choice(['=', '!=', '<', '<='])} {y})"
+
+    env_atoms = ["i", "o", "X(i)"] + [compare(env_terms) for _ in range(3)]
+    sys_atoms = (["i", "o", "X(i)", "X(o)"]
+                 + [compare(sys_terms) for _ in range(4)])
+    lines = ["[INPUT]", "i"] + [f"{n}: 0...{ints[n][1]}" for n in ins]
+    lines += ["[OUTPUT]", "o"] + [f"{n}: 0...{hi}" for n, (kind, hi)
+                                  in ints.items() if kind == "output"]
+    if rng.random() < 0.5:
+        lines += ["[SYS_INIT]", _formula(rng, [compare(cur), "o"], 1)]
+    if rng.random() < 0.8:
+        lines += ["[ENV_TRANS]", _formula(rng, env_atoms, 2)]
+    lines += ["[SYS_TRANS]"] + [_formula(rng, sys_atoms, 2)
+                                for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.7:
+        lines += ["[ENV_LIVENESS]", _formula(rng, sys_atoms, 1)]
+    lines += ["[SYS_LIVENESS]"] + [_formula(rng, sys_atoms, 1)
+                                   for _ in range(rng.randint(1, 2))]
+    return "\n".join(lines) + "\n"

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    SPEC_DIR, chain_text, load_spec, random_boolean_spec, spec_path,
+    SPEC_DIR, chain_text, load_spec, random_boolean_spec,
+    random_compare_spec_text, spec_path,
 )
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.bdd import FALSE, TRUE, BddManager, BddRef
@@ -17,6 +18,7 @@ from gr1report.game import (
     check_realizability, extract_strategy, ir_to_bdd, reactive_distance,
     reached_positions, GameError, _Fixpoint, _level_order, _conj, _union,
 )
+from gr1report.oracle import explicit_solve
 from test_bdd import build_bdd, fresh, trees
 
 
@@ -59,6 +61,20 @@ def test_level_order_keeps_local_orders_and_places_bits_msb_first():
     game = classical(build_game(spec))
     assert game.mgr.var_names[::2] == order
     assert game.positions == spec.props
+    # integers that a comparison links are one unit, interleaved in bit
+    # slices MSB first; FORCE moves whole units, never single bits
+    spec = load_spec("tworobot")
+    assert spec.linked == {"sx": ("sx", "px"), "px": ("sx", "px"),
+                           "sy": ("sy", "py"), "py": ("sy", "py")}
+    order = _level_order(spec, spec.props)
+    assert order == ["sx@2", "px@2", "sx@1", "px@1", "sx@0", "px@0",
+                     "sy@2", "py@2", "sy@1", "py@1", "sy@0", "py@0"]
+    for name, g in spec.groups.items():
+        unit = [b for m in spec.linked[name] for b in spec.groups[m].bits]
+        at = sorted(order.index(b) for b in unit)
+        assert at == list(range(at[0], at[0] + len(unit))), name
+        assert [order.index(b) for b in reversed(g.bits)] == sorted(
+            order.index(b) for b in g.bits), name
 
 
 def test_empty_assumptions_normalize():
@@ -135,6 +151,20 @@ def test_strata_are_increasing_and_cover_win(specs_dir):
                 assert (per_goal[d - 1] & ~per_goal[d]).is_false(), (name, j, d)
             if per_goal:
                 assert per_goal[-1] == region.win, (name, j)
+
+
+def test_interleaved_integers_match_the_oracle():
+    linked = 0
+    for seed in range(40):
+        spec = compile_to_boolean(parse_spec(random_compare_spec_text(seed)))
+        linked += bool(spec.linked)
+        game = build_game(spec)
+        region = solve_game(game)
+        ex = explicit_solve(spec)
+        assert (game.mgr.to_truthtable(region.win, game.positions)
+                == ex.win), seed
+        assert check_realizability(game, region) == ex.realizable, seed
+    assert linked >= 30
 
 
 def test_assumption_monotonicity_random():

@@ -571,6 +571,33 @@ def test_benchmark_tracer_leaves_report_bytes_unchanged(tmp_path,
     assert tracer.calls["game.solve"] == 1
 
 
+GRID_4X2 = """\
+[INPUT]
+sx: 0...3
+sy: 0...1
+[OUTPUT]
+px: 0...3
+py: 0...1
+[ENV_INIT]
+sx = 3
+sy = 1
+[SYS_INIT]
+px = 0
+py = 0
+[ENV_TRANS]
+(X(sx) = sx & (X(sy) = sy | X(sy) = sy + 1 | X(sy) + 1 = sy)) | (X(sy) = sy & (X(sx) = sx + 1 | X(sx) + 1 = sx))
+!(X(sx) = px & X(sy) = py)
+[SYS_TRANS]
+(X(px) = px & (X(py) = py | X(py) = py + 1 | X(py) + 1 = py)) | (X(py) = py & (X(px) = px + 1 | X(px) + 1 = px))
+!(X(px) = X(sx) & X(py) = X(sy))
+[ENV_LIVENESS]
+sy = 1
+[SYS_LIVENESS]
+px = 0 & py = 0
+px = 3 & py = 0
+"""
+
+
 @pytest.mark.parametrize("permute", ["reversed", "shuffled"])
 def test_report_does_not_depend_on_the_level_order(tmp_path, monkeypatch,
                                                    permute):
@@ -580,6 +607,10 @@ def test_report_does_not_depend_on_the_level_order(tmp_path, monkeypatch,
 
     paths = [spec_path(name) for name in ("counter", "doors", "mutex",
                                           "parity_tracker", "patrol")]
+    # two robots on a 4x2 grid: comparisons link sx with px and sy with
+    # py, so the plain run lays each pair out interleaved
+    paths.append(tmp_path / "grid.spec")
+    paths[-1].write_text(GRID_4X2)
     for seed in range(20):
         paths.append(tmp_path / f"s{seed}.spec")
         paths[-1].write_text(random_spec_text(seed))
