@@ -42,11 +42,15 @@ strategy, which `canonical_moves` gives as BDD relations and
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
-from .bdd import FALSE, TRUE, BddManager, BddRef
+from .bdd import _LEAF, FALSE, TRUE, BddManager, BddRef
 from .compiler import BooleanSpec, BoolPart, IR, balanced, ir_support
+
+# a level past every node's, terminals included
+_PAST = _LEAF + 1
 
 
 class GameError(Exception):
@@ -152,21 +156,69 @@ class SymbolicGame:
 
     @cached_property
     def _step(self):
-        """(can, cpre) on node ids: the controllable step that `solve_game`
-        runs, with the relations and quantifier-set ids read once.  The
-        ids they hold stay valid while this game lives, since it keeps
-        their handles."""
+        """(can, cpre, product) on node ids: the controllable step that
+        `solve_game` runs, with the relations and quantifier-set ids read
+        once.  The ids they hold stay valid while this game lives, since
+        it keeps their handles.
+
+        `product(rel, v)` is exists O' (rel & v') over the chosen outputs.
+        `can` gives the same BDD, but first drops from `rel` the chosen
+        outputs whose primed levels lie above v's primed top, on which v'
+        does not depend: exists Q. rel & v' = exists Q. (exists Q<. rel) &
+        v' (early quantification, Burch, Clarke & Long 1991).  Each
+        relation gets a ladder of projections P_k = exists q_0..q_{k-1}.
+        rel over the chosen levels q_0 < q_1 < ..., each rung one
+        `_and_exists` of the rung before it, held as a handle for the
+        game's lifetime.  A ladder grows on demand, and only while a rung
+        moves the projection's top level down; the first rung that does
+        not would keep the prefix the product walks, and the ladder stops
+        there for good.  `can` starts the product from the deepest rung
+        above v's primed top, so it skips the walk through the
+        relation's prefix that the plain product makes once per iterate.
+        """
         m = self.mgr
+        level = m._level
         chosen = m._names_qid(self._chosen_outputs)
+        qlevels = sorted(m._qset_levels[chosen])
         env = m._names_qid(self.primed_inputs)
         not_env = self._not_trans_env.node
         fixed = (m._names_qid([o + "'" for o in self.precommit])
                  if self.precommit else None)
         where = (None if self.position_filter is None
                  else self.position_filter.node)
+        ladders: dict[int, list[BddRef]] = {}   # rel -> rungs P_0, P_1, ..
+        # rel -> the level of v from which `rung` is asked; past every
+        # level once rel's ladder has stopped at P_0
+        reach: dict[int, int] = {}
+        first = qlevels[0] if qlevels else _PAST
+        stopped: set[int] = set()
+
+        def rung(rel: int, v: int) -> int:
+            if v <= TRUE:
+                return rel
+            k = bisect_left(qlevels, level[v] + 1)
+            rungs = ladders.get(rel)
+            if rungs is None:
+                rungs = ladders[rel] = [BddRef(m, rel)]
+            while len(rungs) <= k and rel not in stopped:
+                p = rungs[-1].node
+                q = m._qset_id(frozenset((qlevels[len(rungs) - 1],)))
+                nxt = m._and_exists(p, TRUE, q)
+                if level[nxt] <= level[p]:
+                    stopped.add(rel)
+                    if len(rungs) == 1:
+                        reach[rel] = _PAST
+                    break
+                rungs.append(BddRef(m, nxt))
+            return rungs[min(k, len(rungs) - 1)].node
+
+        def product(rel: int, v: int) -> int:
+            return m._and_exists_primed(rel, v, chosen)
 
         def can(rel: int, v: int) -> int:
-            return m._and_exists_primed(rel, v, chosen)
+            if level[v] < reach.get(rel, first):
+                return m._and_exists_primed(rel, v, chosen)
+            return m._and_exists_primed(rung(rel, v), v, chosen)
 
         def cpre(c: int) -> int:
             good = m._or_forall(not_env, c, env)
@@ -176,12 +228,14 @@ class SymbolicGame:
                 good = m._and(good, where)
             return good
 
-        return can, cpre
+        return can, cpre, product
 
     def can(self, rel: BddRef, v: BddRef) -> BddRef:
         """exists O' (rel & v'): the system half of a controllable step.
         Precommitted outputs stay free; `cpre` quantifies them.  The
-        product reads v in place of v', so no primed copy is built."""
+        product reads v in place of v', so no primed copy is built, and
+        starts from the projection of rel on its ladder that drops the
+        chosen outputs above v's primed top (see `_step`)."""
         m = self.mgr
         m._check_same(rel, v)
         m._bound_cache()
@@ -239,11 +293,20 @@ class _Fixpoint:
     """One solve's fixpoint, run on node ids: the game's relations and
     step are read once, and a controllable step (one nu-X round) trims
     the computed table once and makes no handle.  An id is valid until
-    the manager's next collection, and none runs inside a sweep."""
+    the manager's next collection, and none runs inside a sweep.
 
-    def __init__(self, game: SymbolicGame):
+    A solve from an upper bound (`warm`, a weaker variant's) takes the
+    plain product rather than the game's laddered `can`.  Its Z shrinks
+    over many sweeps, and a sweep's iterates can hold the sweep before's
+    strata as cofactors, whose products walk the relation's prefix
+    anyway: a walk the ladder skips in one sweep then only moves into
+    the next, as one burst that a small computed table does not keep
+    (seen on the shift chain without its liveness assumption)."""
+
+    def __init__(self, game: SymbolicGame, warm: bool = False):
         self.mgr = game.mgr
-        self.can, self.cpre = game._step
+        can, self.cpre, product = game._step
+        self.can = product if warm else can
         self.trans_sys = game.trans_sys.node
         self.goals = [r.node for r in game._ts_goal]
         self.waits = ([r.node for r in game._ts_nota_stay],
@@ -318,7 +381,7 @@ def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
     recorded.  It is still accepted because `bench/selftest.py` passes it.
     """
     mgr = game.mgr
-    fix = _Fixpoint(game)
+    fix = _Fixpoint(game, warm=start is not None)
     z = start if start is not None else mgr.true
     while True:
         zn, changed, rows = z.node, False, []

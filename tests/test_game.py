@@ -719,10 +719,12 @@ def test_a_solve_renames_nothing_and_settles_terminals_before_the_call(
     assert settled_late == []
 
 
-def test_can_matches_the_product_with_the_primed_copy():
-    # every corpus game, strict and classical, and each precommit variant
-    # of at most two outputs, against the sets of the game's own solve
-    checked = 0
+def _product_inputs():
+    """(name, game, operands): every corpus game, strict and classical,
+    against the win and first strata of its own solve; and a 12-stage
+    chain against every stratum and the literals of its late stages,
+    whose deep tops let `can` start from a rung of the relation's
+    ladder."""
     for path in sorted(SPEC_DIR.glob("*.spec")):
         spec = load_spec(path.stem)
         for base in (build_game(spec), classical(build_game(spec))):
@@ -730,20 +732,35 @@ def test_can_matches_the_product_with_the_primed_copy():
             region = solve_game(base)
             sets = [m.true, m.false, region.win]
             sets += [s for strata in region.strata for s in strata[:2]]
-            outs = base.outputs
-            commits = [None] + [list(c) for k in (1, 2)
-                                for c in itertools.combinations(outs, k)]
-            for precommit in commits:
-                game = replace(base, precommit=precommit)
-                rels = [game.trans_sys, *game._ts_goal, *game._ts_nota,
-                        *game._ts_nota_stay]
-                for rel in rels:
-                    for v in sets:
-                        want = m.and_exists(rel, game.prime(v),
-                                            game._chosen_outputs)
-                        assert game.can(rel, v) == want, (path.stem,
-                                                          precommit)
-                        checked += 1
+            yield path.stem, base, sets
+    base = build_game(compile_to_boolean(parse_spec(chain_text(12))))
+    m = base.mgr
+    region = solve_game(base)
+    sets = [m.true, m.false, region.win]
+    sets += [s for strata in region.strata for s in strata]
+    sets += [lit(f"s{i}") for i in range(6, 12) for lit in (m.var, m.nvar)]
+    yield "chain12", base, sets
+
+
+def test_can_matches_the_product_with_the_primed_copy():
+    # each game of `_product_inputs` and each precommit variant of at
+    # most two outputs, against the product with the primed copy
+    checked = 0
+    for name, base, sets in _product_inputs():
+        m = base.mgr
+        outs = base.outputs
+        commits = [None] + [list(c) for k in (1, 2)
+                            for c in itertools.combinations(outs, k)]
+        for precommit in commits:
+            game = replace(base, precommit=precommit)
+            rels = [game.trans_sys, *game._ts_goal, *game._ts_nota,
+                    *game._ts_nota_stay]
+            for rel in rels:
+                for v in sets:
+                    want = m.and_exists(rel, game.prime(v),
+                                        game._chosen_outputs)
+                    assert game.can(rel, v) == want, (name, precommit)
+                    checked += 1
     assert checked > 1000
 
 
@@ -780,3 +797,21 @@ def test_a_solve_counts_its_controllable_steps(monkeypatch):
              for name, text in texts.items()}
     assert steps == {"tworobot": 60, "doors": 162, "arbiter4": 344,
                      "chain300": 903}
+
+
+def test_a_chain_solve_skips_the_relation_prefix(monkeypatch):
+    # `can` starts each product from the rung of the relation's ladder
+    # above the iterate's top; the plain product walked the prefix of
+    # `trans_sys` once per mu-Y step, 181,562 calls on this solve
+    from test_bdd import RECURSIONS
+    game = build_game(compile_to_boolean(parse_spec(chain_text(150))))
+    calls = [0]
+    for name in RECURSIONS:
+        def counted(self, *args, _fn=getattr(BddManager, name)):
+            calls[0] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(BddManager, name, counted)
+    region = solve_game(game)
+    assert check_realizability(game, region) == "realizable"
+    assert region.steps == 453
+    assert calls[0] == 93805
