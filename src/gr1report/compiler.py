@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .syntax import (
     Atom, BoolConst, Expr, IntConst, Next, Not, Op, SpecDocument, SpecPart,
-    PART_KINDS, _children, format_expr,
+    PART_KINDS, format_expr, walk,
 )
 
 
@@ -203,12 +203,6 @@ class BooleanSpec:
 # ----------------------------------------------------------------------
 # validation
 
-def _walk(e: Expr):
-    yield e
-    for c in _children(e):
-        yield from _walk(c)
-
-
 def _expr_type(e: Expr, doc: SpecDocument) -> str:
     if isinstance(e, IntConst) or isinstance(e, Op) and e.op in ("+", "-"):
         return "int"
@@ -258,25 +252,6 @@ def _type_visit(e: Expr, under_compare: bool, doc: SpecDocument,
         _type_visit(side, True, doc, out)
 
 
-def _nexts_nested(e: Expr, inside: bool) -> bool:
-    if isinstance(e, Next):
-        if inside:
-            return True
-        return _nexts_nested(e.sub, True)
-    return any(_nexts_nested(c, inside) for c in _children(e))
-
-
-def _has_next(e: Expr) -> bool:
-    return any(isinstance(x, Next) for x in _walk(e))
-
-
-def _outputs_under_next(e: Expr, inside: bool, outputs: set[str]) -> bool:
-    if isinstance(e, Atom) and inside and e.name in outputs:
-        return True
-    nested = inside or isinstance(e, Next)
-    return any(_outputs_under_next(c, nested, outputs) for c in _children(e))
-
-
 def validate_gr1_shape(doc: SpecDocument) -> list[Violation]:
     """Check every grammar restriction; violations are data, not errors,
     at most one per rule and part."""
@@ -284,17 +259,19 @@ def validate_gr1_shape(doc: SpecDocument) -> list[Violation]:
     outputs = {v.name for v in doc.outputs()}
     for part in doc.all_parts():
         found: dict[str, str] = {}  # rule -> message
-        if _nexts_nested(part.formula, False):
+        # per X, and per occurrence of an output: whether an X encloses it
+        nexts = [under for e, under in walk(part.formula)
+                 if isinstance(e, Next)]
+        used = {(e.name, under) for e, under in walk(part.formula)
+                if isinstance(e, Atom) and e.name in outputs}
+        if any(nexts):
             found["nested next"] = f"X occurs inside X: {part.text}"
-        if part.kind in ("env_init", "sys_init") and _has_next(part.formula):
+        if part.kind in ("env_init", "sys_init") and nexts:
             found["next in initial part"] = f"X is not allowed in initial parts: {part.text}"
-        if part.kind == "env_init":
-            used = {x.name for x in _walk(part.formula) if isinstance(x, Atom)}
-            if used & outputs:
-                found["output in initial assumption"] = (
-                    f"outputs {sorted(used & outputs)} in: {part.text}")
-        if part.kind == "env_trans" and _outputs_under_next(part.formula, False,
-                                                           outputs):
+        if part.kind == "env_init" and used:
+            found["output in initial assumption"] = (
+                f"outputs {sorted({name for name, _ in used})} in: {part.text}")
+        if part.kind == "env_trans" and any(under for _, under in used):
             found["output under next in assumption"] = (
                 f"an output proposition is in the scope of X: {part.text}")
         found.update(_type_violations(part, doc))
@@ -438,7 +415,7 @@ class _Compiler:
             return _CONNECTIVE[e.op](
                 [self.compile(x, primed, text) for x in e.args])
         if isinstance(e, Op) and e.op in _COMPARE:
-            self.link({x.name for x in _walk(e) if isinstance(x, Atom)})
+            self.link({x.name for x, _ in walk(e) if isinstance(x, Atom)})
             return _COMPARE[e.op](*(self.int_vec(x, primed, text)
                                     for x in e.args))
         raise CompileError(f"cannot compile expression in: {text}")

@@ -6,7 +6,8 @@ Sections declare variables and the six property lists:
     [ENV_INIT] [ENV_TRANS] [ENV_LIVENESS]
     [SYS_INIT] [SYS_TRANS] [SYS_LIVENESS]
 
-One expression per line; `#` starts a comment.  TRANS lines are
+One expression per line; a line ends at LF, CR LF or CR, and `#`
+starts a comment that runs to its end.  TRANS lines are
 implicitly under G, LIVENESS lines implicitly under GF.  Operators by
 decreasing precedence: `!`, `+ -`, comparisons, `&`, `|`, `->`
 (right-associative), `<->`.  A chain of `&` or of `|` parses to one
@@ -15,6 +16,7 @@ node of any width; only nesting makes an expression deeper.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -145,49 +147,31 @@ class SpecDocument:
 # ----------------------------------------------------------------------
 # lexer
 
+# blanks and a comment are skipped (they match no group); names,
+# integers and operators are the three token kinds, and the longer
+# operators are tried first.  `\w` also holds the digits that are no
+# decimal digits, such as `²`: `_tokenize` lets no name start with one.
+_TOKEN = re.compile(r"""
+    [ \t]+ | \#.*
+  | (?P<name>(?!\d)\w+)
+  | (?P<int>\d+)
+  | (?P<punct><->|\.\.\.|->|<=|>=|!=|[()!&|<>=+\-:])
+""", re.VERBOSE | re.DOTALL)
+
+
 def _tokenize(text: str, line_no: int):
-    """Tokens: (kind, value, col).  Kinds: name int punct."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t":
-            i += 1
-            continue
-        if c == "#":
-            break
-        col = i + 1
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(("name", text[i:j], col))
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(("int", text[i:j], col))
-            i = j
-            continue
-        if text[i:i + 3] == "<->":
-            out.append(("punct", "<->", col))
-            i += 3
-            continue
-        if text[i:i + 3] == "...":
-            out.append(("punct", "...", col))
-            i += 3
-            continue
-        if text[i:i + 2] in ("->", "<=", ">=", "!="):
-            out.append(("punct", text[i:i + 2], col))
-            i += 2
-            continue
-        if c in "()!&|<>=+-:":
-            out.append(("punct", c, col))
-            i += 1
-            continue
-        raise SpecError(f"unexpected character {c!r}", line_no, col)
+    """Tokens: (kind, value, col).  Kinds: name int punct.  A name starts
+    with a letter or `_`, an integer is a run of decimal digits."""
+    out, pos = [], 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None or m.lastgroup == "name" and not (
+                m[0][0].isalpha() or m[0][0] == "_"):
+            raise SpecError(f"unexpected character {text[pos]!r}",
+                            line_no, pos + 1)
+        if m.lastgroup:
+            out.append((m.lastgroup, m[0], pos + 1))
+        pos = m.end()
     return out
 
 
@@ -319,7 +303,7 @@ def parse_spec(text: str) -> SpecDocument:
     counters = {k: 0 for k in PART_KINDS}
     pending: list[tuple[str, str, int]] = []  # (section, line text, line no)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -344,9 +328,9 @@ def parse_spec(text: str) -> SpecDocument:
     for kind, line, line_no in pending:
         try:
             formula = parse_expr(line, line_no)
-            _check_declared(formula, names, line_no)
         except RecursionError:
             raise SpecError("expression nested too deeply", line_no) from None
+        _check_declared(formula, names, line_no)
         doc.parts[kind].append(SpecPart(
             formula=formula, text=line, kind=kind,
             index=counters[kind], line=line_no))
@@ -376,20 +360,24 @@ def _parse_decl(line: str, line_no: int, kind: str,
 
 
 def _check_declared(e: Expr, names: set[str], line_no: int):
-    if isinstance(e, Atom):
-        if e.name not in names:
-            raise SpecError(f"reference to undeclared variable {e.name!r}",
+    for node, _ in walk(e):
+        if isinstance(node, Atom) and node.name not in names:
+            raise SpecError(f"reference to undeclared variable {node.name!r}",
                             line_no)
-    for f in _children(e):
-        _check_declared(f, names, line_no)
 
 
-def _children(e: Expr):
-    if isinstance(e, (Not, Next)):
-        return (e.sub,)
-    if isinstance(e, Op):
-        return e.args
-    return ()
+def walk(e: Expr):
+    """Every node of `e` in pre-order, left to right, each as `(node,
+    under_next)`: whether an `X` strictly encloses it.  Iterative, so
+    the depth of `e` costs no recursion."""
+    stack = [(e, False)]
+    while stack:
+        e, under_next = stack.pop()
+        yield e, under_next
+        if isinstance(e, Op):
+            stack.extend([(sub, under_next) for sub in reversed(e.args)])
+        elif isinstance(e, (Not, Next)):
+            stack.append((e.sub, under_next or isinstance(e, Next)))
 
 
 # ----------------------------------------------------------------------

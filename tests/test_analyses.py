@@ -549,6 +549,37 @@ def test_classification_tests_abc_match_oracle():
     assert checked > 40
 
 
+def _stuck_variant(spec, sig, value, output):
+    """The spec with `sig` pinned to `value` from power-on: the pin as an
+    init part and its primed copy as a trans part, guarantees for an
+    output and assumptions for an input."""
+    from gr1report.compiler import ir_not, ir_var
+    side = "sys" if output else "env"
+    lits = [ir_var(sig, primed) for primed in (False, True)]
+    if not value:
+        lits = [ir_not(lit) for lit in lits]
+    return _variant(spec, add={
+        kind: [BoolPart(lit, "stuck", kind, 10_000, synthetic=True)]
+        for kind, lit in zip((f"{side}_init", f"{side}_trans"), lits)})
+
+
+def test_stuckat_table_matches_oracle():
+    specs = [random_boolean_spec(seed) for seed in range(60)]
+    specs += [load_spec(n) for n in ("mutex", "doors", "patrol",
+                                     "request_grant", "counter",
+                                     "oscillator_unreal", "parity_tracker")]
+    tables = {"outputs": 0, "inputs": 0}
+    for spec in specs:
+        table = stuck_at_analysis(spec)
+        assert table.baseline == explicit_solve(spec).realizable
+        output = table.direction == "outputs"
+        for (sig, value), verdict in table.entries.items():
+            want = explicit_solve(_stuck_variant(spec, sig, value, output))
+            assert verdict == want.realizable, (table.direction, sig, value)
+        tables[table.direction] += 1
+    assert min(tables.values()) >= 20, tables
+
+
 # ----------------------------------------------------------------------
 # collection between the variants of one analysis
 
@@ -666,7 +697,7 @@ def _built_games(monkeypatch, analysis, session):
 def _reference_specs(spec, realizable):
     """(what, variant spec) per variant game, in the analyses' order:
     the falsify goal, each dropped user assumption, each stuck signal."""
-    from gr1report.compiler import IR_FALSE, ir_not, ir_var
+    from gr1report.compiler import IR_FALSE
     falsify = _variant(spec)
     falsify.parts["sys_liveness"] = [BoolPart(
         IR_FALSE, "FALSE", "sys_liveness", 0, synthetic=True)]
@@ -676,18 +707,10 @@ def _reference_specs(spec, realizable):
                 for kind in ("env_init", "env_trans", "env_liveness")
                 for p in spec.parts[kind] if not p.synthetic]
         what, signals = "stuck output", spec.output_props
-        kinds = ("sys_init", "sys_trans")
     else:
         what, signals = "stuck input", spec.input_props
-        kinds = ("env_init", "env_trans")
-    for sig in signals:
-        for value in (False, True):
-            lits = [ir_var(sig, primed) for primed in (False, True)]
-            if not value:
-                lits = [ir_not(lit) for lit in lits]
-            out.append((what, _variant(spec, add={
-                kind: [BoolPart(lit, what, kind, 10_000, synthetic=True)]
-                for kind, lit in zip(kinds, lits)})))
+    out += [(what, _stuck_variant(spec, sig, value, output=realizable))
+            for sig in signals for value in (False, True)]
     return out
 
 

@@ -10,7 +10,7 @@ from gr1report.compiler import ir_support
 from gr1report.game import ir_to_bdd
 from gr1report.bdd import BddManager
 from gr1report.oracle import Space
-from gr1report.syntax import Op, _children
+from gr1report.syntax import Op, walk
 
 
 def compile_text(text):
@@ -316,12 +316,9 @@ def _chain_formula(rng: random.Random, depth: int):
 
 
 def _chain_widths(e):
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Op) and e.op in ("&", "|"):
-            yield len(e.args)
-        stack.extend(_children(e))
+    for node, _ in walk(e):
+        if isinstance(node, Op) and node.op in ("&", "|"):
+            yield len(node.args)
 
 
 def test_random_chains_compile_to_their_truth_table():

@@ -435,6 +435,21 @@ def test_cli_deeply_nested_expression_exits_1_without_traceback(
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[INPUT]\nr\n[OUTPUT]\nx: 0...3\n[SYS_TRANS]\nx = ²\n",
+    "[INPUT]\nr\n[OUTPUT]\no\n[INPUT]\nx: 0...③\n",
+], ids=["superscript-two", "circled-three"])
+def test_cli_non_decimal_digit_exits_1_without_traceback(tmp_path, capsys,
+                                                         text):
+    # `²` and `③` are digits to str.isdigit, but int() takes neither
+    target = tmp_path / "digit.spec"
+    target.write_text(text)
+    assert cli_main([str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gr1report: ") and err.count("\n") == 1
+    assert "line 6" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("section, expr", [
     ("SYS_TRANS", " & ".join(["X(o)"] * 1000)),
     ("SYS_TRANS", " & ".join(["o"] * 400)),

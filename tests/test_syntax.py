@@ -54,6 +54,37 @@ def test_syntax_error_has_location():
     assert "line 4" in str(err.value)
 
 
+# characters that str.splitlines() also takes for a line end
+_NOT_LINE_ENDS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                  "\u2029"]
+
+
+@pytest.mark.parametrize("sep", _NOT_LINE_ENDS)
+def test_comment_runs_past_characters_that_end_no_line(sep):
+    doc = parse_spec(f"[INPUT]\nr\n[OUTPUT]\ny\n[SYS_LIVENESS]\n"
+                     f"y # note{sep}!y\n")
+    assert [p.text for p in doc.parts["sys_liveness"]] == ["y"]
+
+
+@pytest.mark.parametrize("sep", _NOT_LINE_ENDS)
+def test_line_numbers_count_only_line_ends(sep):
+    with pytest.raises(SpecError, match="^line 6: reference to undeclared"):
+        parse_spec(f"[INPUT]\nx{sep}\n[OUTPUT]\ny\n[SYS_LIVENESS]\nz\n")
+
+
+def test_lines_end_at_crlf_cr_and_lf():
+    doc = parse_spec("[INPUT]\r\nr\r[OUTPUT]\ny\r\n\r[SYS_LIVENESS]\r\ny\n")
+    assert [(p.text, p.line) for p in doc.all_parts()] == [("y", 7)]
+
+
+def test_a_name_starts_with_a_letter_or_underscore():
+    assert parse_expr("_a1 & é2") == Op("&", (Atom("_a1"), Atom("é2")))
+    # digits that are no decimal digits start neither a name nor an integer
+    for text in ("²", "x = ③", "½ & y"):
+        with pytest.raises(SpecError, match="unexpected character"):
+            parse_expr(text)
+
+
 def test_precedence():
     e = parse_expr("!a & b | c -> d <-> e")
     # <-> loosest, then ->, |, &, !
