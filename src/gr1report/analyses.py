@@ -159,10 +159,22 @@ class SemanticsComparison:
 def semantics_comparison(spec: BooleanSpec | Session) -> SemanticsComparison:
     """Realizability under the native strict implication and under the
     classical implication; a difference flags specs whose auxiliary
-    signals let the system provoke assumption violations."""
+    signals let the system provoke assumption violations.
+
+    The classical game is built and solved only when the strict verdict
+    is unrealizable.  Its edit only widens the guarantees, to
+    `init_sys | L` and `trans_sys | L'`, so its winning set holds the
+    strict one, and `L` lies inside it (`game.classical`).  The standard
+    check is monotone in the initial guarantees and the winning set; the
+    robotics check asks every admitted initial position to be winning,
+    and the positions the edit admits are in `L`.  So a strict
+    "realizable" is a classical "realizable" under both checks."""
     session = _session(spec)
-    return SemanticsComparison(strict=session.verdict("strict"),
-                               nonstrict=session.verdict("nonstrict"))
+    strict = session.verdict("strict")
+    return SemanticsComparison(
+        strict=strict,
+        nonstrict=(strict if strict == "realizable"
+                   else session.verdict("nonstrict")))
 
 
 # ----------------------------------------------------------------------

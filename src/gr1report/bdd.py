@@ -42,16 +42,25 @@ unique table itself and calls `_mk` only for a new node.  The deadline
 is checked only when one is set, once every 8192 misses.
 
 The computed table is bounded, as in Brace, Rudell & Bryant and in
-CUDD: each public operation first checks its size, and once it holds
-more than `cache_limit` entries it keeps only the newer half, in
-insertion order.  Dropping entries never changes a result, only
-whether it is recomputed; the nodes stay in the unique table, so a
-recomputation allocates nothing.  The hot recursions never check the
-size, so the table may grow past the cap within one operation.  Keeping
-the newer half rather than clearing the table lets a sequence of
-operations that shares more entries than the cap (the variant solves of
-one analysis) keep its recent work.  A collection that frees anything
-still clears the whole table, since freed slots are reused.
+CUDD, and sized by its hit rate, as in CUDD: its capacity starts at
+2^16 entries and never exceeds `cache_limit`.  Each public operation
+first checks the table's size.  Once it holds more entries than its
+capacity, the table grows or is trimmed, by the share of lookups that
+hit since the last such decision: at 30% or more (CUDD's default
+`minHit`) the capacity doubles, up to `cache_limit`, and the table is
+kept; otherwise only the newer half is kept, in insertion order.  The
+capacity never shrinks, so a manager whose work reuses its entries (a
+corpus report) grows to the cap while one that rarely reuses them (the
+chain's verdict, where few lookups hit) stays at a quarter of it.
+Dropping entries never changes a result, only whether it is
+recomputed; the nodes stay in the unique table, so a recomputation
+allocates nothing.  The hot recursions only count their hits and never
+check the size, so the table may grow past its capacity within one
+operation.  Keeping the newer half rather than clearing the table lets
+a sequence of operations that shares more entries than the cap (the
+variant solves of one analysis) keep its recent work.  A collection
+that frees anything still clears the whole table, since freed slots are
+reused, and restarts the hit count; the capacity stays.
 
 A `BddRef` keeps its node through collections; a bare node id is valid
 only until the next collection, which frees every node no handle
@@ -204,8 +213,10 @@ class BddManager:
     # node count (live plus dead not yet freed, i.e. `len(self)`) at
     # which `maybe_collect` collects when no node budget is set
     gc_threshold = 1 << 20
-    # computed-table entries past which a public operation first drops
-    # the older half of the table (see the module docstring)
+    # the most computed-table entries a manager's capacity grows to; a
+    # public operation that finds the table past its capacity first
+    # grows the capacity or drops the older half (see the module
+    # docstring and `_bound_cache`)
     cache_limit = 1 << 18
 
     def __init__(self, node_budget: int | None = None):
@@ -215,6 +226,12 @@ class BddManager:
         self._hi = [0, 1]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._cache: dict[tuple, int] = {}
+        # the table's capacity (`_bound_cache` caps it at `cache_limit`)
+        # and, since the table last passed it, the hits counted and the
+        # size it was left at
+        self._capacity = 1 << 16
+        self._hits = 0
+        self._kept = 0
         self.var_names: list[str] = []
         self._var_level: dict[str, int] = {}
         self._qsets: dict[frozenset, int] = {}
@@ -335,15 +352,23 @@ class BddManager:
                 stack.append(c)
         # sweep the unique table, not every slot ever allocated, so the
         # cost follows the nodes in use rather than the high-water mark;
-        # ascending order keeps slot reuse as it was
-        unique = self._unique
-        dead = sorted(n for n in unique.values() if not marked[n])
+        # one pass splits it into the live table and the dead slots, and
+        # freeing those in ascending order keeps slot reuse as it was
+        live: dict[tuple[int, int, int], int] = {}
+        dead = []
+        for k, n in self._unique.items():
+            if marked[n]:
+                live[k] = n
+            else:
+                dead.append(n)
         if dead:
+            dead.sort()
             for n in dead:
                 level[n] = _LEAF  # tombstone
             self._free.extend(dead)
-            self._unique = {k: n for k, n in unique.items() if marked[n]}
+            self._unique = live
             self._cache = {}
+            self._hits = self._kept = 0
         return len(dead)
 
     def maybe_collect(self) -> int:
@@ -368,13 +393,25 @@ class BddManager:
                 raise BddError("BddRef belongs to a different manager")
 
     def _bound_cache(self):
-        """Keep the newer half of the computed table once it holds more
-        than `cache_limit` entries; a dict iterates in insertion order.
-        The public operations call this first, never the recursions; a
-        caller that chains recursions on node ids calls it per step."""
+        """Grow or trim the computed table once it holds more entries
+        than its capacity.  If at least 30% of the lookups since its last
+        decision hit (hits over hits plus the entries inserted since), the
+        capacity doubles, up to `cache_limit`, and the table is kept;
+        otherwise the newer half is kept (a dict iterates in insertion
+        order).  The public operations call this first, never the
+        recursions; a caller that chains recursions on node ids calls it
+        per step."""
         c = self._cache
-        if len(c) > self.cache_limit:
-            self._cache = dict(islice(c.items(), len(c) // 2, None))
+        cap = min(self._capacity, self.cache_limit)
+        if len(c) > cap:
+            hits = self._hits
+            if (cap < self.cache_limit
+                    and 10 * hits >= 3 * (hits + len(c) - self._kept)):
+                self._capacity = min(2 * cap, self.cache_limit)
+            else:
+                self._cache = c = dict(islice(c.items(), len(c) // 2, None))
+            self._hits = 0
+            self._kept = len(c)
 
     def apply(self, op: str, f: BddRef, g: BddRef) -> BddRef:
         """f op g for op in and, or, xor, implies, iff, diff (f & !g)."""
@@ -388,13 +425,14 @@ class BddManager:
         return BddRef(self, self._not(f.node))
 
     # The hot recursions below share one shape: terminal rules, a
-    # computed-table lookup, a deadline check only when a deadline is
-    # set, the cofactors read into locals, the recursive calls, and then
-    # the unique-table lookup made in place, with `_mk` called only to
-    # allocate a node that is new.  A child whose operand decides it (a
-    # terminal, mostly) is settled before the call, since a Python call
-    # costs more than the test; the entry rules stay for the public
-    # callers.  Every recursive call goes through `self.`.
+    # computed-table lookup whose hits are counted for `_bound_cache`, a
+    # deadline check only when a deadline is set, the cofactors read
+    # into locals, the recursive calls, and then the unique-table lookup
+    # made in place, with `_mk` called only to allocate a node that is
+    # new.  A child whose operand decides it (a terminal, mostly) is
+    # settled before the call, since a Python call costs more than the
+    # test; the entry rules stay for the public callers.  Every
+    # recursive call goes through `self.`.
 
     def _not(self, f: int) -> int:
         if f <= TRUE:
@@ -402,6 +440,7 @@ class BddManager:
         key = (_NOT, f)
         r = self._cache.get(key)
         if r is not None:
+            self._hits += 1
             return r
         if self.deadline is not None:
             self._check_limits()
@@ -429,6 +468,7 @@ class BddManager:
         key = (_AND, f, g)
         r = self._cache.get(key)
         if r is not None:
+            self._hits += 1
             return r
         if self.deadline is not None:
             self._check_limits()
@@ -471,6 +511,7 @@ class BddManager:
         key = (_OR, f, g)
         r = self._cache.get(key)
         if r is not None:
+            self._hits += 1
             return r
         if self.deadline is not None:
             self._check_limits()
@@ -518,6 +559,7 @@ class BddManager:
         key = (_XOR, f, g)
         r = self._cache.get(key)
         if r is not None:
+            self._hits += 1
             return r
         if self.deadline is not None:
             self._check_limits()
@@ -658,6 +700,7 @@ class BddManager:
         key = (_QBASE + 2 * qid, f, g)
         r = self._cache.get(key)
         if r is not None:
+            self._hits += 1
             return r
         if self.deadline is not None:
             self._check_limits()
@@ -716,6 +759,7 @@ class BddManager:
         key = (_QBASE + 2 * qid + 1, f, g)
         r = self._cache.get(key)
         if r is not None:
+            self._hits += 1
             return r
         if self.deadline is not None:
             self._check_limits()
@@ -767,6 +811,7 @@ class BddManager:
         key = (-1 - qid, f, g)
         r = self._cache.get(key)
         if r is not None:
+            self._hits += 1
             return r
         if self.deadline is not None:
             self._check_limits()
@@ -825,6 +870,7 @@ class BddManager:
         key = (op, f)
         r = self._cache.get(key)
         if r is not None:
+            self._hits += 1
             return r
         lvl = self._level[f]
         if lvl % 2 != (delta < 0):

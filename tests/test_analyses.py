@@ -47,10 +47,26 @@ def test_semantics_agree_without_assumptions():
 
 
 def test_strict_realizable_implies_nonstrict_random():
-    for seed in range(40):
-        sc = semantics_comparison(random_boolean_spec(seed))
-        if sc.strict == "realizable":
-            assert sc.nonstrict == "realizable", seed
+    # semantics_comparison skips the classical solve when the strict
+    # verdict is realizable; solving both games must agree with it on
+    # the corpus and on random specs, under both realizability checks
+    from conftest import random_compare_spec_text, random_spec_text
+    texts = ([p.read_text() for p in sorted(SPEC_DIR.glob("*.spec"))]
+             + [random_spec_text(seed) for seed in range(300)]
+             + [random_compare_spec_text(seed) for seed in range(100)])
+    realizable = 0
+    for i, text in enumerate(texts):
+        spec = compile_text(text)
+        for robotics in (False, True):
+            both = Session(spec, robotics=robotics)
+            strict, nonstrict = both.verdict(), both.verdict("nonstrict")
+            if strict == "realizable":
+                assert nonstrict == "realizable", (i, robotics)
+                realizable += 1
+            sc = semantics_comparison(Session(spec, robotics=robotics))
+            assert (sc.strict, sc.nonstrict) == (strict, nonstrict), (
+                i, robotics)
+    assert realizable > 50
 
 
 # ----------------------------------------------------------------------
@@ -976,6 +992,22 @@ def test_solves_left_after_settling_from_the_baseline(monkeypatch, name,
         m.setattr(game_mod, "solve_game", spy)
         analysis(session)
     assert len(calls) <= most
+
+
+def test_a_low_hit_verdict_keeps_the_starting_capacity(monkeypatch):
+    # few of the chain verdict's lookups hit, so its computed table is
+    # trimmed at the starting capacity and never grows: the largest
+    # table is that capacity plus one operation's growth
+    from conftest import chain_text
+    from test_bdd import bounded_sizes
+    sizes = bounded_sizes(monkeypatch)
+    session = Session(compile_text(chain_text(300)))
+    start = session.mgr._capacity
+    assert session.verdict() == "realizable"
+    assert session.mgr._capacity == start
+    growth = max(b - a for (_b, a), (b, _a) in zip(sizes, sizes[1:]))
+    largest = max(b for b, _a in sizes)
+    assert start < largest <= start + growth
 
 
 def test_a_variant_solve_past_the_cap_does_not_thrash(monkeypatch):

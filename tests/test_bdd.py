@@ -7,7 +7,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gr1report.bdd import BddManager, Cube, BddError, ResourceLimitError
+from gr1report.bdd import (BddManager, Cube, BddError, ResourceLimitError,
+                           FALSE, TRUE)
 from gr1report.oracle import brute_force_primes
 
 VARS = ["a", "b", "c", "d", "e"]
@@ -263,6 +264,35 @@ def test_collect_frees_a_node_once_its_last_handle_is_dropped():
     del g
     assert m.collect() == 2
     assert len(m) == 2
+
+
+def test_collect_frees_ascending_and_keeps_exactly_the_marked_nodes():
+    m = fresh()
+    rng = random.Random(5)
+    pool = [m.var(v) for v in VARS]
+    unordered = False
+    # the second round allocates into the slots the first one freed, so
+    # the unique table no longer lists its nodes in slot order
+    for _ in range(2):
+        for _ in range(80):
+            f, g = rng.sample(pool, 2)
+            pool.append(m.apply(rng.choice(("and", "or", "xor")), f, g))
+        del pool[5::2]
+        marked, stack = {FALSE, TRUE}, list(m._extref)
+        while stack:
+            n = stack.pop()
+            if n not in marked:
+                marked.add(n)
+                stack += [m._lo[n], m._hi[n]]
+        unique = list(m._unique.items())
+        dead = [n for _k, n in unique if n not in marked]
+        unordered |= dead != sorted(dead)
+        free_before = list(m._free)
+        assert m.collect() == len(dead)
+        assert m._free == free_before + sorted(dead)
+        assert list(m._unique.items()) == [(k, n) for k, n in unique
+                                           if n in marked]
+    assert unordered
 
 
 def test_node_budget():
@@ -645,6 +675,82 @@ def test_trimming_keeps_the_newer_half_in_insertion_order():
     m._cache = {(0, i, i + 1): i for i in range(10)}
     m.negate(m.true)      # at the cap, nothing is dropped
     assert len(m._cache) == 10
+
+
+def test_the_capacity_grows_only_at_a_30_percent_hit_rate():
+    m = fresh(len(KVARS))
+    m._capacity = 8
+    # 3 hits and 9 inserts so far: 25%, so the newer half is kept and
+    # the capacity stays
+    m._cache, m._hits = {(0, i, i + 1): i for i in range(9)}, 3
+    m.negate(m.true)
+    assert list(m._cache) == [(0, i, i + 1) for i in range(4, 9)]
+    assert m._capacity == 8 and (m._hits, m._kept) == (0, 5)
+    # 2 hits and 4 inserts since: 33%, so the capacity doubles and the
+    # table is kept
+    m._cache.update({(0, i, i + 1): i for i in range(9, 13)})
+    m._hits = 2
+    m.negate(m.true)
+    assert len(m._cache) == 9
+    assert m._capacity == 16 and (m._hits, m._kept) == (0, 9)
+    # a collection that frees nothing keeps the table and the counters;
+    # one that frees a node clears the table and the counters only
+    m._hits = 1
+    m.collect()
+    assert (len(m._cache), m._hits, m._kept) == (9, 1, 9)
+    m.var("a")
+    m.collect()
+    assert (m._cache, m._hits, m._kept, m._capacity) == ({}, 0, 0, 16)
+
+
+def repeated_operations(m, rng, steps):
+    """Random AND/OR/XOR of a growing pool of functions, each computed
+    three times: the repeats are computed-table hits."""
+    pool = [m.var(v) for v in LEVELS]
+    for _ in range(steps):
+        f, g = rng.sample(pool, 2)
+        op = rng.choice(("and", "or", "xor"))
+        for _ in range(3):
+            r = m.apply(op, f, g)
+        pool.append(r)
+
+
+def bounded_sizes(monkeypatch):
+    """(size before, size after) of the computed table at every
+    `_bound_cache`."""
+    sizes = []
+
+    def noted(self, _bound=BddManager._bound_cache):
+        before = len(self._cache)
+        _bound(self)
+        sizes.append((before, len(self._cache)))
+    monkeypatch.setattr(BddManager, "_bound_cache", noted)
+    return sizes
+
+
+def test_a_high_hit_run_grows_the_capacity_up_to_the_cap(monkeypatch):
+    sizes = bounded_sizes(monkeypatch)
+    m = fresh(len(KVARS))
+    m._capacity, m.cache_limit = 64, 256
+    capacities = set()
+    for seed in range(3):
+        repeated_operations(m, random.Random(seed), 100)
+        capacities.add(m._capacity)
+    assert capacities == {256}
+    assert max(after for _before, after in sizes) <= 256
+    # once at the cap, a high hit rate still trims
+    assert any(after < before for before, after in sizes)
+
+
+def test_a_cap_below_the_starting_capacity_trims_at_the_cap(monkeypatch):
+    sizes = bounded_sizes(monkeypatch)
+    m = fresh(len(KVARS))
+    m.cache_limit = 100
+    for seed in range(3):
+        repeated_operations(m, random.Random(seed), 100)
+    trims = [(b, a) for b, a in sizes if a < b]
+    assert trims and all(b > 100 and a == b - b // 2 for b, a in trims)
+    assert max(after for _before, after in sizes) <= 100
 
 
 # ----------------------------------------------------------------------
