@@ -350,6 +350,11 @@ class BddManager:
             if not marked[c]:
                 marked[c] = 1
                 stack.append(c)
+        # every slot in use but the two terminals is in the unique
+        # table, so when each of them is marked nothing is dead, and
+        # the table and the computed table stay as they are
+        if marked.count(1) == len(self._unique) + 2:
+            return 0
         # sweep the unique table, not every slot ever allocated, so the
         # cost follows the nodes in use rather than the high-water mark;
         # one pass splits it into the live table and the dead slots, and
@@ -361,14 +366,13 @@ class BddManager:
                 live[k] = n
             else:
                 dead.append(n)
-        if dead:
-            dead.sort()
-            for n in dead:
-                level[n] = _LEAF  # tombstone
-            self._free.extend(dead)
-            self._unique = live
-            self._cache = {}
-            self._hits = self._kept = 0
+        dead.sort()
+        for n in dead:
+            level[n] = _LEAF  # tombstone
+        self._free.extend(dead)
+        self._unique = live
+        self._cache = {}
+        self._hits = self._kept = 0
         return len(dead)
 
     def maybe_collect(self) -> int:

@@ -13,6 +13,7 @@ log stream instead.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import html as _html
 import json
@@ -265,7 +266,29 @@ def run_report(spec_path, config: ReportConfig | None = None,
     session and write the JSON and HTML reports next to it (or to the
     given paths), plus the baseline winning-set BDD as DOT text when
     `dot_path` is given.  Progress lines go to `log`, by default the
-    current `sys.stderr`; `log=None` is silent."""
+    current `sys.stderr`; `log=None` is silent.
+
+    Python's cyclic garbage collector is paused for the whole call,
+    from parsing to the written files: BDD nodes are freed by the
+    manager's own `collect` and handles by reference counting, and a
+    report makes no reference cycles (the kernel and the compiler
+    recurse without self-referencing closures), so the collector's
+    passes over the manager's tables find nothing to free.  The pause
+    is process-wide while the call runs, other threads included; on
+    return or raise the collector is enabled again if it was enabled
+    on entry, and left off if it was off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_report(spec_path, config, json_path, html_path, log,
+                           dot_path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run_report(spec_path, config, json_path, html_path, log,
+                dot_path) -> Report:
     if log is _STDERR:
         log = sys.stderr
     config = config or ReportConfig()

@@ -115,11 +115,17 @@ class SpecDocument:
     parts: dict[str, list[SpecPart]] = field(
         default_factory=lambda: {k: [] for k in PART_KINDS})
 
+    def __post_init__(self):
+        # name -> declaration, kept in step with `variables` by `declare`
+        # (names are unique: the parser rejects a duplicate)
+        self._decls = {v.name: v for v in self.variables}
+
+    def declare(self, decl: VarDecl):
+        self.variables.append(decl)
+        self._decls[decl.name] = decl
+
     def var(self, name: str) -> VarDecl | None:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        return None
+        return self._decls.get(name)
 
     def inputs(self) -> list[VarDecl]:
         return [v for v in self.variables if v.kind == "input"]
@@ -299,7 +305,6 @@ def parse_spec(text: str) -> SpecDocument:
     """
     doc = SpecDocument()
     section: str | None = None
-    names: set[str] = set()
     counters = {k: 0 for k in PART_KINDS}
     pending: list[tuple[str, str, int]] = []  # (section, line text, line no)
 
@@ -321,7 +326,7 @@ def parse_spec(text: str) -> SpecDocument:
         if section is None:
             raise SpecError("expression before any section header", line_no, 1)
         if section in ("input", "output"):
-            doc.variables.append(_parse_decl(line, line_no, section, names))
+            doc.declare(_parse_decl(line, line_no, section, doc))
         else:
             pending.append((section, line, line_no))
 
@@ -330,7 +335,7 @@ def parse_spec(text: str) -> SpecDocument:
             formula = parse_expr(line, line_no)
         except RecursionError:
             raise SpecError("expression nested too deeply", line_no) from None
-        _check_declared(formula, names, line_no)
+        _check_declared(formula, doc, line_no)
         doc.parts[kind].append(SpecPart(
             formula=formula, text=line, kind=kind,
             index=counters[kind], line=line_no))
@@ -339,14 +344,14 @@ def parse_spec(text: str) -> SpecDocument:
 
 
 def _parse_decl(line: str, line_no: int, kind: str,
-                names: set[str]) -> VarDecl:
+                doc: SpecDocument) -> VarDecl:
     toks = _tokenize(line, line_no)
     if not toks or toks[0][0] != "name":
         raise SpecError("expected a variable name", line_no, 1)
     name = toks[0][1]
-    if name in names or name in ("X", "TRUE", "FALSE", "true", "false"):
+    if (doc.var(name) is not None
+            or name in ("X", "TRUE", "FALSE", "true", "false")):
         raise SpecError(f"duplicate or reserved variable {name!r}", line_no, 1)
-    names.add(name)
     if len(toks) == 1:
         return VarDecl(name, kind)
     # name: lo...hi
@@ -359,9 +364,9 @@ def _parse_decl(line: str, line_no: int, kind: str,
     return VarDecl(name, kind, lo, hi)
 
 
-def _check_declared(e: Expr, names: set[str], line_no: int):
+def _check_declared(e: Expr, doc: SpecDocument, line_no: int):
     for node, _ in walk(e):
-        if isinstance(node, Atom) and node.name not in names:
+        if isinstance(node, Atom) and doc.var(node.name) is None:
             raise SpecError(f"reference to undeclared variable {node.name!r}",
                             line_no)
 

@@ -295,6 +295,33 @@ def test_collect_frees_ascending_and_keeps_exactly_the_marked_nodes():
     assert unordered
 
 
+def test_a_collection_that_frees_nothing_copies_nothing():
+    m = fresh()
+    rng = random.Random(7)
+    pool = [m.var(v) for v in VARS]
+    for _ in range(60):
+        f, g = rng.sample(pool, 2)
+        pool.append(m.apply(rng.choice(("and", "or", "xor")), f, g))
+    m.collect()
+    keep = pool[-1] & pool[-2]  # fills the computed table
+    unique, cache = m._unique, m._cache
+    entries, counters = dict(cache), (m._hits, m._kept)
+    assert entries
+
+    class Unswept(dict):
+        def items(self):
+            raise AssertionError("swept a table with nothing to free")
+
+    m._unique = Unswept(unique)
+    assert m.collect() == 0
+    m._unique = unique
+    assert m.collect() == 0
+    assert m._unique is unique and m._cache is cache
+    assert m._cache == entries and (m._hits, m._kept) == counters
+    del keep, pool[len(VARS):]
+    assert m.collect() > 0 and m._unique is not unique and m._cache == {}
+
+
 def test_node_budget():
     m = BddManager(node_budget=16)
     for v in VARS:

@@ -8,8 +8,10 @@ import pytest
 
 from conftest import chain_text, random_spec_text, spec_path
 from gr1report.report import (
-    ANALYSIS_ORDER, ReportConfig, ReportError, render_html, run_report,
+    ANALYSIS_ORDER, BaselineResourceError, ReportConfig, ReportError,
+    render_html, run_report,
 )
+from gr1report.syntax import SpecError
 from gr1report.cli import main as cli_main
 
 
@@ -669,51 +671,120 @@ def test_cli_progress_lines_follow_a_redirected_stderr(tmp_path):
         "gr1report: positions: ok", "gr1report: falsify: ok"]
 
 
-def _cyclic_garbage_after_report(tmp_path) -> list:
-    """What one `tworobot` report leaves for the cyclic collector."""
+def _cyclic_garbage_after_report(tmp_path, spec,
+                                 config=None) -> tuple[type | None, list]:
+    """The class of the documented error one report on `spec` ends with
+    (None if it ends without one) and what it leaves for the cyclic
+    collector.  It calls `run_report`, not `cli.main`, whose argparse
+    parser makes cycles of its own."""
     import gc
 
     gc.collect()
     gc.disable()
     try:
-        run_report(spec_path("tworobot"), json_path=tmp_path / "r.json",
-                   html_path=tmp_path / "r.html", log=None)
+        try:
+            run_report(spec, config, json_path=tmp_path / "r.json",
+                       html_path=tmp_path / "r.html", log=None)
+            ending = None
+        except (ReportError, SpecError) as exc:
+            ending = type(exc)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        return list(gc.garbage)
+        return ending, list(gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
 
 
-def _functions_of(garbage: list, *files: str) -> list:
-    import types
-
-    return [o for o in garbage if isinstance(o, types.FunctionType)
-            and o.__code__.co_filename.endswith(files)]
-
-
-def test_report_leaves_no_bdd_handles_in_reference_cycles(tmp_path):
+def test_report_leaves_no_bdd_handles_in_reference_cycles(tmp_path,
+                                                          specs_dir):
     # a recursive nested function holds itself through its cell, so its
     # memo of handles (and of nodes) lives until the cyclic collector
-    # runs; the kernel and ir_to_bdd recurse without such closures
-    from gr1report.bdd import BddRef
+    # runs; the kernel and ir_to_bdd recurse without such closures, and
+    # a report makes no cycle at all, which lets run_report pause the
+    # collector
+    for path in sorted(specs_dir.glob("*.spec")):
+        assert _cyclic_garbage_after_report(tmp_path, path) == (
+            None, []), path.name
 
-    garbage = _cyclic_garbage_after_report(tmp_path)
-    leaked = [o for o in garbage if isinstance(o, BddRef)]
-    leaked += _functions_of(garbage, "bdd.py")
-    leaked += [f for f in _functions_of(garbage, "game.py")
-               if f.__qualname__.startswith("ir_to_bdd")]
-    assert leaked == []
+
+@pytest.mark.parametrize("config", [
+    ReportConfig(robotics=True), ReportConfig(semantics="nonstrict"),
+    ReportConfig(node_budget=20000), ReportConfig(timeout_seconds=0.05),
+], ids=["robotics", "nonstrict", "budget20000", "timeout"])
+def test_corpus_reports_under_each_configuration_make_no_cycles(
+        tmp_path, specs_dir, config):
+    # the two tworobot reports take most of the corpus's time, so they
+    # run only under the short deadline, where it skips analyses or
+    # ends the baseline (exit 2)
+    endings = ({None, BaselineResourceError} if config.timeout_seconds
+               else {None})
+    for path in sorted(specs_dir.glob("*.spec")):
+        if config.timeout_seconds or not path.stem.startswith("tworobot"):
+            ending, garbage = _cyclic_garbage_after_report(tmp_path, path,
+                                                           config)
+            assert ending in endings and garbage == [], path.name
+
+
+@pytest.mark.parametrize("family, n, analyses, ending", [
+    ("arbiter", 3, ANALYSIS_ORDER, None),
+    ("chain", 30, ANALYSIS_ORDER, None),
+    ("chain", 600, (), BaselineResourceError),  # exit 2: recursion limit
+], ids=["arbiter3", "chain30", "chain600-verdict"])
+def test_generated_reports_make_no_cycles(tmp_path, monkeypatch, family, n,
+                                          analyses, ending):
+    import pathlib
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    import specgen
+    path = tmp_path / f"{family}{n}.spec"
+    path.write_text(getattr(specgen, family)(n))
+    assert _cyclic_garbage_after_report(
+        tmp_path, path, ReportConfig(analyses=analyses)) == (ending, [])
 
 
 def test_compile_leaves_no_functions_in_reference_cycles(tmp_path):
     # the validator's recursions are module functions, so compiling a
     # spec leaves neither them nor the AST nodes they reach to the
-    # cyclic collector
-    garbage = _cyclic_garbage_after_report(tmp_path)
-    assert _functions_of(garbage, "compiler.py") == []
+    # cyclic collector (the corpus reports above check specs that
+    # compile); nor does a spec that fails to parse or compile
+    for name, text, ending in [
+            ("type", "[INPUT]\nx: 0...3\n[SYS_LIVENESS]\nx\n", ReportError),
+            ("deep", "[INPUT]\nr\n[OUTPUT]\no\n[SYS_TRANS]\n"
+             + "(" * 500 + "o" + ")" * 500 + "\n", SpecError)]:
+        path = tmp_path / f"{name}.spec"
+        path.write_text(text)
+        assert _cyclic_garbage_after_report(tmp_path, path) == (
+            ending, []), name
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["enabled", "disabled"])
+def test_run_report_leaves_the_collector_as_it_found_it(tmp_path,
+                                                        monkeypatch, enabled):
+    import gc
+    import gr1report.report as report_mod
+
+    paused = []
+    parse = report_mod.parse_spec
+    monkeypatch.setattr(report_mod, "parse_spec", lambda text: (
+        paused.append(not gc.isenabled()) or parse(text)))
+    bad = tmp_path / "bad.spec"
+    bad.write_text("[INPUT]\nx: 0...3\n[SYS_LIVENESS]\nx\n")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        run_report(spec_path("mutex"), json_path=tmp_path / "r.json",
+                   html_path=tmp_path / "r.html", log=None)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ReportError):
+            run_report(bad, json_path=tmp_path / "r.json",
+                       html_path=tmp_path / "r.html", log=None)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused == [True, True]
 
 
 @pytest.mark.parametrize("name", ["doors", "arbiter4"])

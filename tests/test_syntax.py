@@ -3,7 +3,7 @@
 import pytest
 
 from gr1report.syntax import (
-    parse_spec, parse_expr, pretty, SpecError,
+    parse_spec, parse_expr, pretty, SpecDocument, SpecError,
     Atom, Next, Op, Not, IntConst,
 )
 from gr1report.compiler import validate_gr1_shape
@@ -26,6 +26,19 @@ def test_integer_declaration():
     doc = parse_spec("[INPUT]\nx: 0...7\n")
     v = doc.var("x")
     assert v.is_int and (v.lo, v.hi) == (0, 7)
+
+
+def test_var_looks_up_each_declaration_by_name():
+    doc = parse_spec("[INPUT]\nr\nx: 0...7\n[OUTPUT]\ng\ny: 2...5\n"
+                     "[SYS_LIVENESS]\ng\n")
+    assert all(doc.var(v.name) is v for v in doc.variables)
+    y = doc.var("y")
+    assert (y.name, y.kind, y.lo, y.hi) == ("y", "output", 2, 5)
+    for name in ("z", "g'", "X", "TRUE", ""):
+        assert doc.var(name) is None
+    # a document built from a list of declarations looks them up too
+    again = SpecDocument(variables=list(doc.variables))
+    assert again.var("x") is doc.var("x") and again.var("z") is None
 
 
 def test_unknown_section_header():
