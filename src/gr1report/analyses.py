@@ -300,15 +300,16 @@ def classify_assumptions(
 
 
 def _without(session: Session, part: BoolPart) -> SymbolicGame:
-    """The strict baseline game without one assumption."""
+    """The strict baseline game without one assumption: entry
+    `part.index` of the list that holds its kind."""
     game = session.game()
-    if part.kind == "env_liveness":
-        live = [a for p, a in zip(session.spec.parts["env_liveness"],
-                                  game.live_env) if p is not part]
-        return replace(game, live_env=live or [game.mgr.true])
-    name = "init_env_parts" if part.kind == "env_init" else "trans_env_parts"
-    return replace(game, **{name: [(p, b) for p, b in getattr(game, name)
-                                   if p is not part]})
+    name = {"env_init": "init_env_parts", "env_trans": "trans_env_parts",
+            "env_liveness": "live_env"}[part.kind]
+    parts = getattr(game, name)
+    kept = parts[:part.index] + parts[part.index + 1:]
+    if name == "live_env":
+        kept = kept or [game.mgr.true]
+    return replace(game, **{name: kept})
 
 
 def _drop_assumption(session: Session, region: WinningRegion,
@@ -400,10 +401,7 @@ def error_resilience(spec: BooleanSpec | Session,
     session.require_realizable("error resilience")
     game = session.game()
     mgr = game.mgr
-    parts = [b for (_p, b) in game.trans_env_parts]
-    if not parts:
-        return ResilienceResult(level=INFINITE)
-    glitch = _exactly_one_violated(mgr, parts)
+    glitch = _exactly_one_violated(mgr, game.trans_env_parts)
     if glitch.is_false():
         return ResilienceResult(level=INFINITE)
 
@@ -508,8 +506,8 @@ def _stuck(game: SymbolicGame, sig: str, value: bool,
         return replace(game, init_sys=game.init_sys & pin,
                        trans_sys=game.trans_sys & step)
     return replace(game,
-                   init_env_parts=game.init_env_parts + [(None, pin)],
-                   trans_env_parts=game.trans_env_parts + [(None, step)])
+                   init_env_parts=game.init_env_parts + [pin],
+                   trans_env_parts=game.trans_env_parts + [step])
 
 
 def stuck_at_analysis(spec: BooleanSpec | Session) -> StuckAtTable:

@@ -1019,6 +1019,8 @@ class BddManager:
         order over `names` as given."""
         self._check_same(f)
         names = _distinct(names)
+        if not self._support_levels(f.node) <= self._levels_for(names):
+            raise BddError("support escapes the model variables")
         yield from self._models(f.node, 0, names, self._splitter(names), {})
 
     def _models(self, n: int, i: int, names: list[str], split, acc: dict):

@@ -176,14 +176,19 @@ class BooleanSpec:
         default_factory=lambda: {k: [] for k in PART_KINDS})
     source: SpecDocument | None = None
 
-    def decode(self, assignment: dict[str, bool]) -> dict[str, object]:
-        """Map a proposition valuation to user-level variable values."""
+    def decode(self, assignment: dict[str, bool],
+               kind: str | None = None) -> dict[str, object]:
+        """Map a proposition valuation to user-level variable values; with
+        `kind` ("input" or "output"), to that side's only.  An integer
+        of one value has no bits, so only `kind` keeps it off the other
+        side."""
         out: dict[str, object] = {}
-        for name, kind in self.bool_vars.items():
-            if name in assignment:
+        for name, k in self.bool_vars.items():
+            if name in assignment and kind in (None, k):
                 out[name] = assignment[name]
         for name, g in self.groups.items():
-            if all(b in assignment for b in g.bits):
+            if kind in (None, g.kind) and all(b in assignment
+                                              for b in g.bits):
                 v = g.lo
                 for i, b in enumerate(g.bits):
                     if assignment[b]:

@@ -46,11 +46,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
-from .bdd import _LEAF, FALSE, TRUE, BddManager, BddRef
-from .compiler import BooleanSpec, BoolPart, IR, balanced, ir_support
-
-# a level past every node's, terminals included
-_PAST = _LEAF + 1
+from .bdd import FALSE, TRUE, BddManager, BddRef
+from .compiler import BooleanSpec, IR, balanced, ir_support
 
 
 class GameError(Exception):
@@ -97,9 +94,9 @@ class SymbolicGame:
     trans_sys: BddRef
     live_env: list[BddRef]
     live_sys: list[BddRef]
-    # part None: a conjunct an analysis added
-    init_env_parts: list[tuple[BoolPart | None, BddRef]]
-    trans_env_parts: list[tuple[BoolPart | None, BddRef]]
+    # one entry per spec part in spec order, then any an analysis added
+    init_env_parts: list[BddRef]
+    trans_env_parts: list[BddRef]
     position_filter: BddRef | None = None   # conjoined into every cpre
     precommit: list[str] | None = None      # outputs fixed before inputs
 
@@ -107,11 +104,11 @@ class SymbolicGame:
 
     @cached_property
     def init_env(self) -> BddRef:
-        return _conj(self.mgr, [b for _p, b in self.init_env_parts])
+        return _conj(self.mgr, self.init_env_parts)
 
     @cached_property
     def trans_env(self) -> BddRef:
-        return _conj(self.mgr, [b for _p, b in self.trans_env_parts])
+        return _conj(self.mgr, self.trans_env_parts)
 
     @cached_property
     def primed_inputs(self) -> list[str]:
@@ -174,7 +171,9 @@ class SymbolicGame:
         not would keep the prefix the product walks, and the ladder stops
         there for good.  `can` starts the product from the deepest rung
         above v's primed top, so it skips the walk through the
-        relation's prefix that the plain product makes once per iterate.
+        relation's prefix that the plain product makes once per iterate;
+        that rung is P_0 = rel itself when v lies above q_0 or the ladder
+        stopped at P_0.
         """
         m = self.mgr
         level = m._level
@@ -187,10 +186,6 @@ class SymbolicGame:
         where = (None if self.position_filter is None
                  else self.position_filter.node)
         ladders: dict[int, list[BddRef]] = {}   # rel -> rungs P_0, P_1, ..
-        # rel -> the level of v from which `rung` is asked; past every
-        # level once rel's ladder has stopped at P_0
-        reach: dict[int, int] = {}
-        first = qlevels[0] if qlevels else _PAST
         stopped: set[int] = set()
 
         def rung(rel: int, v: int) -> int:
@@ -206,8 +201,6 @@ class SymbolicGame:
                 nxt = m._and_exists(p, TRUE, q)
                 if level[nxt] <= level[p]:
                     stopped.add(rel)
-                    if len(rungs) == 1:
-                        reach[rel] = _PAST
                     break
                 rungs.append(BddRef(m, nxt))
             return rungs[min(k, len(rungs) - 1)].node
@@ -216,8 +209,6 @@ class SymbolicGame:
             return m._and_exists_primed(rel, v, chosen)
 
         def can(rel: int, v: int) -> int:
-            if level[v] < reach.get(rel, first):
-                return m._and_exists_primed(rel, v, chosen)
             return m._and_exists_primed(rung(rel, v), v, chosen)
 
         def cpre(c: int) -> int:
@@ -541,15 +532,12 @@ def build_game(spec: BooleanSpec, robotics: bool = False,
     def bdds(kind: str) -> list[BddRef]:
         return [ir_to_bdd(mgr, p.ir, memo) for p in spec.parts[kind]]
 
-    def parts(kind: str) -> list[tuple[BoolPart, BddRef]]:
-        return list(zip(spec.parts[kind], bdds(kind)))
-
     return SymbolicGame(
         mgr=mgr, robotics=robotics, inputs=list(spec.input_props),
         outputs=list(spec.output_props), positions=positions,
-        init_env_parts=parts("env_init"),
+        init_env_parts=bdds("env_init"),
         init_sys=_conj(mgr, bdds("sys_init")),
-        trans_env_parts=parts("env_trans"),
+        trans_env_parts=bdds("env_trans"),
         trans_sys=_conj(mgr, bdds("sys_trans")),
         live_env=bdds("env_liveness") or [mgr.true],
         live_sys=bdds("sys_liveness") or [mgr.true])
@@ -606,10 +594,10 @@ class MealyMachine:
         return pos
 
     def to_json(self, spec: BooleanSpec | None = None) -> dict:
-        def val_map(names, values):
+        def val_map(names, values, kind):
             m = dict(zip(names, values))
             if spec is not None:
-                ints = {n: v for n, v in spec.decode(m).items()
+                ints = {n: v for n, v in spec.decode(m, kind).items()
                         if n in spec.groups}
                 if ints:
                     return {"bits": m, "ints": ints}
@@ -618,15 +606,16 @@ class MealyMachine:
         states = []
         for s in self.states:
             entry = {"id": s.sid, "goal": s.goal}
-            entry["inputs"] = val_map(self.input_names, s.inputs)
-            entry["outputs"] = val_map(self.output_names, s.outputs)
+            entry["inputs"] = val_map(self.input_names, s.inputs, "input")
+            entry["outputs"] = val_map(self.output_names, s.outputs,
+                                       "output")
             states.append(entry)
         transitions = []
         for sid in sorted(self.transitions):
             for ivals, nxt in self.transitions[sid]:
                 transitions.append({
                     "from": sid,
-                    "input": val_map(self.input_names, ivals),
+                    "input": val_map(self.input_names, ivals, "input"),
                     "to": nxt,
                 })
         return {"states": states, "initial": list(self.initial),

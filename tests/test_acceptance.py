@@ -195,7 +195,7 @@ def test_criterion_10_monotonicity_suites():
     game = build_game(spec)
     region = solve_game(game)
     mgr = game.mgr
-    parts = [b for (_p, b) in game.trans_env_parts]
+    parts = game.trans_env_parts
     glitch = mgr.false
     for ell in range(len(parts)):
         term = ~parts[ell]

@@ -192,7 +192,7 @@ def test_exactly_one_violated_matches_double_loop_corpus():
     checked = 0
     for path in sorted(SPEC_DIR.glob("*.spec")):
         game = build_game(load_spec(path.stem))
-        parts = [b for (_p, b) in game.trans_env_parts]
+        parts = game.trans_env_parts
         if len(parts) >= 2:
             assert (_exactly_one_violated(game.mgr, parts)
                     == _glitch_reference(game.mgr, parts)), path.stem
@@ -220,7 +220,7 @@ def test_resilience_monotone_chain():
     assert level == 5
     # recompute manually, asserting monotonicity
     mgr = game.mgr
-    glitch = _glitch_reference(mgr, [b for (_p, b) in game.trans_env_parts])
+    glitch = _glitch_reference(mgr, game.trans_env_parts)
     w = region.win
     verdicts = []
     for k in range(1, 8):
@@ -749,8 +749,7 @@ def _check_variants(monkeypatch, spec, robotics):
                      "live_env", "live_sys"):
             assert getattr(game, name) == getattr(ref, name), (what, name)
         for name in ("init_env_parts", "trans_env_parts"):
-            assert ([b for _p, b in getattr(game, name)]
-                    == [b for _p, b in getattr(ref, name)]), (what, name)
+            assert getattr(game, name) == getattr(ref, name), (what, name)
         got, want = solve_game(game), solve_game(ref)
         assert got.win == want.win, what
         assert got.strata == want.strata, what
@@ -869,7 +868,7 @@ def _direct_verdicts(session):
 def _direct_resilience(game, w, max_k=16):
     """`error_resilience`'s level with every step of the chain solved."""
     mgr = game.mgr
-    parts = [b for _p, b in game.trans_env_parts]
+    parts = game.trans_env_parts
     glitch = _exactly_one_violated(mgr, parts) if parts else mgr.false
     if glitch.is_false():
         return INFINITE
@@ -1010,12 +1009,23 @@ def test_a_low_hit_verdict_keeps_the_starting_capacity(monkeypatch):
     assert start < largest <= start + growth
 
 
-def test_a_variant_solve_past_the_cap_does_not_thrash(monkeypatch):
+_CLIFF = pytest.mark.xfail(strict=True, reason=(
+    "keeping the newer half of the table cascades once one solver sweep "
+    "makes more entries than the cap (CHANGES.md, FOUND on this test)"))
+
+
+@pytest.mark.parametrize("n, divisor", [
+    (20, 4), pytest.param(16, 4, marks=_CLIFF),
+    pytest.param(20, 5, marks=_CLIFF)])
+def test_a_variant_solve_past_the_cap_does_not_thrash(monkeypatch, n,
+                                                      divisor):
     # the chain without its liveness assumption: a variant solve whose
     # entries are reused across the fixpoint's iterations.  Keeping the
     # newer half of the table at a cap a quarter of what the solve
     # grows to costs at most half again the recursion calls; clearing
-    # the whole table there costs several times as many
+    # the whole table there costs several times as many.  The cap sits
+    # just past a cliff: chain(16) at a quarter, or chain(20) at a
+    # fifth, makes four to five times the uncapped calls
     from conftest import chain_text
     from test_bdd import RECURSIONS
     calls, sizes = [0], []
@@ -1032,7 +1042,7 @@ def test_a_variant_solve_past_the_cap_does_not_thrash(monkeypatch):
     monkeypatch.setattr(BddManager, "_bound_cache", noted)
 
     def variant_solve(cache_limit=None):
-        session = Session(compile_text(chain_text(20)))
+        session = Session(compile_text(chain_text(n)))
         if cache_limit is not None:
             session.mgr.cache_limit = cache_limit
         session.region()
@@ -1044,7 +1054,7 @@ def test_a_variant_solve_past_the_cap_does_not_thrash(monkeypatch):
         return calls[0], max(sizes)
 
     uncapped, grown = variant_solve()
-    cap = grown // 4
+    cap = grown // divisor
     capped, _ = variant_solve(cap)
     assert max(sizes) > cap   # entries were dropped during the solve
     assert capped <= 1.5 * uncapped

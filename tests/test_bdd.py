@@ -204,6 +204,8 @@ def test_enumerations_follow_names_not_levels():
     with pytest.raises(BddError, match="escapes"):
         m.pick_min_model(f, ["a", "b"])
     with pytest.raises(BddError, match="escapes"):
+        list(m.iter_models(a & b, ["a"]))
+    with pytest.raises(BddError, match="escapes"):
         m.to_truthtable(f, ["b", "c"])
     with pytest.raises(BddError, match="escapes"):
         list(m.prime_cubes(f, ["c", "a"]))

@@ -366,6 +366,21 @@ def test_machine_json_shape():
     assert set(tr) == {"from", "input", "to"}
 
 
+def test_machine_json_lists_a_fixed_integer_on_its_own_side():
+    # `k: 2...2` and `y: 3...3` compile to no bits
+    spec = compile_to_boolean(parse_spec(
+        "[INPUT]\nr\nk: 2...2\n[OUTPUT]\ng\ny: 3...3\n"
+        "[SYS_TRANS]\nX(g) <-> X(r)\n"))
+    game = build_game(spec)
+    data = extract_strategy(game, solve_game(game)).to_json(spec)
+    assert data["states"] and data["transitions"]
+    for st in data["states"]:
+        assert st["inputs"]["ints"] == {"k": 2}
+        assert st["outputs"]["ints"] == {"y": 3}
+    for tr in data["transitions"]:
+        assert tr["input"]["ints"] == {"k": 2}
+
+
 # ----------------------------------------------------------------------
 # differential check: the canonical strategy's reached positions against
 # the states of the extracted machine

@@ -9,7 +9,7 @@ from gr1report.game import extract_strategy
 from gr1report.oracle import eval_ir
 from gr1report.traces import (
     nominal_trace, abstract_strategy, AnnotatedTrace, TraceError, TraceStep,
-    STAR, VIOLATION, _decode_vals, _env_buchi,
+    STAR, VIOLATION, _env_buchi,
 )
 
 
@@ -109,6 +109,17 @@ def test_trace_json_shape():
     assert set(data["steps"][0]) == {"in", "out", "envGoal", "sysGoal"}
 
 
+def test_a_fixed_integer_is_listed_on_its_own_side():
+    # `k: 2...2` and `y: 3...3` compile to no bits
+    spec = compile_text("[INPUT]\nr\nk: 2...2\n[OUTPUT]\ng\ny: 3...3\n"
+                        "[SYS_TRANS]\nX(g) <-> X(r)\n")
+    assert spec.groups["k"].bits == spec.groups["y"].bits == ()
+    steps = nominal_trace(spec).to_json()["steps"]
+    assert steps and all(s["in"] == {"r": s["in"]["r"], "k": 2}
+                         and s["out"] == {"g": s["out"]["g"], "y": 3}
+                         for s in steps)
+
+
 # ----------------------------------------------------------------------
 # differential check: the nominal trace played on the extracted machine,
 # kept only here
@@ -141,8 +152,8 @@ def _machine_trace(session, max_steps=64):
             return AnnotatedTrace(steps=steps, lasso_start=seen[state.sid, c])
         seen[state.sid, c] = len(steps)
         steps.append(TraceStep(
-            inputs=_decode_vals(spec, pos, in_names),
-            outputs=_decode_vals(spec, pos, out_names),
+            inputs=spec.decode(pos, "input"),
+            outputs=spec.decode(pos, "output"),
             env_goal=c, sys_goal=state.goal))
         rank = next(r for r, s in enumerate(iterates[c]) if mgr.eval(s, pos))
         good = game.live_env[c] & game.prime(w_env)
