@@ -17,6 +17,7 @@ import gc
 import hashlib
 import html as _html
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -254,6 +255,121 @@ def _limit_reason(exc: Exception) -> str:
     return str(exc)
 
 
+# the analyses a forked worker runs beside the others: precommit reads
+# only the strict baseline game and region, and makes about half the
+# kernel calls of a corpus report
+_WORKER_ANALYSES = ("precommit",)
+
+
+def _worker_lane(config: ReportConfig) -> tuple[str, ...]:
+    """The requested analyses that a forked worker runs while this
+    process runs the others.  Empty, so that the report runs in one
+    process, unless `os.fork` exists, the process may run on at least
+    two CPUs, no node budget is set (it bounds one manager, and two
+    processes would double it) and both lanes have work."""
+    lane = tuple(n for n in _WORKER_ANALYSES if n in config.analyses)
+    if (not lane or set(config.analyses) <= set(lane)
+            or config.node_budget is not None or not hasattr(os, "fork")):
+        return ()
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return lane if cpus >= 2 else ()
+
+
+def _run_lane(names, config: ReportConfig, session: Session, log) -> dict:
+    """Run the analyses `names` in order, each after a session restart,
+    and log each as it ends; maps each name to (entry, seconds)."""
+    done = {}
+    for name in names:
+        t0 = time.monotonic()
+        session.restart()
+        try:
+            entry = {"status": "ok",
+                     "result": _run_analysis(name, config, session)}
+        except (AnalysisError, GameError, TraceError) as exc:
+            entry = {"status": "skipped", "reason": str(exc)}
+        except (ResourceLimitError, RecursionError) as exc:
+            entry = {"status": "skipped",
+                     "reason": f"resource limit: {_limit_reason(exc)}"}
+        done[name] = (entry, time.monotonic() - t0)
+        _log_entry(log, name, *done[name])
+    return done
+
+
+def _log_entry(log, name: str, entry: dict, seconds: float) -> None:
+    if log is not None:
+        print(f"gr1report: {name}: {entry['status']} ({seconds:.3f}s)",
+              file=log)
+
+
+def _fork_lane(lane, config: ReportConfig, session: Session):
+    """Fork a worker that runs `lane` on its copy of `session` and writes
+    {"lane": its `_run_lane` result} or {"error": traceback text} to a
+    pipe as JSON.  Returns (pid, the pipe's read end), or None when the
+    fork fails.  The worker ends in `os._exit`, so it flushes no stdio
+    and runs no atexit handler of the parent's."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    code = 1
+    try:
+        os.close(r)
+        try:
+            reply = {"lane": _run_lane(lane, config, session, None)}
+        except Exception:
+            import traceback  # loaded only by a failing worker
+            reply = {"error": traceback.format_exc()}
+        with open(w, "wb") as pipe:
+            pipe.write(json.dumps(reply).encode())
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_analyses(config: ReportConfig, session: Session, log) -> dict:
+    """Run the requested analyses; maps each to (entry, seconds).  The
+    `_worker_lane` ones run in a forked worker while this process runs
+    the others in ANALYSIS_ORDER, or, without a worker, all run here."""
+    requested = [n for n in ANALYSIS_ORDER if n in config.analyses]
+    lane = _worker_lane(config)
+    worker = _fork_lane(lane, config, session) if lane else None
+    if worker is None:
+        return _run_lane(requested, config, session, log)
+    pid, pipe = worker
+    data = None
+    try:
+        with pipe:
+            done = _run_lane([n for n in requested if n not in lane],
+                             config, session, log)
+            data = pipe.read()
+    finally:
+        if data is None:  # this lane raised: stop the worker
+            from signal import SIGKILL
+            os.kill(pid, SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        raise RuntimeError(f"the {', '.join(lane)} worker ended with exit "
+                           f"code {code} and no result")
+    reply = json.loads(data)
+    if "error" in reply:
+        raise RuntimeError(f"the {', '.join(lane)} worker raised:\n"
+                           + reply["error"])
+    for name, (entry, seconds) in reply["lane"].items():
+        _log_entry(log, name, entry, seconds)
+        done[name] = (entry, seconds)
+    return done
+
+
 # `run_report`'s default log: `sys.stderr` as it is at call time, so a
 # caller that redirects it later still captures the per-analysis lines
 _STDERR = object()
@@ -276,7 +392,24 @@ def run_report(spec_path, config: ReportConfig | None = None,
     passes over the manager's tables find nothing to free.  The pause
     is process-wide while the call runs, other threads included; on
     return or raise the collector is enabled again if it was enabled
-    on entry, and left off if it was off."""
+    on entry, and left off if it was off.
+
+    The precommit analysis reads only the strict baseline game and
+    region.  When it and at least one other analysis are requested, no
+    node budget is set (the budget bounds one manager, and two processes
+    would double it), `os.fork` exists and the process may run on at
+    least two CPUs, it runs in a worker forked after the baseline
+    verdict, on the worker's copy of the session, while this process
+    runs the others.  The report, `Report.timings` and the log lines are
+    those of a one-process run; the worker's line is logged when its
+    result is merged.  The worker's memory is its own: on the corpus it
+    peaked near 62 MB beside the parent's 45 MB.  A node budget, or a
+    one-CPU affinity such as `taskset -c 0`, keeps the report in one
+    process, as does a failed fork; a caller with threads should use
+    one of those, because `fork` copies only the calling thread.  No
+    worker outlives the call: when an analysis here raises, the worker
+    is killed and reaped, and an exception that escapes the worker is
+    raised here as a RuntimeError carrying the worker's traceback."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -316,26 +449,9 @@ def _run_report(spec_path, config, json_path, html_path, log,
         raise BaselineResourceError(_limit_reason(exc)) from exc
     baseline = {"semantics": config.semantics, "realizable": verdict}
 
-    results: dict[str, dict] = {}
-    timings: dict[str, float] = {}
-    for name in ANALYSIS_ORDER:
-        if name not in config.analyses:
-            continue
-        t0 = time.monotonic()
-        session.restart()
-        try:
-            results[name] = {"status": "ok",
-                             "result": _run_analysis(name, config,
-                                                     session)}
-        except (AnalysisError, GameError, TraceError) as exc:
-            results[name] = {"status": "skipped", "reason": str(exc)}
-        except (ResourceLimitError, RecursionError) as exc:
-            results[name] = {"status": "skipped",
-                             "reason": f"resource limit: {_limit_reason(exc)}"}
-        timings[name] = time.monotonic() - t0
-        if log is not None:
-            print(f"gr1report: {name}: {results[name]['status']} "
-                  f"({timings[name]:.3f}s)", file=log)
+    done = _run_analyses(config, session, log)
+    results = {name: done[name][0] for name in ANALYSIS_ORDER if name in done}
+    timings = {name: done[name][1] for name in results}
 
     report = Report(
         version=__version__, spec_name=spec_path.name, spec_digest=digest,

@@ -845,3 +845,156 @@ def test_corpus_reports_do_not_depend_on_the_computed_table_cap(
     monkeypatch.setattr(BddManager, "cache_limit", 64)
     for path, want in zip(paths, plain):
         assert report_json(path) == want, path.name
+
+
+# ----------------------------------------------------------------------
+# the precommit worker: run_report forks one process for the precommit
+# analysis when it may use two CPUs
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of os.fork a test makes, with the process free to run
+    on two CPUs, so that a report forks its worker on any host."""
+    import os
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    return calls
+
+
+def _report_bytes(tmp_path, path, config=None) -> bytes:
+    out = tmp_path / "r.json"
+    run_report(path, config, json_path=out, html_path=tmp_path / "r.html",
+               log=None)
+    return out.read_bytes()
+
+
+def _assert_no_child_left():
+    import os
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_one_process(monkeypatch):
+    import gr1report.report as report_mod
+    monkeypatch.setattr(report_mod, "_worker_lane", lambda config: ())
+
+
+@pytest.mark.parametrize("config", [
+    ReportConfig(), ReportConfig(semantics="nonstrict"),
+    ReportConfig(robotics=True),
+], ids=["strict", "nonstrict", "robotics"])
+def test_worker_reports_match_one_process_reports(tmp_path, monkeypatch,
+                                                  specs_dir, forks, config):
+    paths = sorted(specs_dir.glob("*.spec"))
+    forked = [_report_bytes(tmp_path, p, config) for p in paths]
+    assert len(forks) == len(paths)
+    _in_one_process(monkeypatch)
+    for path, want in zip(paths, forked):
+        assert _report_bytes(tmp_path, path, config) == want, path.name
+    assert len(forks) == len(paths)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_worker_arbiter_reports_match_one_process_reports(
+        tmp_path, monkeypatch, forks, n):
+    import pathlib
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    import specgen
+    path = tmp_path / f"arbiter{n}.spec"
+    path.write_text(specgen.arbiter(n))
+    forked = _report_bytes(tmp_path, path)
+    assert len(forks) == 1
+    _in_one_process(monkeypatch)
+    assert _report_bytes(tmp_path, path) == forked
+
+
+def test_report_reaps_its_worker_and_logs_each_analysis_once(tmp_path,
+                                                             forks):
+    import io
+    log = io.StringIO()
+    rep = run_report(spec_path("delivery"), json_path=tmp_path / "r.json",
+                     html_path=tmp_path / "r.html", log=log)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert list(rep.analyses) == list(rep.timings) == list(ANALYSIS_ORDER)
+    names = [line.split(": ")[1] for line in log.getvalue().splitlines()]
+    assert sorted(names) == sorted(ANALYSIS_ORDER)
+
+
+def test_parent_lane_error_stops_the_worker(tmp_path, monkeypatch, forks):
+    # the worker is still solving tworobot's precommit variants when the
+    # first analysis of this process raises
+    import gr1report.report as report_mod
+
+    def explode(*a, **k):
+        raise ValueError("parent lane")
+
+    monkeypatch.setattr(report_mod, "semantics_comparison", explode)
+    with pytest.raises(ValueError, match="parent lane"):
+        run_report(spec_path("tworobot"), json_path=tmp_path / "r.json",
+                   html_path=tmp_path / "r.html", log=None)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_worker_error_is_raised_in_the_parent(tmp_path, monkeypatch, forks):
+    import gr1report.report as report_mod
+
+    def explode(*a, **k):
+        raise ValueError("worker lane")
+
+    monkeypatch.setattr(report_mod, "precommit_analysis", explode)
+    with pytest.raises(RuntimeError, match="ValueError: worker lane"):
+        run_report(spec_path("delivery"), json_path=tmp_path / "r.json",
+                   html_path=tmp_path / "r.html", log=None)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_failed_fork_runs_the_report_in_one_process(tmp_path, monkeypatch,
+                                                    forks):
+    import errno
+    import os
+    want = _report_bytes(tmp_path, spec_path("delivery"))
+    refused = []
+
+    def refuse():
+        refused.append(None)
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert _report_bytes(tmp_path, spec_path("delivery")) == want
+    assert (len(forks), len(refused)) == (1, 1)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("config, cpus", [
+    (ReportConfig(node_budget=60000), {0, 1}),
+    (ReportConfig(), {0}),
+    (ReportConfig(analyses=("precommit",)), {0, 1}),
+], ids=["budget", "one-cpu", "precommit-only"])
+def test_reports_that_never_fork(tmp_path, monkeypatch, config, cpus):
+    import os
+    calls = []
+
+    def fork():
+        calls.append(None)
+        raise OSError("fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    rep = run_report(spec_path("delivery"), config,
+                     json_path=tmp_path / "r.json",
+                     html_path=tmp_path / "r.html", log=None)
+    assert rep.analyses["precommit"]["status"] == "ok"
+    assert calls == []
