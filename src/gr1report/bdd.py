@@ -63,12 +63,25 @@ that frees anything still clears the whole table, since freed slots are
 reused, and restarts the hit count; the capacity stays.
 
 A `BddRef` keeps its node through collections; a bare node id is valid
-only until the next collection, which frees every node no handle
-reaches and reuses its slot.  A caller may chain the recursions on ids
-between collections, as the game solver does through each fixpoint
-sweep, if it calls `_bound_cache` itself once per step and wraps in a
-BddRef whatever must outlive the next collection: CUDD's split between
-recursions on raw nodes and referenced results.
+only until the next collection, which frees every node that no handle
+and no root the caller names reaches, and reuses its slot.  A caller may
+chain the recursions on ids between collections, as the game solver
+does through each fixpoint sweep, if it calls `_bound_cache` itself
+once per step and, at a safe point, names as `roots` the ids it still
+needs or wraps them in a BddRef: CUDD's split between recursions on raw
+nodes and referenced results.
+
+Collection follows CUDD's policy: collect once dead nodes dominate.
+A collection is due (`_collect_due`) when the nodes in use, dead ones
+not yet freed included, have reached twice the live count the last
+collection left, and at least 2^14, and the computed table does not pay
+(under 30% of its lookups hit since its last grow-or-trim decision), so
+that a table worth keeping is not cleared.  The game solver collects
+inside a sweep, at the top of each mu-Y iteration, when one is due.
+`maybe_collect`, called at the safe points between the solver's
+sweeps, the variants of an analysis and the layers of a breadth-first
+search, collects when one is due or a node budget is set, since the
+budget counts every allocated slot.
 
 References
 ==========
@@ -86,7 +99,8 @@ O. Coudert, J. C. Madre, "Implicit and incremental computation of primes
 and essential primes of Boolean functions", DAC 1992.
 
 F. Somenzi, "CUDD: CU Decision Diagram Package", University of Colorado
-at Boulder (the computed table as a cache of bounded size).
+at Boulder (the computed table as a cache of bounded size, and
+collection once dead nodes dominate).
 """
 
 from __future__ import annotations
@@ -112,6 +126,10 @@ _XOR = 5
 # and apart from each other; `_or_forall` uses (-1 - qid, f, g), below
 # every op code
 _QBASE = 6
+# a collection can be due (`_collect_due`) once the nodes in use reach
+# _GC_GROWTH times the live count the last collection left, and _GC_FLOOR
+_GC_GROWTH = 2
+_GC_FLOOR = 1 << 14
 
 
 class BddError(Exception):
@@ -210,9 +228,6 @@ class BddManager:
     different threads.
     """
 
-    # node count (live plus dead not yet freed, i.e. `len(self)`) at
-    # which `maybe_collect` collects when no node budget is set
-    gc_threshold = 1 << 20
     # the most computed-table entries a manager's capacity grows to; a
     # public operation that finds the table past its capacity first
     # grows the capacity or drops the older half (see the module
@@ -232,6 +247,8 @@ class BddManager:
         self._capacity = 1 << 16
         self._hits = 0
         self._kept = 0
+        # the nodes in use that the last collection left (`_collect_due`)
+        self._live = 0
         self.var_names: list[str] = []
         self._var_level: dict[str, int] = {}
         self._qsets: dict[frozenset, int] = {}
@@ -325,18 +342,22 @@ class BddManager:
         else:
             self._extref[node] = c
 
-    def collect(self) -> int:
-        """Mark-sweep from external references; returns nodes freed.
+    def collect(self, roots=()) -> int:
+        """Mark-sweep from the external references and from `roots`, an
+        iterable of raw node ids the caller still needs; returns the
+        nodes freed.
 
         Live node identities are preserved (freed slots go to a free
-        list for reuse), so existing BddRef handles stay valid.  Only
-        call between operations: in-flight intermediate results that are
-        not wrapped in a BddRef are reclaimed.
+        list for reuse), so existing BddRef handles, and the ids in
+        `roots`, stay valid.  Only call between operations: any other
+        id that is neither wrapped in a BddRef nor named in `roots` may
+        be reclaimed.
         """
         level, lo, hi = self._level, self._lo, self._hi
         marked = bytearray(len(level))
         marked[FALSE] = marked[TRUE] = 1
         stack = list(self._extref)
+        stack.extend(roots)
         for n in stack:
             marked[n] = 1
         # a node is marked when it is pushed, so each is pushed once
@@ -354,6 +375,7 @@ class BddManager:
         # table, so when each of them is marked nothing is dead, and
         # the table and the computed table stay as they are
         if marked.count(1) == len(self._unique) + 2:
+            self._live = len(self)
             return 0
         # sweep the unique table, not every slot ever allocated, so the
         # cost follows the nodes in use rather than the high-water mark;
@@ -373,20 +395,28 @@ class BddManager:
         self._unique = live
         self._cache = {}
         self._hits = self._kept = 0
+        self._live = len(self)
         return len(dead)
 
-    def maybe_collect(self) -> int:
-        """Collect at a safe point only when memory calls for it.
-
-        A collection that frees anything clears the computed table, so
-        without a node budget it runs only once `len(self)` -- the nodes
-        in use, dead ones not yet freed included -- reaches
-        `gc_threshold`.  A node budget counts every allocated slot, dead
-        or alive, so under a budget every safe point collects.
-        """
-        if self.node_budget is not None or len(self) >= self.gc_threshold:
-            return self.collect()
+    def maybe_collect(self, roots=()) -> int:
+        """Collect at a safe point, keeping `roots` as `collect` does,
+        only when `_collect_due`, or always under a node budget, which
+        counts every allocated slot, dead or alive."""
+        if self.node_budget is not None or self._collect_due():
+            return self.collect(roots)
         return 0
+
+    def _collect_due(self) -> bool:
+        """Whether dead nodes likely dominate and the computed table is
+        not worth keeping, CUDD's rule (Somenzi): `len(self)`, the nodes
+        in use with dead ones not yet freed, has reached `_GC_GROWTH`
+        times the live count the last collection left, and `_GC_FLOOR`;
+        and fewer than 30% of the table's lookups since its last grow-or-
+        trim decision hit (`_cache_pays`), since a collection that frees
+        anything clears the table."""
+        n = len(self)
+        return (n >= _GC_FLOOR and n >= _GC_GROWTH * self._live
+                and not self._cache_pays())
 
     # ------------------------------------------------------------------
     # combinators
@@ -398,8 +428,7 @@ class BddManager:
 
     def _bound_cache(self):
         """Grow or trim the computed table once it holds more entries
-        than its capacity.  If at least 30% of the lookups since its last
-        decision hit (hits over hits plus the entries inserted since), the
+        than its capacity.  If the table pays (`_cache_pays`), the
         capacity doubles, up to `cache_limit`, and the table is kept;
         otherwise the newer half is kept (a dict iterates in insertion
         order).  The public operations call this first, never the
@@ -408,14 +437,19 @@ class BddManager:
         c = self._cache
         cap = min(self._capacity, self.cache_limit)
         if len(c) > cap:
-            hits = self._hits
-            if (cap < self.cache_limit
-                    and 10 * hits >= 3 * (hits + len(c) - self._kept)):
+            if cap < self.cache_limit and self._cache_pays():
                 self._capacity = min(2 * cap, self.cache_limit)
             else:
                 self._cache = c = dict(islice(c.items(), len(c) // 2, None))
             self._hits = 0
             self._kept = len(c)
+
+    def _cache_pays(self) -> bool:
+        """Whether at least 30% (CUDD's `minHit`) of the computed table's
+        lookups since its last grow-or-trim decision hit: the hits, over
+        the hits plus the entries inserted since."""
+        hits = self._hits
+        return 10 * hits >= 3 * (hits + len(self._cache) - self._kept)
 
     def apply(self, op: str, f: BddRef, g: BddRef) -> BddRef:
         """f op g for op in and, or, xor, implies, iff, diff (f & !g)."""

@@ -284,7 +284,15 @@ class _Fixpoint:
     """One solve's fixpoint, run on node ids: the game's relations and
     step are read once, and a controllable step (one nu-X round) trims
     the computed table once and makes no handle.  An id is valid until
-    the manager's next collection, and none runs inside a sweep.
+    the manager's next collection.  Inside a sweep the safe point is
+    the top of each mu-Y iteration: once `BddManager._collect_due`, a
+    collection keeps, besides the handles, the ids the sweep still
+    needs (`_held`): Z, the goal term, Y, the strata and xcore rows
+    built so far, and every row that the sweep has finished.
+    Everything else there is dead: the step's intermediate results and
+    the earlier sweeps' rows.  A node budget does not make this point
+    collect every time, as it does `maybe_collect` between sweeps:
+    each collection clears the computed table.
 
     A solve from an upper bound (`warm`, a weaker variant's) takes the
     plain product rather than the game's laddered `can`.  Its Z shrinks
@@ -317,13 +325,20 @@ class _Fixpoint:
                 return x
             x = xn
 
-    def mu_y(self, z: int, j: int):
-        """One mu-Y evaluation for goal j against outer value z.
-        Returns (y, strata list, xcore rows, stationary flags)."""
+    def mu_y(self, z: int, j: int, done=()):
+        """One mu-Y evaluation for goal j against outer value z, after
+        the rows `done` of the same sweep.  Returns the row (y, strata
+        list, xcore rows, stationary flags)."""
         mgr = self.mgr
         goal_z = self.can(self.goals[j], z)
         y, strata, xrows, flags = FALSE, [], [], []
         while True:
+            # safe point: a collection keeps the ids named here.  It runs
+            # only when due, under a node budget too, since each one
+            # clears the computed table
+            if mgr._collect_due():
+                mgr.collect(_held(z, goal_z, (y, strata, xrows, flags),
+                                  *done))
             mgr._bound_cache()
             base = mgr._or(goal_z, self.can(self.trans_sys, y))
             # free waiting first; if it makes no progress, allow moving
@@ -339,6 +354,19 @@ class _Fixpoint:
             strata.append(y)
             xrows.append(xrow)
             flags.append(stationary)
+
+
+def _held(z: int, goal_z: int, *rows):
+    """The ids a sweep still needs at the top of a mu-Y iteration: Z,
+    the goal term, and the sets of each row, the current one (Y and the
+    strata and xcore rows built so far) and those the sweep finished."""
+    yield z
+    yield goal_z
+    for y, strata, xrows, _flags in rows:
+        yield y
+        yield from strata
+        for xrow in xrows:
+            yield from xrow
 
 
 def _union(mgr: BddManager, sets: list[BddRef]) -> BddRef:
@@ -358,9 +386,13 @@ def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
     Sweeps the goals until one whole sweep leaves Z unchanged; the mu-Y
     evaluations of that sweep all ran against the final Z, so their
     strata, xcores and stationary flags are the recorded ones.  The
-    sweeps run on node ids (`_Fixpoint`); only Z between sweeps and the
-    recorded sets are held through BddRefs, so the collection at the
-    safe point between sweeps keeps exactly what outlives a sweep.
+    sweeps run on node ids (`_Fixpoint`), and only the recorded sets
+    are wrapped in BddRefs, at the end.  A collection may run at the
+    top of any mu-Y iteration, inside a sweep, once the manager finds
+    it due, so a solve's memory follows its live nodes; it keeps Z and
+    the rows this sweep has finished, as long as Z has not moved in it
+    (a sweep that moves Z makes every row of it stale).  Between
+    sweeps, `maybe_collect` keeps only Z.
 
     `start` may give a known upper bound on the winning set (e.g. the
     previous element of a shrinking chain of games); correctness needs
@@ -373,24 +405,23 @@ def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
     """
     mgr = game.mgr
     fix = _Fixpoint(game, warm=start is not None)
-    z = start if start is not None else mgr.true
+    z = start.node if start is not None else TRUE
     while True:
-        zn, changed, rows = z.node, False, []
+        changed, rows = False, []
         for j in range(len(fix.goals)):
-            row = fix.mu_y(zn, j)
-            if row[0] != zn:
-                changed = True
-                zn = row[0]
-            rows.append(row)
+            row = fix.mu_y(z, j, rows)
+            if row[0] != z:
+                changed, z, rows = True, row[0], []
+            elif not changed:
+                rows.append(row)
         if not changed:
             break
-        # safe point: Z is held through a BddRef; the rows are stale, as Z
-        # moved during the sweep, and their nodes may be freed
-        z = BddRef(mgr, zn)
-        mgr.maybe_collect()
+        # safe point between sweeps, where only Z is live; under a node
+        # budget it always collects
+        mgr.maybe_collect((z,))
     ref = partial(BddRef, mgr)
     return WinningRegion(
-        win=z, strata=[list(map(ref, r[1])) for r in rows],
+        win=ref(z), strata=[list(map(ref, r[1])) for r in rows],
         xcores=[[list(map(ref, x)) for x in r[2]] for r in rows],
         stationary=[r[3] for r in rows], game=game, steps=fix.steps)
 

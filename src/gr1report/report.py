@@ -341,6 +341,11 @@ def _run_analyses(config: ReportConfig, session: Session, log) -> dict:
     the others in ANALYSIS_ORDER, or, without a worker, all run here."""
     requested = [n for n in ANALYSIS_ORDER if n in config.analyses]
     lane = _worker_lane(config)
+    if (lane and config.semantics == "strict"
+            and session.verdict() != "realizable"):
+        # precommit would only report that it needs a realizable
+        # specification, which takes less time here than a fork
+        lane = ()
     worker = _fork_lane(lane, config, session) if lane else None
     if worker is None:
         return _run_lane(requested, config, session, log)
@@ -397,8 +402,10 @@ def run_report(spec_path, config: ReportConfig | None = None,
     The precommit analysis reads only the strict baseline game and
     region.  When it and at least one other analysis are requested, no
     node budget is set (the budget bounds one manager, and two processes
-    would double it), `os.fork` exists and the process may run on at
-    least two CPUs, it runs in a worker forked after the baseline
+    would double it), `os.fork` exists, the process may run on at
+    least two CPUs and the strict baseline is not known to be
+    unrealizable (precommit then only says that it needs a realizable
+    specification), it runs in a worker forked after the baseline
     verdict, on the worker's copy of the session, while this process
     runs the others.  The report, `Report.timings` and the log lines are
     those of a one-process run; the worker's line is logged when its

@@ -607,9 +607,9 @@ def _collections(monkeypatch, analysis, session):
     collect = BddManager.collect
     calls = []
 
-    def counting(mgr):
+    def counting(mgr, roots=()):
         calls.append(mgr)
-        return collect(mgr)
+        return collect(mgr, roots)
 
     with monkeypatch.context() as m:
         m.setattr(BddManager, "collect", counting)
@@ -670,7 +670,7 @@ def _variant_results(spec, collect_always):
     between all their variants before they kept the computed table."""
     session = Session(spec)
     if collect_always:
-        session.mgr.gc_threshold = 1
+        session.mgr._collect_due = lambda: True
     verdicts = (classify_assumptions(session)
                 if session.verdict() == "realizable" else None)
     return verdicts, stuck_at_analysis(session).entries

@@ -7,8 +7,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gr1report.bdd import (BddManager, Cube, BddError, ResourceLimitError,
-                           FALSE, TRUE)
+from gr1report.bdd import (BddManager, BddRef, Cube, BddError,
+                           ResourceLimitError, FALSE, TRUE)
 from gr1report.oracle import brute_force_primes
 
 VARS = ["a", "b", "c", "d", "e"]
@@ -322,6 +322,43 @@ def test_a_collection_that_frees_nothing_copies_nothing():
     assert m._cache == entries and (m._hits, m._kept) == counters
     del keep, pool[len(VARS):]
     assert m.collect() > 0 and m._unique is not unique and m._cache == {}
+
+
+def test_collect_keeps_the_raw_ids_named_as_roots():
+    m = fresh(3)
+    a, b, c = m.var("a"), m.var("b"), m.var("c")
+    kept = m._and(m._or(a.node, b.node), c.node)   # no handle to either
+    dropped = m._xor(a.node, c.node)
+    assert m.collect(iter([kept])) > 0      # roots may be a generator
+    assert dropped in m._free and kept not in m._free
+    assert m.count_models(BddRef(m, kept), ["a", "b", "c"]) == 3
+
+
+def test_a_collection_is_due_once_dead_nodes_dominate_and_the_table_does_not_pay(
+        monkeypatch):
+    import gr1report.bdd as bdd_mod
+    monkeypatch.setattr(bdd_mod, "_GC_FLOOR", 32)
+    m = fresh()
+    pool = [m.var(v) for v in VARS]
+    m.collect()
+    live = len(m)
+    assert m._live == live
+    rng = random.Random(3)
+    while len(m) < max(32, 2 * live):
+        assert not m._collect_due()     # too few nodes in use
+        f, g = rng.sample(pool, 2)
+        m.apply(rng.choice(("and", "or", "xor")), f, g)   # dead at once
+    lookups = len(m._cache) - m._kept
+    m._hits = lookups           # half of the lookups hit: the table pays
+    assert not m._collect_due()
+    m._hits = lookups // 3      # a quarter hit
+    assert m._collect_due()
+    assert m.maybe_collect() > 0
+    assert m._live == len(m) == live and not m._collect_due()
+    # under a node budget every call of maybe_collect collects
+    m.node_budget = 10**6
+    m.apply("xor", pool[0], pool[1])
+    assert not m._collect_due() and m.maybe_collect() > 0
 
 
 def test_node_budget():

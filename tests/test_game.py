@@ -230,26 +230,31 @@ def _region_text(region):
 
 def test_solver_correct_under_aggressive_gc(monkeypatch):
     # the sweeps run on node ids, valid only until the next collection:
-    # where every safe point between sweeps collects and freed slots are
-    # reused, a stale id would change the region
+    # where the safe point at the top of each mu-Y iteration collects
+    # every time and freed slots are reused, an id the sweep still needs
+    # but the roots there leave out would change the region.  The
+    # reference never collects inside a solve
     freed = []
 
-    def counted(self, _collect=BddManager.collect):
-        freed.append(_collect(self))
+    def counted(self, roots=(), _collect=BddManager.collect):
+        freed.append(_collect(self, roots))
         return freed[-1]
 
     monkeypatch.setattr(BddManager, "collect", counted)
     specs = [load_spec(p.stem) for p in sorted(SPEC_DIR.glob("*.spec"))]
     specs += _arbiter_specs(monkeypatch)
+    specs += [compile_to_boolean(parse_spec(chain_text(n))) for n in (30, 60)]
     specs += [random_boolean_spec(seed) for seed in range(30)]
     for k, spec in enumerate(specs):
-        eager = BddManager()
-        eager.gc_threshold = 1    # every safe point collects
+        never, eager = BddManager(), BddManager()
+        never._collect_due = lambda: False
+        eager._collect_due = lambda: True     # every safe point collects
+        # a budget makes every safe point between sweeps collect
         budgeted = BddManager(node_budget=1 << 24)
         plain, *others = [_region_text(solve_game(build_game(spec, mgr=m)))
-                          for m in (BddManager(), eager, budgeted)]
+                          for m in (never, eager, budgeted)]
         assert all(o == plain for o in others), k
-    assert sum(n > 0 for n in freed) > 50
+    assert sum(n > 0 for n in freed) > 500
 
 
 def test_empty_conjunction_and_disjunction():
@@ -819,7 +824,9 @@ def test_a_chain_solve_skips_the_relation_prefix(monkeypatch):
     # above the iterate's top; the plain product walked the prefix of
     # `trans_sys` once per mu-Y step, 181,562 calls on this solve.  The
     # count includes the recomputations after one trim of the computed
-    # table at its starting capacity of 2^16 entries (few lookups hit)
+    # table at its starting capacity of 2^16 entries (few lookups hit),
+    # and after the one collection inside the sweep, which clears the
+    # table: 94,106 calls without it
     from test_bdd import RECURSIONS
     game = build_game(compile_to_boolean(parse_spec(chain_text(150))))
     calls = [0]
@@ -831,4 +838,4 @@ def test_a_chain_solve_skips_the_relation_prefix(monkeypatch):
     region = solve_game(game)
     assert check_realizability(game, region) == "realizable"
     assert region.steps == 453
-    assert calls[0] == 94106
+    assert calls[0] == 95358

@@ -895,11 +895,15 @@ def test_worker_reports_match_one_process_reports(tmp_path, monkeypatch,
                                                   specs_dir, forks, config):
     paths = sorted(specs_dir.glob("*.spec"))
     forked = [_report_bytes(tmp_path, p, config) for p in paths]
-    assert len(forks) == len(paths)
+    # a strict baseline that is unrealizable runs precommit in-process
+    workers = sum(config.semantics != "strict"
+                  or json.loads(b)["baseline"]["realizable"] == "realizable"
+                  for b in forked)
+    assert len(forks) == workers > 0
     _in_one_process(monkeypatch)
     for path, want in zip(paths, forked):
         assert _report_bytes(tmp_path, path, config) == want, path.name
-    assert len(forks) == len(paths)
+    assert len(forks) == workers
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -977,12 +981,15 @@ def test_failed_fork_runs_the_report_in_one_process(tmp_path, monkeypatch,
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("config, cpus", [
-    (ReportConfig(node_budget=60000), {0, 1}),
-    (ReportConfig(), {0}),
-    (ReportConfig(analyses=("precommit",)), {0, 1}),
-], ids=["budget", "one-cpu", "precommit-only"])
-def test_reports_that_never_fork(tmp_path, monkeypatch, config, cpus):
+@pytest.mark.parametrize("name, config, cpus, status", [
+    ("delivery", ReportConfig(node_budget=60000), {0, 1}, "ok"),
+    ("delivery", ReportConfig(), {0}, "ok"),
+    ("delivery", ReportConfig(analyses=("precommit",)), {0, 1}, "ok"),
+    # precommit only reports that it needs a realizable specification
+    ("oscillator_unreal", ReportConfig(), {0, 1}, "skipped"),
+], ids=["budget", "one-cpu", "precommit-only", "unrealizable"])
+def test_reports_that_never_fork(tmp_path, monkeypatch, name, config, cpus,
+                                 status):
     import os
     calls = []
 
@@ -993,8 +1000,8 @@ def test_reports_that_never_fork(tmp_path, monkeypatch, config, cpus):
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
                         raising=False)
-    rep = run_report(spec_path("delivery"), config,
+    rep = run_report(spec_path(name), config,
                      json_path=tmp_path / "r.json",
                      html_path=tmp_path / "r.html", log=None)
-    assert rep.analyses["precommit"]["status"] == "ok"
+    assert rep.analyses["precommit"]["status"] == status
     assert calls == []
