@@ -71,17 +71,16 @@ once per step and, at a safe point, names as `roots` the ids it still
 needs or wraps them in a BddRef: CUDD's split between recursions on raw
 nodes and referenced results.
 
-Collection follows CUDD's policy: collect once dead nodes dominate.
+Collection follows one rule, CUDD's: collect once dead nodes dominate.
 A collection is due (`_collect_due`) when the nodes in use, dead ones
 not yet freed included, have reached twice the live count the last
 collection left, and at least 2^14, and the computed table does not pay
 (under 30% of its lookups hit since its last grow-or-trim decision), so
-that a table worth keeping is not cleared.  The game solver collects
-inside a sweep, at the top of each mu-Y iteration, when one is due.
-`maybe_collect`, called at the safe points between the solver's
-sweeps, the variants of an analysis and the layers of a breadth-first
-search, collects when one is due or a node budget is set, since the
-budget counts every allocated slot.
+that a table worth keeping is not cleared; or, under a node budget, once
+the nodes in use plus their growth since the last collection reach it.
+`maybe_collect`, at the top of each mu-Y iteration and each layer of
+`reached_positions`, collects when one is due; `Session.restart` alone
+collects unconditionally, between analyses, where all else is dead.
 
 References
 ==========
@@ -400,23 +399,24 @@ class BddManager:
 
     def maybe_collect(self, roots=()) -> int:
         """Collect at a safe point, keeping `roots` as `collect` does,
-        only when `_collect_due`, or always under a node budget, which
-        counts every allocated slot, dead or alive."""
-        if self.node_budget is not None or self._collect_due():
-            return self.collect(roots)
-        return 0
+        when `_collect_due`; the one way code asks for one inside an
+        analysis."""
+        return self.collect(roots) if self._collect_due() else 0
 
     def _collect_due(self) -> bool:
-        """Whether dead nodes likely dominate and the computed table is
-        not worth keeping, CUDD's rule (Somenzi): `len(self)`, the nodes
-        in use with dead ones not yet freed, has reached `_GC_GROWTH`
-        times the live count the last collection left, and `_GC_FLOOR`;
-        and fewer than 30% of the table's lookups since its last grow-or-
-        trim decision hit (`_cache_pays`), since a collection that frees
-        anything clears the table."""
-        n = len(self)
-        return (n >= _GC_FLOOR and n >= _GC_GROWTH * self._live
-                and not self._cache_pays())
+        """The one collection rule.  CUDD's (Somenzi): `len(self)`, the
+        nodes in use with dead ones not yet freed, has reached
+        `_GC_GROWTH` times the live count the last collection left, and
+        `_GC_FLOOR`, and under 30% of the table's lookups since its last
+        grow-or-trim decision hit (`_cache_pays`), since a collection
+        clears the table.  Or, whatever the floor and the hit rate, once
+        the nodes in use plus their growth since that collection reach
+        the node budget, where `_mk` raises: one more phase as large as
+        the last would not fit."""
+        n, budget = len(self), self.node_budget
+        return ((budget is not None and 2 * n - self._live >= budget)
+                or (n >= _GC_FLOOR and n >= _GC_GROWTH * self._live
+                    and not self._cache_pays()))
 
     # ------------------------------------------------------------------
     # combinators

@@ -284,15 +284,13 @@ class _Fixpoint:
     """One solve's fixpoint, run on node ids: the game's relations and
     step are read once, and a controllable step (one nu-X round) trims
     the computed table once and makes no handle.  An id is valid until
-    the manager's next collection.  Inside a sweep the safe point is
-    the top of each mu-Y iteration: once `BddManager._collect_due`, a
-    collection keeps, besides the handles, the ids the sweep still
-    needs (`_held`): Z, the goal term, Y, the strata and xcore rows
-    built so far, and every row that the sweep has finished.
-    Everything else there is dead: the step's intermediate results and
-    the earlier sweeps' rows.  A node budget does not make this point
-    collect every time, as it does `maybe_collect` between sweeps:
-    each collection clears the computed table.
+    the manager's next collection.  The solve's one safe point is the
+    top of each mu-Y iteration: `BddManager.maybe_collect` collects
+    there when its rule finds a collection due, keeping, besides the
+    handles, the ids the sweep still needs (`_held`): Z, the goal term,
+    Y, the strata and xcore rows built so far, and every row that the
+    sweep has finished.  Everything else there is dead: the step's
+    intermediate results and the earlier sweeps' rows.
 
     A solve from an upper bound (`warm`, a weaker variant's) takes the
     plain product rather than the game's laddered `can`.  Its Z shrinks
@@ -333,12 +331,9 @@ class _Fixpoint:
         goal_z = self.can(self.goals[j], z)
         y, strata, xrows, flags = FALSE, [], [], []
         while True:
-            # safe point: a collection keeps the ids named here.  It runs
-            # only when due, under a node budget too, since each one
-            # clears the computed table
-            if mgr._collect_due():
-                mgr.collect(_held(z, goal_z, (y, strata, xrows, flags),
-                                  *done))
+            # safe point: a collection, when due, keeps the ids named here
+            mgr.maybe_collect(_held(z, goal_z, (y, strata, xrows, flags),
+                                    *done))
             mgr._bound_cache()
             base = mgr._or(goal_z, self.can(self.trans_sys, y))
             # free waiting first; if it makes no progress, allow moving
@@ -388,11 +383,10 @@ def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
     strata, xcores and stationary flags are the recorded ones.  The
     sweeps run on node ids (`_Fixpoint`), and only the recorded sets
     are wrapped in BddRefs, at the end.  A collection may run at the
-    top of any mu-Y iteration, inside a sweep, once the manager finds
-    it due, so a solve's memory follows its live nodes; it keeps Z and
-    the rows this sweep has finished, as long as Z has not moved in it
-    (a sweep that moves Z makes every row of it stale).  Between
-    sweeps, `maybe_collect` keeps only Z.
+    top of any mu-Y iteration, the one safe point, once the manager
+    finds it due (`maybe_collect`), so a solve's memory follows its live
+    nodes; it keeps Z and the rows this sweep has finished, as long as
+    Z has not moved in it (a sweep that moves Z makes every row stale).
 
     `start` may give a known upper bound on the winning set (e.g. the
     previous element of a shrinking chain of games); correctness needs
@@ -403,7 +397,6 @@ def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
     `record` changes nothing and is ignored: the last sweep is always
     recorded.  It is still accepted because `bench/selftest.py` passes it.
     """
-    mgr = game.mgr
     fix = _Fixpoint(game, warm=start is not None)
     z = start.node if start is not None else TRUE
     while True:
@@ -416,10 +409,7 @@ def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
                 rows.append(row)
         if not changed:
             break
-        # safe point between sweeps, where only Z is live; under a node
-        # budget it always collects
-        mgr.maybe_collect((z,))
-    ref = partial(BddRef, mgr)
+    ref = partial(BddRef, game.mgr)
     return WinningRegion(
         win=ref(z), strata=[list(map(ref, r[1])) for r in rows],
         xcores=[[list(map(ref, x)) for x in r[2]] for r in rows],

@@ -597,7 +597,7 @@ def test_stuckat_table_matches_oracle():
 
 
 # ----------------------------------------------------------------------
-# collection between the variants of one analysis
+# collection while an analysis solves its variants
 
 def _collections(monkeypatch, analysis, session):
     """How many times `analysis` collects garbage in `session`, with the
@@ -643,31 +643,62 @@ def test_variants_keep_the_computed_table_below_the_threshold(
 @pytest.mark.parametrize("name", ["doors", "delivery"])
 @pytest.mark.parametrize("analysis", [stuck_at_analysis,
                                       classify_assumptions])
-def test_variants_collect_under_a_node_budget(monkeypatch, name, analysis):
-    # the budget counts dead slots too, so every safe point collects
+def test_variants_keep_the_computed_table_under_a_loose_node_budget(
+        monkeypatch, name, analysis):
+    # the budget is one more input to the one due rule, which fires only
+    # once the nodes in use near it, so a loose budget collects no more
+    # than none does
     session = Session(load_spec(name), node_budget=10**6)
-    variants = _variant_count(session, analysis)
-    assert _collections(monkeypatch, analysis, session) >= variants > 0
+    assert _variant_count(session, analysis) > 0
+    assert _collections(monkeypatch, analysis, session) == 0
 
 
-@pytest.mark.parametrize("name,budget", [("doors", 3000),
-                                         ("delivery", 12000)])
+@pytest.mark.parametrize("name,budget", [("doors", 3000), ("delivery", 6000)],
+                         ids=["doors", "delivery"])
+@pytest.mark.parametrize("analysis", [stuck_at_analysis,
+                                      classify_assumptions])
+def test_variants_collect_under_a_node_budget(
+        monkeypatch, name, budget, analysis):
+    # a tight budget makes the due rule fire inside the variants' solves,
+    # and what they keep as roots leaves every result as without one;
+    # robotics semantics, so that no stuck output is settled unsolved
+    def results(session):
+        r = analysis(session)
+        return r.entries if analysis is stuck_at_analysis else r
+    plain = results(Session(load_spec(name), robotics=True))
+    session = Session(load_spec(name), robotics=True, node_budget=budget)
+    assert _variant_count(session, analysis) > 0
+    tight = []
+    assert _collections(monkeypatch, lambda s: tight.append(results(s)),
+                        session) > 0
+    assert tight == [plain]
+
+
+@pytest.mark.parametrize("name,budget,analyses", [
+    pytest.param("doors", 3000, ("assumptions", "stuckat"), id="doors-3000"),
+    pytest.param("delivery", 12000, ("assumptions", "stuckat"),
+                 id="delivery-12000"),
+    # the whole report; its precommit analysis was skipped here while
+    # the budget made every safe point between sweeps collect
+    pytest.param("delivery_ready", 8000, ANALYSIS_ORDER,
+                 id="delivery_ready-8000"),
+])
 def test_tight_budget_still_completes_the_variant_analyses(
-        tmp_path, name, budget):
-    rep = run_report(SPEC_DIR / f"{name}.spec",
-                     ReportConfig(analyses=("assumptions", "stuckat"),
-                                  node_budget=budget),
-                     json_path=tmp_path / "r.json",
-                     html_path=tmp_path / "r.html", log=None)
-    for analysis in ("assumptions", "stuckat"):
-        assert rep.analyses[analysis]["status"] == "ok", (
-            analysis, rep.analyses[analysis])
+        tmp_path, name, budget, analyses):
+    plain, tight = (
+        run_report(SPEC_DIR / f"{name}.spec",
+                   ReportConfig(analyses=analyses, node_budget=b),
+                   json_path=tmp_path / "r.json",
+                   html_path=tmp_path / "r.html", log=None).analyses
+        for b in (None, budget))
+    assert tight == plain
+    assert all(e["status"] == "ok" for e in tight.values()), tight
 
 
 def _variant_results(spec, collect_always):
     """Assumption verdicts and stuck-at entries in a fresh session;
-    `collect_always` collects at every safe point, as the analyses did
-    between all their variants before they kept the computed table."""
+    `collect_always` collects at every safe point, inside each variant's
+    solve too, so no variant reuses a computed-table entry of another."""
     session = Session(spec)
     if collect_always:
         session.mgr._collect_due = lambda: True

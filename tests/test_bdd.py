@@ -355,10 +355,48 @@ def test_a_collection_is_due_once_dead_nodes_dominate_and_the_table_does_not_pay
     assert m._collect_due()
     assert m.maybe_collect() > 0
     assert m._live == len(m) == live and not m._collect_due()
-    # under a node budget every call of maybe_collect collects
-    m.node_budget = 10**6
-    m.apply("xor", pool[0], pool[1])
-    assert not m._collect_due() and m.maybe_collect() > 0
+
+
+def _grow_dead(m, pool, rng, until):
+    """Build throwaway results from `pool` until `until()` holds."""
+    while not until():
+        f, g = rng.sample(pool, 2)
+        m.apply(rng.choice(("and", "or", "xor")), f, g)   # dead at once
+
+
+def test_under_a_node_budget_a_collection_is_due_at_the_headroom_mark():
+    # due once the nodes in use plus their growth since the last
+    # collection reach the budget, below the floor and with a table
+    # that pays: one more phase as large as the last would not fit
+    import gr1report.bdd as bdd_mod
+    m = fresh()
+    pool = [m.var(v) for v in VARS]
+    m.collect()
+    live = m._live
+    _grow_dead(m, pool, rng=random.Random(5),
+               until=lambda: len(m) >= live + 20)
+    m._hits = len(m._cache) - m._kept       # half of the lookups hit
+    assert len(m) < bdd_mod._GC_FLOOR and m._cache_pays()
+    m.node_budget = 2 * len(m) - live + 1   # one node short of the mark
+    assert not m._collect_due() and m.maybe_collect() == 0
+    m.node_budget -= 1                      # exactly at the mark
+    assert m._collect_due()
+    assert m.maybe_collect() > 0
+    assert m._live == len(m) == live and not m._collect_due()
+
+
+def test_without_a_node_budget_the_headroom_clause_never_fires():
+    m = fresh()
+    pool = [m.var(v) for v in VARS]
+    m.collect()
+    live = m._live
+    # past twice the live count, but below the floor: nothing is due
+    _grow_dead(m, pool, rng=random.Random(6),
+               until=lambda: len(m) >= 2 * live + 10)
+    assert m.node_budget is None and not m._collect_due()
+    assert m.maybe_collect() == 0
+    m.node_budget = 2 * len(m) - live       # the same state under a budget
+    assert m._collect_due()
 
 
 def test_node_budget():

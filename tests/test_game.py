@@ -233,7 +233,8 @@ def test_solver_correct_under_aggressive_gc(monkeypatch):
     # where the safe point at the top of each mu-Y iteration collects
     # every time and freed slots are reused, an id the sweep still needs
     # but the roots there leave out would change the region.  The
-    # reference never collects inside a solve
+    # reference never collects inside a solve; every budgeted solve
+    # collects at least once
     freed = []
 
     def counted(self, roots=(), _collect=BddManager.collect):
@@ -245,16 +246,20 @@ def test_solver_correct_under_aggressive_gc(monkeypatch):
     specs += _arbiter_specs(monkeypatch)
     specs += [compile_to_boolean(parse_spec(chain_text(n))) for n in (30, 60)]
     specs += [random_boolean_spec(seed) for seed in range(30)]
+    tight = 0
     for k, spec in enumerate(specs):
         never, eager = BddManager(), BddManager()
         never._collect_due = lambda: False
         eager._collect_due = lambda: True     # every safe point collects
-        # a budget makes every safe point between sweeps collect
-        budgeted = BddManager(node_budget=1 << 24)
-        plain, *others = [_region_text(solve_game(build_game(spec, mgr=m)))
-                          for m in (never, eager, budgeted)]
-        assert all(o == plain for o in others), k
-    assert sum(n > 0 for n in freed) > 500
+        plain, always = [_region_text(solve_game(build_game(spec, mgr=m)))
+                         for m in (never, eager)]
+        # a budget one above every node the reference made: the budget
+        # clause of the due rule collects as the nodes in use near it
+        budgeted = BddManager(node_budget=len(never._level) + 1)
+        assert always == plain == _region_text(
+            solve_game(build_game(spec, mgr=budgeted))), k
+        tight += budgeted._live > 0
+    assert sum(n > 0 for n in freed) > 500 and tight == len(specs)
 
 
 def test_empty_conjunction_and_disjunction():
@@ -788,8 +793,8 @@ def test_can_matches_the_product_with_the_primed_copy():
 # the fixpoint on node ids
 
 def test_a_solve_wraps_only_the_sets_it_keeps(monkeypatch):
-    # handles are made for Z between sweeps and for the recorded sets,
-    # not per kernel operation (1433 on this solve when each made one)
+    # handles are made only for the sets the solve returns, not per
+    # kernel operation (1433 on this solve when each made one)
     game = build_game(_arbiter_specs(monkeypatch, (4,))[0])
     for name in ("_step", "_ts_goal", "_ts_nota", "_ts_nota_stay"):
         getattr(game, name)    # the game's relations, built beforehand

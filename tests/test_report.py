@@ -545,6 +545,25 @@ def _random_reports(tmp_path, seeds, config):
         yield seed, rep
 
 
+def test_tight_node_budget_keeps_each_entry_or_skips_it(tmp_path,
+                                                       specs_dir):
+    # a budget only adds collections, which change no result, so under
+    # a tight one each analysis gives the unbudgeted entry or reports
+    # that it ran out of nodes
+    paths = sorted(specs_dir.glob("*.spec"))
+    for seed in range(30):
+        paths.append(tmp_path / f"s{seed}.spec")
+        paths[-1].write_text(random_spec_text(seed))
+    for path in paths:
+        plain, tight = (json.loads(_report_bytes(tmp_path, path, config))
+                        for config in (None, ReportConfig(node_budget=8000)))
+        assert tight["baseline"] == plain["baseline"], path.name
+        for name, entry in tight["analyses"].items():
+            assert (json.dumps(entry) == json.dumps(plain["analyses"][name])
+                    or entry["status"] == "skipped"
+                    and "node budget" in entry["reason"]), (path.name, name)
+
+
 def test_unsatisfiable_initial_assumption_gives_zero_round_table(tmp_path):
     # these seeds draw [ENV_INIT] (i0 & !i0): the system wins before the
     # first move, so the abstract table is the violation round alone
