@@ -43,24 +43,27 @@ is checked only when one is set, once every 8192 misses.
 
 The computed table is bounded, as in Brace, Rudell & Bryant and in
 CUDD, and sized by its hit rate, as in CUDD: its capacity starts at
-2^16 entries and never exceeds `cache_limit`.  Each public operation
-first checks the table's size.  Once it holds more entries than its
-capacity, the table grows or is trimmed, by the share of lookups that
-hit since the last such decision: at 30% or more (CUDD's default
-`minHit`) the capacity doubles, up to `cache_limit`, and the table is
-kept; otherwise only the newer half is kept, in insertion order.  The
-capacity never shrinks, so a manager whose work reuses its entries (a
-corpus report) grows to the cap while one that rarely reuses them (the
-chain's verdict, where few lookups hit) stays at a quarter of it.
-Dropping entries never changes a result, only whether it is
-recomputed; the nodes stay in the unique table, so a recomputation
-allocates nothing.  The hot recursions only count their hits and never
-check the size, so the table may grow past its capacity within one
-operation.  Keeping the newer half rather than clearing the table lets
-a sequence of operations that shares more entries than the cap (the
-variant solves of one analysis) keep its recent work.  A collection
-that frees anything still clears the whole table, since freed slots are
-reused, and restarts the hit count; the capacity stays.
+2^14 entries and never exceeds `cache_limit`.  The hit rate has one
+window, every lookup since the table was last cleared: the hits, over
+the hits plus the entries inserted since, those that trims dropped
+included.  Each public operation first checks the table's size.  Once
+it holds more entries than its capacity, the table grows or is
+trimmed by that rate: at 30% or more (CUDD's default `minHit`) the
+capacity doubles, up to `cache_limit`, and the table is kept;
+otherwise only the newer half is kept, in insertion order.  Neither
+restarts the count.  The capacity never shrinks, so a manager whose
+work reuses its entries (a corpus report) grows to the cap while one
+that rarely reuses them (the chain's verdict, where few lookups hit)
+stays at a sixteenth of it.  Dropping entries never changes a result,
+only whether it is recomputed; the nodes stay in the unique table, so
+a recomputation allocates nothing.  The hot recursions only count
+their hits and never check the size, so the table may grow past its
+capacity within one operation.  Keeping the newer half rather than
+clearing the table lets a sequence of operations that shares more
+entries than the cap (the variant solves of one analysis) keep its
+recent work.  A collection that frees anything still clears the whole
+table, since freed slots are reused, and restarts the hit count; the
+capacity stays.
 
 A `BddRef` keeps its node through collections; a bare node id is valid
 only until the next collection, which frees every node that no handle
@@ -75,9 +78,10 @@ Collection follows one rule, CUDD's: collect once dead nodes dominate.
 A collection is due (`_collect_due`) when the nodes in use, dead ones
 not yet freed included, have reached twice the live count the last
 collection left, and at least 2^14, and the computed table does not pay
-(under 30% of its lookups hit since its last grow-or-trim decision), so
-that a table worth keeping is not cleared; or, under a node budget, once
-the nodes in use plus their growth since the last collection reach it.
+(under 30% of its lookups hit since it was last cleared, the rate by
+which it grows or is trimmed), so that a table worth keeping is not
+cleared; or, under a node budget, once the nodes in use plus their
+growth since the last collection reach it.
 `maybe_collect`, at the top of each mu-Y iteration and each layer of
 `reached_positions`, collects when one is due; `Session.restart` alone
 collects unconditionally, between analyses, where all else is dead.
@@ -241,11 +245,11 @@ class BddManager:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._cache: dict[tuple, int] = {}
         # the table's capacity (`_bound_cache` caps it at `cache_limit`)
-        # and, since the table last passed it, the hits counted and the
-        # size it was left at
-        self._capacity = 1 << 16
+        # and, since the table was last cleared, the hits counted and the
+        # entries that trims dropped (`_cache_pays`)
+        self._capacity = 1 << 14
         self._hits = 0
-        self._kept = 0
+        self._dropped = 0
         # the nodes in use that the last collection left (`_collect_due`)
         self._live = 0
         self.var_names: list[str] = []
@@ -393,7 +397,7 @@ class BddManager:
         self._free.extend(dead)
         self._unique = live
         self._cache = {}
-        self._hits = self._kept = 0
+        self._hits = self._dropped = 0
         self._live = len(self)
         return len(dead)
 
@@ -407,12 +411,12 @@ class BddManager:
         """The one collection rule.  CUDD's (Somenzi): `len(self)`, the
         nodes in use with dead ones not yet freed, has reached
         `_GC_GROWTH` times the live count the last collection left, and
-        `_GC_FLOOR`, and under 30% of the table's lookups since its last
-        grow-or-trim decision hit (`_cache_pays`), since a collection
-        clears the table.  Or, whatever the floor and the hit rate, once
-        the nodes in use plus their growth since that collection reach
-        the node budget, where `_mk` raises: one more phase as large as
-        the last would not fit."""
+        `_GC_FLOOR`, and under 30% of the table's lookups since it was
+        last cleared hit (`_cache_pays`, the rate `_bound_cache` reads),
+        since a collection clears the table.  Or, whatever the floor and
+        the hit rate, once the nodes in use plus their growth since that
+        collection reach the node budget, where `_mk` raises: one more
+        phase as large as the last would not fit."""
         n, budget = len(self), self.node_budget
         return ((budget is not None and 2 * n - self._live >= budget)
                 or (n >= _GC_FLOOR and n >= _GC_GROWTH * self._live
@@ -431,7 +435,9 @@ class BddManager:
         than its capacity.  If the table pays (`_cache_pays`), the
         capacity doubles, up to `cache_limit`, and the table is kept;
         otherwise the newer half is kept (a dict iterates in insertion
-        order).  The public operations call this first, never the
+        order) and the older half counted as dropped.  Neither restarts
+        the hit count, which only a collection that clears the table
+        does.  The public operations call this first, never the
         recursions; a caller that chains recursions on node ids calls it
         per step."""
         c = self._cache
@@ -440,16 +446,19 @@ class BddManager:
             if cap < self.cache_limit and self._cache_pays():
                 self._capacity = min(2 * cap, self.cache_limit)
             else:
-                self._cache = c = dict(islice(c.items(), len(c) // 2, None))
-            self._hits = 0
-            self._kept = len(c)
+                half = len(c) // 2
+                self._dropped += half
+                self._cache = dict(islice(c.items(), half, None))
 
     def _cache_pays(self) -> bool:
         """Whether at least 30% (CUDD's `minHit`) of the computed table's
-        lookups since its last grow-or-trim decision hit: the hits, over
-        the hits plus the entries inserted since."""
+        lookups since it was last cleared hit: the hits, over the hits
+        plus the entries inserted since, those in the table and those
+        that trims dropped.  One window for `_bound_cache` and
+        `_collect_due`: a trim keeps the count, so a few hits after a run
+        of misses do not read as a table that pays."""
         hits = self._hits
-        return 10 * hits >= 3 * (hits + len(self._cache) - self._kept)
+        return 10 * hits >= 3 * (hits + len(self._cache) + self._dropped)
 
     def apply(self, op: str, f: BddRef, g: BddRef) -> BddRef:
         """f op g for op in and, or, xor, implies, iff, diff (f & !g)."""

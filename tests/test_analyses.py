@@ -1025,9 +1025,10 @@ def test_solves_left_after_settling_from_the_baseline(monkeypatch, name,
 
 
 def test_a_low_hit_verdict_keeps_the_starting_capacity(monkeypatch):
-    # few of the chain verdict's lookups hit, so its computed table is
-    # trimmed at the starting capacity and never grows: the largest
-    # table is that capacity plus one operation's growth
+    # few of the chain verdict's lookups since its computed table was
+    # last cleared hit, so the table is trimmed at its starting capacity
+    # of 2^14 entries and never grows: the largest table is that
+    # capacity plus one operation's growth
     from conftest import chain_text
     from test_bdd import bounded_sizes
     sizes = bounded_sizes(monkeypatch)

@@ -307,7 +307,7 @@ def test_a_collection_that_frees_nothing_copies_nothing():
     m.collect()
     keep = pool[-1] & pool[-2]  # fills the computed table
     unique, cache = m._unique, m._cache
-    entries, counters = dict(cache), (m._hits, m._kept)
+    entries, counters = dict(cache), (m._hits, m._dropped)
     assert entries
 
     class Unswept(dict):
@@ -319,7 +319,7 @@ def test_a_collection_that_frees_nothing_copies_nothing():
     m._unique = unique
     assert m.collect() == 0
     assert m._unique is unique and m._cache is cache
-    assert m._cache == entries and (m._hits, m._kept) == counters
+    assert m._cache == entries and (m._hits, m._dropped) == counters
     del keep, pool[len(VARS):]
     assert m.collect() > 0 and m._unique is not unique and m._cache == {}
 
@@ -348,7 +348,7 @@ def test_a_collection_is_due_once_dead_nodes_dominate_and_the_table_does_not_pay
         assert not m._collect_due()     # too few nodes in use
         f, g = rng.sample(pool, 2)
         m.apply(rng.choice(("and", "or", "xor")), f, g)   # dead at once
-    lookups = len(m._cache) - m._kept
+    lookups = len(m._cache) + m._dropped    # the misses since the clear
     m._hits = lookups           # half of the lookups hit: the table pays
     assert not m._collect_due()
     m._hits = lookups // 3      # a quarter hit
@@ -375,7 +375,7 @@ def test_under_a_node_budget_a_collection_is_due_at_the_headroom_mark():
     live = m._live
     _grow_dead(m, pool, rng=random.Random(5),
                until=lambda: len(m) >= live + 20)
-    m._hits = len(m._cache) - m._kept       # half of the lookups hit
+    m._hits = len(m._cache) + m._dropped    # half of the lookups hit
     assert len(m) < bdd_mod._GC_FLOOR and m._cache_pays()
     m.node_budget = 2 * len(m) - live + 1   # one node short of the mark
     assert not m._collect_due() and m.maybe_collect() == 0
@@ -782,6 +782,8 @@ def test_trimming_keeps_the_newer_half_in_insertion_order():
 
 
 def test_the_capacity_grows_only_at_a_30_percent_hit_rate():
+    # the rate is read over every lookup since the table was last
+    # cleared: a trim drops entries but keeps the count
     m = fresh(len(KVARS))
     m._capacity = 8
     # 3 hits and 9 inserts so far: 25%, so the newer half is kept and
@@ -789,22 +791,60 @@ def test_the_capacity_grows_only_at_a_30_percent_hit_rate():
     m._cache, m._hits = {(0, i, i + 1): i for i in range(9)}, 3
     m.negate(m.true)
     assert list(m._cache) == [(0, i, i + 1) for i in range(4, 9)]
-    assert m._capacity == 8 and (m._hits, m._kept) == (0, 5)
-    # 2 hits and 4 inserts since: 33%, so the capacity doubles and the
-    # table is kept
+    assert m._capacity == 8 and (m._hits, m._dropped) == (3, 4)
+    # 2 more hits and 4 more inserts: 2 of the 6 lookups since the trim
+    # hit (33%), but 5 of the 18 since the clear (28%), so the table is
+    # trimmed again
     m._cache.update({(0, i, i + 1): i for i in range(9, 13)})
-    m._hits = 2
+    m._hits = 5
+    m.negate(m.true)
+    assert list(m._cache) == [(0, i, i + 1) for i in range(8, 13)]
+    assert m._capacity == 8 and (m._hits, m._dropped) == (5, 8)
+    # 4 more inserts and 9 hits in all: 9 of 26 lookups (35%), so the
+    # capacity doubles and the table and the counts are kept
+    m._cache.update({(0, i, i + 1): i for i in range(13, 17)})
+    m._hits = 9
     m.negate(m.true)
     assert len(m._cache) == 9
-    assert m._capacity == 16 and (m._hits, m._kept) == (0, 9)
+    assert m._capacity == 16 and (m._hits, m._dropped) == (9, 8)
     # a collection that frees nothing keeps the table and the counters;
     # one that frees a node clears the table and the counters only
-    m._hits = 1
     m.collect()
-    assert (len(m._cache), m._hits, m._kept) == (9, 1, 9)
+    assert (len(m._cache), m._hits, m._dropped) == (9, 9, 8)
     m.var("a")
     m.collect()
-    assert (m._cache, m._hits, m._kept, m._capacity) == ({}, 0, 0, 16)
+    assert (m._cache, m._hits, m._dropped, m._capacity) == ({}, 0, 0, 16)
+
+
+def test_a_trim_leaves_the_collection_rule_the_rate_since_the_clear(
+        monkeypatch):
+    # a run of misses passes the capacity and is trimmed, and then a few
+    # lookups hit: over the lookups since the trim the table would seem
+    # to pay, but over those since the clear it does not, so the dead
+    # nodes are still collected
+    import gr1report.bdd as bdd_mod
+    monkeypatch.setattr(bdd_mod, "_GC_FLOOR", 32)
+    m = fresh()
+    m._capacity = 16
+    pool = [m.var(v) for v in VARS]
+    m.collect()
+    live = len(m)
+    # each operator on each pair of variables once: one miss each
+    ops = [(op, f, g) for op in ("and", "or", "xor")
+           for f, g in itertools.combinations(pool, 2)]
+    sizes = []
+    for op, f, g in ops:
+        m.apply(op, f, g)       # dead at once
+        sizes.append(len(m._cache))
+    trims = [i for i in range(1, len(ops)) if sizes[i] < sizes[i - 1]]
+    assert trims and m._capacity == 16
+    since = len(ops) - trims[-1]        # the inserts since the last trim
+    for _ in range(3):
+        m.apply(*ops[-1])       # a hit
+    assert 10 * 3 >= 3 * (3 + since)    # 30% of those lookups hit
+    assert len(m) >= max(bdd_mod._GC_FLOOR, 2 * live)
+    assert not m._cache_pays() and m._collect_due()
+    assert m.maybe_collect() > 0 and m._live == len(m) == live
 
 
 def repeated_operations(m, rng, steps):
