@@ -259,10 +259,11 @@ def _type_visit(e: Expr, under_compare: bool, doc: SpecDocument,
 
 def validate_gr1_shape(doc: SpecDocument) -> list[Violation]:
     """Check every grammar restriction; violations are data, not errors,
-    at most one per rule and part."""
+    at most one per rule and part, in source line order (parts without
+    a line keep their kind order)."""
     out: list[Violation] = []
     outputs = {v.name for v in doc.outputs()}
-    for part in doc.all_parts():
+    for part in sorted(doc.all_parts(), key=lambda p: p.line):
         found: dict[str, str] = {}  # rule -> message
         # per X, and per occurrence of an output: whether an X encloses it
         nexts = [under for e, under in walk(part.formula)

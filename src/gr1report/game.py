@@ -35,8 +35,8 @@ that repeat the current output, T_s & !a_i & stay); the unrestricted
 waiting relation is used as a fallback when the stationary chain
 stalls, which keeps the winning-set limit exact.  The inner
 nu-fixpoints are kept per stratum and assumption for the canonical
-strategy, which `canonical_moves` gives as BDD relations and
-`extract_strategy` as an explicit machine.
+strategy, which `canonical_moves` gives as BDD relations (ranked
+moves, ties left to the caller) and `extract_strategy` as a machine.
 """
 
 from __future__ import annotations
@@ -761,7 +761,7 @@ def _lexmin(mgr: BddManager, rel: BddRef, names: list[str]) -> BddRef:
     """`rel` narrowed, for each valuation of its other variables, to its
     lexicographically smallest valuation of `names` (in the order given,
     false before true): `pick_min_model`'s tie-break, one name at a
-    time."""
+    time, for a set of valuations, as `reached_positions` needs it."""
     for n in names:
         low = mgr.and_exists(rel, mgr.nvar(n), names)  # n can be false
         rel = mgr.apply("diff", rel, mgr.var(n) & low)
@@ -770,19 +770,19 @@ def _lexmin(mgr: BddManager, rel: BddRef, names: list[str]) -> BddRef:
 
 def canonical_moves(game: SymbolicGame, region: WinningRegion, j: int,
                     src: BddRef) -> tuple[BddRef, BddRef]:
-    """The moves of `extract_strategy`'s machine for goal j from `src`, a
-    set over positions and next inputs.
+    """The ranked moves of `extract_strategy`'s machine for goal j from
+    `src`, a set over positions and next inputs.
 
     Returns (moves, goal): `moves` relates each pair in `src` with the
-    next outputs the machine picks, and `goal` holds the pairs whose
-    move is a goal move, after which the machine pursues goal j+1.  The
-    priorities are the machine's: a goal move into the winning set;
-    else, from exact stratum d, a move into stratum d-1; else a waiting
-    move inside the first xcore of stratum d that holds the position and
-    has one.  Each priority applies where none above it has a move, and
-    `_lexmin` over the primed outputs breaks the remaining ties.  Each
-    term is built from the part of `src` it applies to, so no per-goal
-    relation is kept.
+    next outputs of its first priority that has a move, and `goal` holds
+    the pairs whose move is a goal move, after which the machine pursues
+    goal j+1.  The priorities are the machine's: a goal move into the
+    winning set; else, from exact stratum d, a move into stratum d-1;
+    else a waiting move inside the first xcore of stratum d that holds
+    the position and has one.  The caller breaks the remaining ties as
+    the machine does, by the smallest primed outputs.  Each term is
+    built from the part of `src` it applies to, so no per-goal relation
+    is kept.
     """
     mgr = game.mgr
     outs = game.primed_outputs
@@ -809,14 +809,15 @@ def canonical_moves(game: SymbolicGame, region: WinningRegion, j: int,
                 break
             terms.append(mgr.and_exists_primed(part & x & w, x, []))
             part = mgr.apply("diff", part, mgr.exists(outs, terms[-1]))
-    return _lexmin(mgr, _union(mgr, terms), outs), goal
+    return _union(mgr, terms), goal
 
 
 def reached_positions(game: SymbolicGame,
                       region: WinningRegion) -> list[BddRef]:
     """The positions `extract_strategy`'s machine reaches, one set per
     goal it pursues there, found by a breadth-first search over
-    `canonical_moves` without building the machine.
+    `canonical_moves`, whose ties each layer breaks with `_lexmin`,
+    without building the machine.
 
     The machine starts at goal 0 from the smallest winning initial
     output of each initial input the assumptions admit.
@@ -837,6 +838,7 @@ def reached_positions(game: SymbolicGame,
                 continue
             moves, goal = canonical_moves(game, region, j,
                                           src & game.trans_env)
+            moves = _lexmin(mgr, moves, game.primed_outputs)
             nxt = (j + 1) % n
             found[nxt] = found[nxt] | mgr.and_exists(moves, goal,
                                                      game.positions)

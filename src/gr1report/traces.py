@@ -1,7 +1,8 @@
 """Nominal-case traces and abstract safety (counter-)strategies.
 
 nominal_trace plays the canonical strategy, one move at a time from
-`canonical_moves` with no explicit machine built, against an
+`canonical_moves` with no explicit machine built, breaking each move's
+ties with `pick_min_model` as the machine does, against an
 environment that follows a non-deterministic generalized-Buchi strategy
 for its own liveness assumptions (goal rotation; all distance-minimal
 moves kept, lexicographically smallest emitted) until the product laces

@@ -564,6 +564,20 @@ def test_tight_node_budget_keeps_each_entry_or_skips_it(tmp_path,
                     and "node budget" in entry["reason"]), (path.name, name)
 
 
+def test_a_chain_trace_fits_a_node_budget_the_solve_fits(tmp_path):
+    # the trace breaks each step's ties on its one (position, input)
+    # pair; breaking them over the whole relation first ran this trace
+    # out of a 10,000-node budget
+    path = tmp_path / "chain30.spec"
+    path.write_text(chain_text(30))
+    plain, tight = (
+        _report_bytes(tmp_path, path, ReportConfig(analyses=("trace",),
+                                                   node_budget=budget))
+        for budget in (None, 10000))
+    assert json.loads(tight)["analyses"]["trace"]["status"] == "ok"
+    assert tight == plain
+
+
 def test_unsatisfiable_initial_assumption_gives_zero_round_table(tmp_path):
     # these seeds draw [ENV_INIT] (i0 & !i0): the system wins before the
     # first move, so the abstract table is the violation round alone

@@ -191,6 +191,14 @@ def test_comparison_on_boolean_flagged():
     assert any(x.rule == "comparison on boolean" for x in v)
 
 
+def test_shape_violations_are_listed_in_source_line_order():
+    # kind order would put the initial assumption on line 10 first
+    v = _violations("[INPUT]\na\n[OUTPUT]\nb\n[SYS_INIT]\n!b\n"
+                    "[SYS_TRANS]\nX(X(b))\n[ENV_INIT]\nb\n")
+    assert [(x.rule, x.line) for x in v] == [
+        ("nested next", 8), ("output in initial assumption", 10)]
+
+
 def test_type_violation_reported_once_with_line_and_subexpression():
     v = _violations("[INPUT]\nr\n[OUTPUT]\ng\n[SYS_TRANS]\ng\nr = g & X(g)\n")
     assert [(x.rule, x.kind, x.index, x.line) for x in v] == [

@@ -2,9 +2,10 @@
 
 import pytest
 
-from conftest import SPEC_DIR, load_spec, random_boolean_spec
+from conftest import SPEC_DIR, chain_text, load_spec, random_boolean_spec
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.analyses import Session
+from gr1report.bdd import BddManager
 from gr1report.game import extract_strategy
 from gr1report.oracle import eval_ir
 from gr1report.traces import (
@@ -189,6 +190,24 @@ def test_nominal_trace_matches_the_machine_played_trace():
                     traces += 1
                     cut += want.lasso_start == len(want.steps) == max_steps
     assert traces >= 50 and cut >= 15, (traces, cut)
+
+
+def test_a_chain_trace_breaks_its_ties_on_the_played_pair(monkeypatch):
+    # `canonical_moves` leaves the ties of a step's moves to
+    # `pick_min_model`: narrowing them bit by bit over the relation as
+    # well made 80,561 recursion calls on this trace, growing as n^3
+    from test_bdd import RECURSIONS
+    session = Session(compile_text(chain_text(30)))
+    assert session.verdict() == "realizable"
+    calls = [0]
+    for name in RECURSIONS:
+        def counted(self, *args, _fn=getattr(BddManager, name)):
+            calls[0] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(BddManager, name, counted)
+    trace = nominal_trace(session)
+    assert isinstance(trace, AnnotatedTrace)
+    assert calls[0] <= 30000, calls[0]
 
 
 def _env_buchi_two_pass(game):
