@@ -139,18 +139,6 @@ class BddError(Exception):
     pass
 
 
-def _distinct(names) -> list[str]:
-    """`names` as a list, for an enumeration over them; a name given
-    twice is an error, as it would count or split one variable twice."""
-    names = list(names)
-    seen = set()
-    for n in names:
-        if n in seen:
-            raise BddError(f"name {n!r} is repeated")
-        seen.add(n)
-    return names
-
-
 class ResourceLimitError(BddError):
     """Node budget or deadline exceeded; distinct from any game verdict."""
 
@@ -1014,14 +1002,24 @@ class BddManager:
     # ------------------------------------------------------------------
     # model counting and model enumeration
 
+    def _enumerated(self, f: BddRef, names) -> list[str]:
+        """`names` as a list, checked for an enumeration of f over them:
+        f is this manager's, no name is given twice (it would count or
+        split one variable twice) and f's support lies within them."""
+        self._check_same(f)
+        names = list(names)
+        if len(set(names)) < len(names):
+            twice = next(n for i, n in enumerate(names) if n in names[:i])
+            raise BddError(f"name {twice!r} is repeated")
+        extra = self._support_levels(f.node) - self._levels_for(names)
+        if extra:
+            raise BddError("support escapes the enumerated variables: "
+                           f"{[self.var_names[v] for v in sorted(extra)]}")
+        return names
+
     def count_models(self, f: BddRef, names) -> int:
         """Exact number of assignments to `names` satisfying f."""
-        self._check_same(f)
-        levels = sorted(self._var_level[n] for n in _distinct(names))
-        sup = self._support_levels(f.node)
-        if not sup <= set(levels):
-            extra = [self.var_names[v] for v in sorted(sup - set(levels))]
-            raise BddError(f"support escapes the counting variables: {extra}")
+        levels = sorted(self._levels_for(self._enumerated(f, names)))
         pos = {lvl: i for i, lvl in enumerate(levels)}
         return self._count(f.node, 0, pos, len(levels), {})
 
@@ -1048,22 +1046,16 @@ class BddManager:
         """Lexicographically smallest satisfying assignment of `names`
         (in the order given, false < true).  f must be satisfiable and
         its support contained in `names`."""
-        self._check_same(f)
+        names = self._enumerated(f, names)
         if f.node == FALSE:
             raise BddError("pick_min_model of FALSE")
-        names = _distinct(names)
-        if not self._support_levels(f.node) <= self._levels_for(names):
-            raise BddError("support escapes the model variables")
         return next(self._models(f.node, 0, names, self._splitter(names),
                                  {}))
 
     def iter_models(self, f: BddRef, names):
         """All satisfying assignments over `names`, in lexicographic
         order over `names` as given."""
-        self._check_same(f)
-        names = _distinct(names)
-        if not self._support_levels(f.node) <= self._levels_for(names):
-            raise BddError("support escapes the model variables")
+        names = self._enumerated(f, names)
         yield from self._models(f.node, 0, names, self._splitter(names), {})
 
     def _models(self, n: int, i: int, names: list[str], split, acc: dict):
@@ -1086,10 +1078,7 @@ class BddManager:
         bit, so bit i of the result is f at the assignment where
         names[j] = bit (len(names)-1-j) of i.
         """
-        self._check_same(f)
-        names = _distinct(names)
-        if not self._support_levels(f.node) <= self._levels_for(names):
-            raise BddError("support escapes the truth-table variables")
+        names = self._enumerated(f, names)
         return self._table(f.node, 0, self._splitter(names), len(names), {})
 
     def _table(self, n: int, i: int, split, total: int,
@@ -1122,10 +1111,7 @@ class BddManager:
         occurrence/sign variable pairs and walked in order of increasing
         literal count.  FALSE yields nothing; TRUE yields the empty cube.
         """
-        self._check_same(f)
-        names = _distinct(names)
-        if not self._support_levels(f.node) <= self._levels_for(names):
-            raise BddError("support escapes the cube variables")
+        names = self._enumerated(f, names)
         if f.node == FALSE:
             return
         walk = _PrimeWalk(self, names)

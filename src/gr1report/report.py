@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -39,93 +39,6 @@ from .traces import nominal_trace, abstract_strategy, TraceError
 ANALYSIS_ORDER = ("semantics", "positions", "falsify", "assumptions",
                   "resilience", "precommit", "stuckat", "trace", "abstract")
 
-# structural schema for the canonical JSON artifact (a small JSON-Schema
-# subset: type / required / properties / items / enum / additional)
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["version", "spec", "config", "baseline", "analyses"],
-    "properties": {
-        "version": {"type": "string"},
-        "spec": {
-            "type": "object",
-            "required": ["name", "sha256"],
-            "properties": {"name": {"type": "string"},
-                           "sha256": {"type": "string"}},
-        },
-        "config": {
-            "type": "object",
-            "required": ["analyses", "semantics", "robotics", "max_k",
-                         "max_cubes", "max_trace_steps", "abstract_horizon"],
-            "properties": {
-                "analyses": {"type": "array", "items": {"type": "string"}},
-                "semantics": {"enum": ["strict", "nonstrict"]},
-                "robotics": {"type": "boolean"},
-                "max_k": {"type": "integer"},
-                "max_cubes": {"type": "integer"},
-                "max_trace_steps": {"type": "integer"},
-                "abstract_horizon": {"type": "integer"},
-            },
-        },
-        "baseline": {
-            "type": "object",
-            "required": ["semantics", "realizable"],
-            "properties": {
-                "semantics": {"enum": ["strict", "nonstrict"]},
-                "realizable": {"enum": ["realizable", "unrealizable"]},
-            },
-        },
-        "analyses": {
-            "type": "object",
-            "values": {
-                "type": "object",
-                "required": ["status"],
-                "properties": {
-                    "status": {"enum": ["ok", "skipped"]},
-                    "reason": {"type": "string"},
-                    "result": {"type": "object"},
-                },
-            },
-        },
-    },
-}
-
-
-def validate_report(data, schema=None, path="$"):
-    """Check a report dict against REPORT_SCHEMA; returns a list of
-    violation strings (empty when valid)."""
-    schema = REPORT_SCHEMA if schema is None else schema
-    out = []
-    kind = schema.get("type")
-    if kind == "object":
-        if not isinstance(data, dict):
-            return [f"{path}: expected object"]
-        for key in schema.get("required", ()):
-            if key not in data:
-                out.append(f"{path}.{key}: missing")
-        for key, sub in schema.get("properties", {}).items():
-            if key in data:
-                out += validate_report(data[key], sub, f"{path}.{key}")
-        if "values" in schema:
-            for key, val in data.items():
-                out += validate_report(val, schema["values"], f"{path}.{key}")
-    elif kind == "array":
-        if not isinstance(data, list):
-            return [f"{path}: expected array"]
-        for i, item in enumerate(data):
-            out += validate_report(item, schema["items"], f"{path}[{i}]")
-    elif kind == "string":
-        if not isinstance(data, str):
-            out.append(f"{path}: expected string")
-    elif kind == "integer":
-        if not isinstance(data, int) or isinstance(data, bool):
-            out.append(f"{path}: expected integer")
-    elif kind == "boolean":
-        if not isinstance(data, bool):
-            out.append(f"{path}: expected boolean")
-    if "enum" in schema and data not in schema["enum"]:
-        out.append(f"{path}: {data!r} not one of {schema['enum']}")
-    return out
-
 
 class ReportError(Exception):
     pass
@@ -135,8 +48,22 @@ class BaselineResourceError(ReportError):
     """The baseline realizability check ran out of resources."""
 
 
+# the settings that bound a report's work but not its result, kept out of
+# the canonical JSON: a budget or a deadline that is never reached must
+# not change the report, and CI compares such reports byte for byte
+# against the plain one
+_LIMITS = ("node_budget", "timeout_seconds")
+_COUNTS = ("max_k", "max_cubes", "max_trace_steps", "abstract_horizon")
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class ReportConfig:
+    """A report's settings.  Construction checks them, raising
+    ReportError, and puts `analyses` in ANALYSIS_ORDER, each name once."""
     analyses: tuple[str, ...] = ANALYSIS_ORDER
     semantics: str = "strict"          # strict | nonstrict
     robotics: bool = False
@@ -148,19 +75,95 @@ class ReportConfig:
     timeout_seconds: float | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.analyses, (tuple, list))
+                and all(isinstance(a, str) for a in self.analyses)):
+            raise ReportError(f"analyses must be a sequence of names, not "
+                              f"{self.analyses!r}")
         unknown = set(self.analyses) - set(ANALYSIS_ORDER)
         if unknown:
             raise ReportError(f"unknown analyses: {sorted(unknown)}")
-        for name in ("max_k", "max_cubes", "max_trace_steps",
-                     "abstract_horizon"):
-            if getattr(self, name) <= 0:
-                raise ReportError(f"{name} must be positive")
-        for name in ("node_budget", "timeout_seconds"):
+        self.analyses = tuple(a for a in ANALYSIS_ORDER if a in self.analyses)
+        for name in _COUNTS + _LIMITS:
             value = getattr(self, name)
-            if value is not None and not value > 0:  # also NaN
+            if value is None and name in _LIMITS:
+                continue
+            if _number(value) and not value > 0:  # also NaN
                 raise ReportError(f"{name} must be positive")
+            if not _number(value) or name in _COUNTS and not isinstance(
+                    value, int):
+                kind = "a number" if name in _LIMITS else "an integer"
+                raise ReportError(f"{name} must be {kind}, not {value!r}")
         if self.semantics not in ("strict", "nonstrict"):
             raise ReportError(f"bad semantics {self.semantics!r}")
+        if not isinstance(self.robotics, bool):
+            raise ReportError(f"robotics must be a bool, not "
+                              f"{self.robotics!r}")
+
+    def echo(self) -> dict:
+        """The settings that the canonical JSON records: all but
+        `_LIMITS`."""
+        out = {k: v for k, v in asdict(self).items() if k not in _LIMITS}
+        out["analyses"] = list(self.analyses)
+        return out
+
+
+def validate_report(data) -> list[str]:
+    """The structural problems of a canonical report dict, as `$.path:
+    problem` strings; empty when it is valid.  The config must hold the
+    keys of `ReportConfig.echo` and rebuild a ReportConfig whose echo it
+    is."""
+    if not isinstance(data, dict):
+        return ["$: expected object"]
+    out = []
+
+    def get(obj, path, key, want):
+        """obj[key] if it is of type `want`, or one of the values
+        `want`; else None, with its problem noted.  None when obj is."""
+        if obj is None:
+            return None
+        if key not in obj:
+            out.append(f"{path}.{key}: missing")
+        elif isinstance(want, type):
+            if isinstance(obj[key], want):
+                return obj[key]
+            out.append(f"{path}.{key}: expected "
+                       + {str: "string", dict: "object"}[want])
+        elif obj[key] in want:
+            return obj[key]
+        else:
+            out.append(f"{path}.{key}: {obj[key]!r} not one of {list(want)}")
+        return None
+
+    get(data, "$", "version", str)
+    spec = get(data, "$", "spec", dict)
+    for key in ("name", "sha256"):
+        get(spec, "$.spec", key, str)
+    config = get(data, "$", "config", dict)
+    if config is not None:
+        keys = ReportConfig().echo()
+        for key in sorted(set(keys) ^ set(config)):
+            out.append(f"$.config.{key}: "
+                       + ("missing" if key in keys else "unexpected"))
+        if set(keys) == set(config):
+            try:
+                if ReportConfig(**config).echo() != config:
+                    out.append("$.config.analyses: not in ANALYSIS_ORDER, "
+                               "each name once")
+            except ReportError as exc:
+                out.append(f"$.config: {exc}")
+    baseline = get(data, "$", "baseline", dict)
+    get(baseline, "$.baseline", "semantics", ("strict", "nonstrict"))
+    get(baseline, "$.baseline", "realizable", ("realizable", "unrealizable"))
+    for name, entry in (get(data, "$", "analyses", dict) or {}).items():
+        path = f"$.analyses.{name}"
+        if not isinstance(entry, dict):
+            out.append(f"{path}: expected object")
+            continue
+        status = get(entry, path, "status", ("ok", "skipped"))
+        if status is not None:
+            get(entry, path, "result" if status == "ok" else "reason",
+                dict if status == "ok" else str)
+    return out
 
 
 @dataclass
@@ -339,7 +342,6 @@ def _run_analyses(config: ReportConfig, session: Session, log) -> dict:
     """Run the requested analyses; maps each to (entry, seconds).  The
     `_worker_lane` ones run in a forked worker while this process runs
     the others in ANALYSIS_ORDER, or, without a worker, all run here."""
-    requested = [n for n in ANALYSIS_ORDER if n in config.analyses]
     lane = _worker_lane(config)
     if (lane and config.semantics == "strict"
             and session.verdict() != "realizable"):
@@ -348,12 +350,12 @@ def _run_analyses(config: ReportConfig, session: Session, log) -> dict:
         lane = ()
     worker = _fork_lane(lane, config, session) if lane else None
     if worker is None:
-        return _run_lane(requested, config, session, log)
+        return _run_lane(config.analyses, config, session, log)
     pid, pipe = worker
     data = None
     try:
         with pipe:
-            done = _run_lane([n for n in requested if n not in lane],
+            done = _run_lane([n for n in config.analyses if n not in lane],
                              config, session, log)
             data = pipe.read()
     finally:
@@ -457,19 +459,13 @@ def _run_report(spec_path, config, json_path, html_path, log,
     baseline = {"semantics": config.semantics, "realizable": verdict}
 
     done = _run_analyses(config, session, log)
-    results = {name: done[name][0] for name in ANALYSIS_ORDER if name in done}
+    results = {name: done[name][0] for name in config.analyses}
     timings = {name: done[name][1] for name in results}
 
     report = Report(
         version=__version__, spec_name=spec_path.name, spec_digest=digest,
-        config={
-            "analyses": [a for a in ANALYSIS_ORDER if a in config.analyses],
-            "semantics": config.semantics, "robotics": config.robotics,
-            "max_k": config.max_k, "max_cubes": config.max_cubes,
-            "max_trace_steps": config.max_trace_steps,
-            "abstract_horizon": config.abstract_horizon,
-        },
-        baseline=baseline, analyses=results, timings=timings)
+        config=config.echo(), baseline=baseline, analyses=results,
+        timings=timings)
 
     json_path = Path(json_path) if json_path else spec_path.with_name(
         spec_path.name + ".report.json")
@@ -593,11 +589,10 @@ def _render_result(name: str, r: dict) -> str:
                      *(f"{s['envGoal']}/{s['sysGoal']}" for s in steps)])
         return (f"<p>lasso starts at step {_esc(r['lassoStart'])}</p>"
                 + _table(["step", *range(len(steps))], rows))
-    if name == "abstract":
-        rounds = r["rounds"]
-        names = list(rounds[0]) if rounds else []
-        rows = [[_esc(n), *("&#9733;" if rd[n] == "star" else _esc(rd[n])
-                            for rd in rounds)] for n in names]
-        return (f"<p>winner: <b>{_esc(r['winner'])}</b></p>"
-                + _table(["proposition / round", *range(len(rounds))], rows))
-    return f"<pre>{_esc(json.dumps(r, indent=2, sort_keys=True))}</pre>"
+    # abstract
+    rounds = r["rounds"]
+    names = list(rounds[0]) if rounds else []
+    rows = [[_esc(n), *("&#9733;" if rd[n] == "star" else _esc(rd[n])
+                        for rd in rounds)] for n in names]
+    return (f"<p>winner: <b>{_esc(r['winner'])}</b></p>"
+            + _table(["proposition / round", *range(len(rounds))], rows))

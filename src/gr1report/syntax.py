@@ -335,7 +335,7 @@ def parse_spec(text: str) -> SpecDocument:
             formula = parse_expr(line, line_no)
         except RecursionError:
             raise SpecError("expression nested too deeply", line_no) from None
-        _check_declared(formula, doc, line_no)
+        _check_declared(formula, doc, line, line_no)
         doc.parts[kind].append(SpecPart(
             formula=formula, text=line, kind=kind,
             index=counters[kind], line=line_no))
@@ -364,11 +364,15 @@ def _parse_decl(line: str, line_no: int, kind: str,
     return VarDecl(name, kind, lo, hi)
 
 
-def _check_declared(e: Expr, doc: SpecDocument, line_no: int):
+def _check_declared(e: Expr, doc: SpecDocument, text: str, line_no: int):
+    """Raise SpecError at the first undeclared name of `e`, parsed from
+    `text`, with the column of its first token in `text`."""
     for node, _ in walk(e):
         if isinstance(node, Atom) and doc.var(node.name) is None:
+            col = next(c for kind, value, c in _tokenize(text, line_no)
+                       if kind == "name" and value == node.name)
             raise SpecError(f"reference to undeclared variable {node.name!r}",
-                            line_no)
+                            line_no, col)
 
 
 def walk(e: Expr):

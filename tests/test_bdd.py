@@ -149,14 +149,16 @@ def test_primed_product_register_check_reaches_below_a_cached_entry():
         f, m.rename(a & b, "prime"), q)
 
 
-@pytest.mark.parametrize("call", [
-    lambda m, f, names: m.count_models(f, names),
-    lambda m, f, names: list(m.iter_models(f, names)),
-    lambda m, f, names: m.pick_min_model(f, names),
-    lambda m, f, names: m.to_truthtable(f, names),
-    lambda m, f, names: list(m.prime_cubes(f, names)),
-], ids=["count_models", "iter_models", "pick_min_model", "to_truthtable",
-        "prime_cubes"])
+ENUMERATIONS = {
+    "count_models": lambda m, f, names: m.count_models(f, names),
+    "iter_models": lambda m, f, names: list(m.iter_models(f, names)),
+    "pick_min_model": lambda m, f, names: m.pick_min_model(f, names),
+    "to_truthtable": lambda m, f, names: m.to_truthtable(f, names),
+    "prime_cubes": lambda m, f, names: list(m.prime_cubes(f, names)),
+}
+
+
+@pytest.mark.parametrize("call", ENUMERATIONS.values(), ids=ENUMERATIONS)
 def test_enumerations_reject_a_repeated_name(call):
     m = fresh(2)
     for f, names in ((m.var("a"), ["a", "a"]), (m.true, ["a", "b", "a"])):
@@ -171,9 +173,12 @@ def test_manager_mismatch_rejected():
 
 
 def test_count_models_support_check():
-    m = fresh(2)
-    with pytest.raises(BddError, match="escapes"):
-        m.count_models(m.var("a") & m.var("b"), ["a"])
+    # every enumeration names the variables that escape `names`
+    m = fresh(3)
+    f = m.var("a") & m.var("b") & m.var("c")
+    for call in ENUMERATIONS.values():
+        with pytest.raises(BddError, match=r"escapes .*: \['b', 'c'\]$"):
+            call(m, f, ["a"])
 
 
 def test_pick_min_model_is_lexicographic():

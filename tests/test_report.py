@@ -23,6 +23,15 @@ def test_config_validates_names_and_bounds():
     for semantics in ("fuzzy", "both"):
         with pytest.raises(ReportError, match="semantics"):
             ReportConfig(semantics=semantics)
+    # ill-typed values: each once ran into a TypeError or ValueError
+    # inside an analysis, or wrote a report that does not validate
+    for field, value, want in (("max_k", 2.5, "an integer"),
+                               ("max_cubes", 2.5, "an integer"),
+                               ("robotics", "yes", "a bool"),
+                               ("max_trace_steps", True, "an integer")):
+        with pytest.raises(ReportError, match=f"^{field} must be {want}, "
+                           f"not {value!r}$"):
+            ReportConfig(**{field: value})
 
 
 @pytest.mark.parametrize("option, value", [
@@ -918,6 +927,27 @@ def _assert_no_child_left():
 def _in_one_process(monkeypatch):
     import gr1report.report as report_mod
     monkeypatch.setattr(report_mod, "_worker_lane", lambda config: ())
+
+
+@pytest.mark.parametrize("one_process", [False, True],
+                         ids=["worker", "one-process"])
+def test_a_permuted_repeated_request_runs_in_canonical_order(
+        tmp_path, monkeypatch, forks, one_process):
+    if one_process:
+        _in_one_process(monkeypatch)
+    canonical = ("positions", "precommit", "stuckat")
+    config = ReportConfig(analyses=("stuckat", "precommit", "positions",
+                                    "stuckat"))
+    assert config.analyses == canonical
+    want = _report_bytes(tmp_path, spec_path("delivery"),
+                         ReportConfig(analyses=canonical))
+    rep = run_report(spec_path("delivery"), config,
+                     json_path=tmp_path / "r.json",
+                     html_path=tmp_path / "r.html", log=None)
+    assert (tmp_path / "r.json").read_bytes() == want
+    assert (list(rep.analyses) == list(rep.timings) == rep.config["analyses"]
+            == json.loads(want)["config"]["analyses"] == list(canonical))
+    assert len(forks) == (0 if one_process else 2)
 
 
 @pytest.mark.parametrize("config", [

@@ -81,8 +81,17 @@ def test_comment_runs_past_characters_that_end_no_line(sep):
 
 @pytest.mark.parametrize("sep", _NOT_LINE_ENDS)
 def test_line_numbers_count_only_line_ends(sep):
-    with pytest.raises(SpecError, match="^line 6: reference to undeclared"):
+    with pytest.raises(SpecError,
+                       match="^line 6, column 1: reference to undeclared"):
         parse_spec(f"[INPUT]\nx{sep}\n[OUTPUT]\ny\n[SYS_LIVENESS]\nz\n")
+
+
+def test_an_undeclared_name_has_its_column():
+    # columns count within the expression text, as for a syntax error
+    for text in ("a & c", "[SYS_TRANS] a & c"):
+        with pytest.raises(SpecError, match="^line 6, column 5: reference "
+                           "to undeclared variable 'c'$"):
+            parse_spec(f"[INPUT]\na\n[OUTPUT]\nb\n[SYS_TRANS]\n{text}\n")
 
 
 def test_lines_end_at_crlf_cr_and_lf():
