@@ -1,8 +1,9 @@
 """Specification debugging analyses.
 
 The analyses of one report share a Session: one manager holding the
-baseline games and regions and the positions the canonical strategy
-reaches, all as BDDs; no explicit machine is built.  Every other game
+baseline games and regions, the positions the canonical strategy
+reaches and the falsification set, all as BDDs; no explicit machine
+is built.  Every other game
 (classical implication, a goal set to FALSE, an assumption dropped, a
 signal pinned, outputs committed early, glitch positions filtered out)
 is a dataclasses.replace edit of the strict baseline game in that manager,
@@ -49,7 +50,8 @@ class Session:
     `restart` (run_report restarts before each analysis).  The session
     keeps the canonical strategy's reached positions, never the strategy
     itself: test (d) and the nominal trace get its moves from
-    `canonical_moves` as BDD relations.  The analyses solve their
+    `canonical_moves` as BDD relations.  It keeps the falsification set
+    too (`falsified`).  The analyses solve their
     variant games through `solve`, or ask `settle` for a variant's
     verdict; both take the direction of the power change."""
 
@@ -62,6 +64,7 @@ class Session:
         self._games: dict[str, SymbolicGame] = {}
         self._regions: dict[str, WinningRegion] = {}
         self._reached: list[BddRef] | None = None
+        self._falsified: tuple[SymbolicGame, BddRef] | None = None
         self.restart()
 
     def restart(self):
@@ -138,6 +141,19 @@ class Session:
         if self._reached is None:
             self._reached = reached_positions(self.game(), self.region())
         return self._reached
+
+    def falsified(self) -> tuple[SymbolicGame, BddRef]:
+        """The strict baseline game with FALSE as its only system goal,
+        and its winning set: the positions from which the system can
+        force an assumption violation.  GR(1) games are determined, so
+        the complement is the environment's winning set for its liveness
+        assumptions, where the nominal trace plays.  The goal FALSE only
+        takes power from the system, so the solve starts from W.  Only
+        this game and set are kept."""
+        if self._falsified is None:
+            game = _goal_false(self.game())
+            self._falsified = game, self.solve(game, weaker=True).win
+        return self._falsified
 
 
 def _session(spec: BooleanSpec | Session) -> Session:
@@ -239,13 +255,12 @@ def assumption_falsification(spec: BooleanSpec | Session,
                              max_cubes: int = 10) -> FalsificationResult:
     """Winning set of the game whose only system goal is FALSE: exactly
     the positions from which the system can force an assumption
-    violation.  The goal FALSE only takes power from the system, so the
-    solve starts from W; no iterate reads the outer fixpoint Z, so the
-    first sweep already reaches the winning set and the second confirms
-    it (the first does, when that set is W)."""
+    violation (`Session.falsified`, solved once per session).  No
+    iterate reads the outer fixpoint Z, so the first sweep already
+    reaches the winning set and the second confirms it (the first does,
+    when that set is W)."""
     session = _session(spec)
-    game = _goal_false(session.game())
-    win = session.solve(game, weaker=True).win
+    game, win = session.falsified()
     mgr = game.mgr
     return FalsificationResult(
         count=mgr.count_models(win, game.positions),

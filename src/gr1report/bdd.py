@@ -275,13 +275,18 @@ class BddManager:
     def true(self) -> BddRef:
         return BddRef(self, TRUE)
 
+    def _level_of(self, name: str) -> int:
+        """The level of a declared variable; BddError names any other."""
+        try:
+            return self._var_level[name]
+        except KeyError:
+            raise BddError(f"undeclared variable {name!r}") from None
+
     def var(self, name: str) -> BddRef:
-        lvl = self._var_level[name]
-        return BddRef(self, self._mk(lvl, FALSE, TRUE))
+        return BddRef(self, self._mk(self._level_of(name), FALSE, TRUE))
 
     def nvar(self, name: str) -> BddRef:
-        lvl = self._var_level[name]
-        return BddRef(self, self._mk(lvl, TRUE, FALSE))
+        return BddRef(self, self._mk(self._level_of(name), TRUE, FALSE))
 
     def __len__(self) -> int:
         return len(self._level) - len(self._free)
@@ -662,7 +667,7 @@ class BddManager:
         return qid
 
     def _levels_for(self, names) -> frozenset:
-        return frozenset(self._var_level[n] for n in names)
+        return frozenset(map(self._level_of, names))
 
     def _names_qid(self, names) -> int:
         """Quantifier-set id of `names`, memoised by the names as given,
@@ -963,7 +968,7 @@ class BddManager:
         the assigned variables (Bryant 1986)."""
         self._check_same(f)
         self._bound_cache()
-        fixed = sorted(((self._var_level[n], v)
+        fixed = sorted(((self._level_of(n), v)
                         for n, v in assignment.items()), reverse=True)
         cube = TRUE
         for lvl, v in fixed:
@@ -978,7 +983,7 @@ class BddManager:
         cofactor on each name's level wherever it sits, so their results
         do not depend on the level order.  Below the top of n, a cofactor
         is the relational product with the name's literal."""
-        levels = [self._var_level[n] for n in names]
+        levels = list(map(self._level_of, names))
         qids = [self._qset_id(frozenset((lvl,))) for lvl in levels]
         level, lo, hi = self._level, self._lo, self._hi
 

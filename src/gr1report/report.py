@@ -60,10 +60,11 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReportConfig:
-    """A report's settings.  Construction checks them, raising
-    ReportError, and puts `analyses` in ANALYSIS_ORDER, each name once."""
+    """A report's settings, frozen so that they stay as checked.
+    Construction checks them, raising ReportError, and puts `analyses` in
+    ANALYSIS_ORDER, each name once."""
     analyses: tuple[str, ...] = ANALYSIS_ORDER
     semantics: str = "strict"          # strict | nonstrict
     robotics: bool = False
@@ -82,7 +83,8 @@ class ReportConfig:
         unknown = set(self.analyses) - set(ANALYSIS_ORDER)
         if unknown:
             raise ReportError(f"unknown analyses: {sorted(unknown)}")
-        self.analyses = tuple(a for a in ANALYSIS_ORDER if a in self.analyses)
+        object.__setattr__(self, "analyses", tuple(
+            a for a in ANALYSIS_ORDER if a in self.analyses))
         for name in _COUNTS + _LIMITS:
             value = getattr(self, name)
             if value is None and name in _LIMITS:

@@ -7,6 +7,9 @@ environment that follows a non-deterministic generalized-Buchi strategy
 for its own liveness assumptions (goal rotation; all distance-minimal
 moves kept, lexicographically smallest emitted) until the product laces
 into a lasso: a repeated (position, system goal, environment goal).
+The environment plays inside the complement of the falsification set
+(`Session.falsified`): GR(1) games are determined, so that complement
+is its winning set for the liveness assumptions.
 
 abstract_strategy handles games decided by the safety parts alone: it
 probes, round by round and proposition by proposition, whether fixing a
@@ -63,39 +66,28 @@ def _cube(mgr: BddManager, assignment: dict[str, bool]) -> BddRef:
                        for n, v in assignment.items()])
 
 
-def _env_buchi(game: SymbolicGame):
-    """Winning set and per-goal attractor iterates for the environment's
-    generalized-Buchi objective (all liveness assumptions, rotating).
-
-    Sweeps the assumptions until one whole sweep leaves W unchanged; the
-    mu-R evaluations of that sweep all ran against the final W, so their
-    iterates are the recorded ones, as in `solve_game`."""
+def _env_ranks(game: SymbolicGame, w_env: BddRef):
+    """Per liveness assumption a_c, the environment's attractor toward
+    a_c & W_env' as (R_k, M_k) pairs, rank k from 0: R_k, the positions
+    from which it reaches the target in at most k + 1 steps, and M_k =
+    T_e & forced(a_c & W_env' | R_{k-1}'), its moves from there, with
+    R_{-1} = FALSE.  W_env is the greatest fixpoint, so the last R_k of
+    every assumption is W_env itself."""
     mgr = game.mgr
-
-    def mu_r(i: int, w: BddRef):
-        hit = game.live_env[i] & game.prime(w)
-        rs = []
-        r = mgr.false
+    target = game.prime(w_env)
+    ranks = []
+    for a in game.live_env:
+        hit = a & target
+        pairs, r = [], mgr.false
         while True:
-            rn = game.env_pre(hit | game.prime(r))
+            move = game.trans_env & game.forced(hit | game.prime(r))
+            rn = mgr.exists(game.primed_inputs, move)
             if rn == r:
                 break
             r = rn
-            rs.append(r)
-        return r, rs
-
-    w = mgr.true
-    while True:
-        changed = False
-        iterates = []
-        for i in range(len(game.live_env)):
-            r, rs = mu_r(i, w)
-            if r != w:
-                changed = True
-                w = r
-            iterates.append(rs)
-        if not changed:
-            return w, iterates
+            pairs.append((r, move))
+        ranks.append(pairs)
+    return ranks
 
 
 def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64):
@@ -113,29 +105,16 @@ def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64):
     # also the canonical strategy's initial position: no start with p0's
     # inputs has smaller outputs
     p0 = mgr.pick_min_model(starts, game.positions)
-    w_env, iterates = _env_buchi(game)
-    if not mgr.eval(w_env, p0):
+    falsified = session.falsified()[1]
+    if mgr.eval(falsified, p0):
         return {"finding": "the environment cannot satisfy its liveness "
                            "assumptions from the initial position"}
+    # the environment's moves at each rank: every legal system reply
+    # either satisfies the pursued assumption (into its winning set) or
+    # strictly lowers the rank
+    ranks = _env_ranks(game, ~falsified)
 
     m = len(game.live_env)
-    move_ok_memo: dict[tuple[int, int], BddRef] = {}
-
-    def move_filter(c: int, rank: int) -> BddRef:
-        # inputs whose every legal system reply either satisfies the
-        # pursued assumption (into the winning set) or strictly lowers
-        # the rank
-        key = (c, rank)
-        got = move_ok_memo.get(key)
-        if got is not None:
-            return got
-        good = game.live_env[c] & game.prime(w_env)
-        if rank > 0:
-            good = good | game.prime(iterates[c][rank - 1])
-        got = game.trans_env & game.forced(good)
-        move_ok_memo[key] = got
-        return got
-
     n_goals = len(game.live_sys)
     steps: list[TraceStep] = []
     seen: dict[tuple, int] = {}
@@ -149,11 +128,10 @@ def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64):
             inputs=spec.decode(pos, "input"),
             outputs=spec.decode(pos, "output"),
             env_goal=c, sys_goal=j))
-        rank = next((r for r, s in enumerate(iterates[c])
-                     if mgr.eval(s, pos)), None)
-        if rank is None:
+        move = next((mv for r, mv in ranks[c] if mgr.eval(r, pos)), None)
+        if move is None:
             raise TraceError("environment left its winning region")
-        moves = mgr.restrict(move_filter(c, rank), pos)
+        moves = mgr.restrict(move, pos)
         if moves.is_false():
             raise TraceError("environment strategy has no move")
         step = dict(pos)
@@ -216,12 +194,6 @@ def _pin(mgr: BddManager, spec: BooleanSpec, name: str, value) -> BddRef:
                        for i, b in enumerate(g.bits)])
 
 
-def _env_start_ok(game: SymbolicGame, v: BddRef) -> bool:
-    """Some initial input makes every initial output land in v."""
-    every = game.mgr.forall(game.outputs, game.init_sys.implies(v))
-    return not (game.init_env & every).is_false()
-
-
 def abstract_strategy(spec: BooleanSpec | Session, horizon: int = 64):
     """Abstract strategy/counter-strategy for safety-decided games.
 
@@ -233,7 +205,10 @@ def abstract_strategy(spec: BooleanSpec | Session, horizon: int = 64):
     wins = []
     for winner, owner, pre, start_ok in (
             ("system", "output", game.cox, standard_start_ok),
-            ("environment", "input", game.pre_env, _env_start_ok)):
+            ("environment", "input", game.pre_env,
+             # some initial input makes every initial output land in v:
+             # the dual of the system's condition
+             lambda game, v: not standard_start_ok(game, ~v))):
         attr = _attractor(game, pre, horizon)
         h = next((h for h in range(len(attr)) if start_ok(game, attr[h])),
                  None)

@@ -113,6 +113,29 @@ def test_falsification_region_empty_with_true_assumptions():
     assert res.count == 0 and res.cubes == []
 
 
+def _goal_false_spec(spec):
+    """The spec with one FALSE system goal in place of its own: the
+    reference for the falsification game."""
+    from gr1report.compiler import IR_FALSE
+    out = _variant(spec)
+    out.parts["sys_liveness"] = [BoolPart(
+        IR_FALSE, "FALSE", "sys_liveness", 0, synthetic=True)]
+    return out
+
+
+def test_falsification_region_matches_oracle():
+    # at most 10 propositions: the oracle's tables at its 14-proposition
+    # bound take too much memory for a test
+    specs = [load_spec(p.stem) for p in sorted(SPEC_DIR.glob("*.spec"))]
+    specs = [s for s in specs if len(s.props) <= 10]
+    specs += [random_boolean_spec(seed) for seed in range(200)]
+    assert len(specs) >= 208
+    for k, spec in enumerate(specs):
+        res = assumption_falsification(spec)
+        got = res.game.mgr.to_truthtable(res.region_bdd, res.game.positions)
+        assert got == explicit_solve(_goal_false_spec(spec)).win, k
+
+
 def test_falsification_region_subset_of_win():
     for name in ("tworobot", "request_grant", "doors"):
         spec = load_spec(name)
@@ -744,11 +767,7 @@ def _built_games(monkeypatch, analysis, session):
 def _reference_specs(spec, realizable):
     """(what, variant spec) per variant game, in the analyses' order:
     the falsify goal, each dropped user assumption, each stuck signal."""
-    from gr1report.compiler import IR_FALSE
-    falsify = _variant(spec)
-    falsify.parts["sys_liveness"] = [BoolPart(
-        IR_FALSE, "FALSE", "sys_liveness", 0, synthetic=True)]
-    out = [("falsify", falsify)]
+    out = [("falsify", _goal_false_spec(spec))]
     if realizable:
         out += [(f"drop {p.kind}", _variant(spec, drop=(p.kind, p.index)))
                 for kind in ("env_init", "env_trans", "env_liveness")

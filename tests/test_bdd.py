@@ -181,6 +181,24 @@ def test_count_models_support_check():
             call(m, f, ["a"])
 
 
+UNDECLARED = {
+    "var": lambda m, f: m.var("zz"),
+    "nvar": lambda m, f: m.nvar("zz"),
+    "exists": lambda m, f: m.exists(["zz"], f),
+    "restrict": lambda m, f: m.restrict(f, {"zz": True}),
+    **{name: (lambda m, f, _call=call: _call(m, f, ["a", "zz"]))
+       for name, call in ENUMERATIONS.items()},
+}
+
+
+@pytest.mark.parametrize("call", UNDECLARED.values(), ids=UNDECLARED)
+def test_an_undeclared_name_raises_bdd_error(call):
+    # once a bare KeyError from the name -> level lookup
+    m = fresh(2)
+    with pytest.raises(BddError, match="^undeclared variable 'zz'$"):
+        call(m, m.var("a"))
+
+
 def test_pick_min_model_is_lexicographic():
     m = fresh(3)
     a, b, c = m.var("a"), m.var("b"), m.var("c")

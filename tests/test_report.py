@@ -1,5 +1,6 @@
 """Report orchestration, canonical JSON, HTML rendering, CLI."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -32,6 +33,12 @@ def test_config_validates_names_and_bounds():
         with pytest.raises(ReportError, match=f"^{field} must be {want}, "
                            f"not {value!r}$"):
             ReportConfig(**{field: value})
+    # a checked config stays as checked: a field assigned afterwards
+    # once ran into a TypeError inside `error_resilience`
+    config = ReportConfig(analyses=("resilience",))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.max_k = 2.5
+    assert config.max_k == 16
 
 
 @pytest.mark.parametrize("option, value", [

@@ -6,11 +6,11 @@ from conftest import SPEC_DIR, chain_text, load_spec, random_boolean_spec
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.analyses import Session
 from gr1report.bdd import BddManager
-from gr1report.game import extract_strategy
+from gr1report.game import extract_strategy, standard_start_ok
 from gr1report.oracle import eval_ir
 from gr1report.traces import (
     nominal_trace, abstract_strategy, AnnotatedTrace, TraceError, TraceStep,
-    STAR, VIOLATION, _env_buchi,
+    STAR, VIOLATION, _env_ranks,
 )
 
 
@@ -125,6 +125,33 @@ def test_a_fixed_integer_is_listed_on_its_own_side():
 # differential check: the nominal trace played on the extracted machine,
 # kept only here
 
+def _env_buchi_two_pass(game):
+    """The environment's winning set for its liveness assumptions and,
+    per assumption, the iterates of its attractor toward a_i & W': the
+    generalized-Buchi fixpoint swept until W is stable, then one more
+    sweep of mu-R against the final W for the iterates."""
+    mgr = game.mgr
+
+    def mu_r(i, w):
+        hit = game.live_env[i] & game.prime(w)
+        rs, r = [], mgr.false
+        while True:
+            rn = game.env_pre(hit | game.prime(r))
+            if rn == r:
+                return r, rs
+            r = rn
+            rs.append(r)
+
+    w = mgr.true
+    while True:
+        wprev = w
+        for i in range(len(game.live_env)):
+            w, _ = mu_r(i, w)
+        if w == wprev:
+            break
+    return w, [mu_r(i, w)[1] for i in range(len(game.live_env))]
+
+
 def _machine_trace(session, max_steps=64):
     """The nominal trace that walks the transitions of the whole
     extracted machine; its lasso key is (state, environment goal)."""
@@ -134,7 +161,7 @@ def _machine_trace(session, max_steps=64):
     if starts.is_false():
         return {"finding": "no initial position satisfies the initial parts"}
     p0 = mgr.pick_min_model(starts, game.positions)
-    w_env, iterates = _env_buchi(game)
+    w_env, iterates = _env_buchi_two_pass(game)
     if not mgr.eval(w_env, p0):
         return {"finding": "the environment cannot satisfy its liveness "
                            "assumptions from the initial position"}
@@ -210,39 +237,71 @@ def test_a_chain_trace_breaks_its_ties_on_the_played_pair(monkeypatch):
     assert calls[0] <= 30000, calls[0]
 
 
-def _env_buchi_two_pass(game):
-    """`_env_buchi` as a fixpoint first, then one more sweep of mu-R
-    against the final W for the iterates."""
-    mgr = game.mgr
+@pytest.mark.parametrize("trace_first", [False, True])
+def test_the_falsification_game_is_solved_once_per_session(monkeypatch,
+                                                           trace_first):
+    import gr1report.analyses as analyses_mod
+    from gr1report.analyses import assumption_falsification
+    session = Session(load_spec("tworobot"))
+    session.region()
+    goal_false, solve_game = analyses_mod._goal_false, analyses_mod.solve_game
+    built, solved = [], []
 
-    def mu_r(i, w):
-        hit = game.live_env[i] & game.prime(w)
-        rs, r = [], mgr.false
-        while True:
-            rn = game.env_pre(hit | game.prime(r))
-            if rn == r:
-                return r, rs
-            r = rn
-            rs.append(r)
+    def build(game):
+        built.append(goal_false(game))
+        return built[-1]
 
-    w = mgr.true
-    while True:
-        wprev = w
-        for i in range(len(game.live_env)):
-            w, _ = mu_r(i, w)
-        if w == wprev:
-            break
-    return w, [mu_r(i, w)[1] for i in range(len(game.live_env))]
+    def solve(game, *args, **kwargs):
+        solved.append(game)
+        return solve_game(game, *args, **kwargs)
+    monkeypatch.setattr(analyses_mod, "_goal_false", build)
+    monkeypatch.setattr(analyses_mod, "solve_game", solve)
+    runs = [assumption_falsification, nominal_trace]
+    for run in (runs[::-1] if trace_first else runs) * 2:
+        run(session)
+    assert len(built) == 1 and solved == built
 
 
-def test_env_buchi_records_the_last_sweep():
+def _env_start_ok(game, v):
+    """Some initial input makes every initial output land in v: the
+    environment's initial condition, stated directly."""
+    every = game.mgr.forall(game.outputs, game.init_sys.implies(v))
+    return not (game.init_env & every).is_false()
+
+
+def test_env_buchi_records_the_last_sweep(monkeypatch):
+    # the trace's environment side against the two-pass reference: its
+    # winning set is the complement of the session's falsification set
+    # (GR(1) games are determined), and its rank iterates are those of
+    # the last sweep; the environment's initial condition in
+    # `abstract_strategy`, the dual of the system's, is `_env_start_ok`
+    import gr1report.traces as traces_mod
+    tried = []
+
+    def spy(game, v):
+        tried.append((game, v))
+        return standard_start_ok(game, v)
+    monkeypatch.setattr(traces_mod, "standard_start_ok", spy)
     specs = [load_spec(p.stem) for p in sorted(SPEC_DIR.glob("*.spec"))]
     specs += [random_boolean_spec(seed) for seed in range(200)]
+    env_wins = 0
     for k, spec in enumerate(specs):
         for robotics in (False, True):
-            game = Session(spec, robotics=robotics).game()
-            assert _env_buchi(game) == _env_buchi_two_pass(game), (
+            session = Session(spec, robotics=robotics)
+            game = session.game()
+            w_env = ~session.falsified()[1]
+            ranks = [[r for r, _move in pairs]
+                     for pairs in _env_ranks(game, w_env)]
+            assert (w_env, ranks) == _env_buchi_two_pass(game), (
                 k, robotics)
+            tried.clear()
+            ab = abstract_strategy(session)
+            env_wins += ab is not None and ab.winner == "environment"
+            # the spy sees ~v for the environment's sets v
+            for g, u in tried:
+                assert (not standard_start_ok(g, u)) == _env_start_ok(
+                    g, ~u), (k, robotics)
+    assert env_wins >= 10, env_wins
 
 
 # ----------------------------------------------------------------------
