@@ -26,13 +26,14 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import accumulate, islice
 
 from .bdd import BddManager, BddRef, Cube
 from .compiler import BooleanSpec, BoolPart
 from .game import (
     SymbolicGame, WinningRegion, build_game, classical, solve_game,
-    check_realizability, reached_positions, solves_alike, _union,
+    check_realizability, reached_positions, solves_alike, start_ok, _union,
 )
 
 INFINITE = float("inf")
@@ -97,11 +98,14 @@ class Session:
                                         else self.solve(game, weaker=False))
         return self._regions[semantics]
 
-    def solve(self, game: SymbolicGame, weaker: bool) -> WinningRegion:
+    def solve(self, game: SymbolicGame, weaker: bool,
+              holds=None) -> WinningRegion | None:
         """Winning region of `game`, an edit of the strict baseline game.
         `weaker` says that the edit only takes power from the system, so
         that its winning set lies inside the baseline's W (Bloem et al.,
-        JCSS 2012): the solve starts from W, else from TRUE.
+        JCSS 2012): the solve starts from W, else from TRUE.  `holds` is
+        passed on to `solve_game`, which returns None at the first bound
+        that fails it; a region that comes back may still fail it.
 
         A game that `solves_alike` the baseline gets the baseline's region
         without a solve: `solve_game` reads nothing else of a game, and
@@ -113,18 +117,25 @@ class Session:
         game when no position forces an assumption violation."""
         if solves_alike(game, self.game()):
             return self.region()
-        return solve_game(game, start=self.region().win if weaker else None)
+        return solve_game(game, start=self.region().win if weaker else None,
+                          holds=holds)
 
     def settle(self, game: SymbolicGame, weaker: bool) -> str:
         """`check_realizability` of `game`, an edit of the strict baseline
         game in the direction `weaker` (see `solve`), solved only when W
-        leaves it open.  The check is monotone in the winning set, so a
-        weaker variant (W_v inside W) that fails it with W is
-        unrealizable, and a stronger one that passes it is realizable."""
+        leaves it open.  The check, `start_ok`, is monotone in the
+        winning set, so a weaker variant (W_v inside W) that fails it
+        with W is unrealizable, and a stronger one that passes it is
+        realizable.  Else the solve tests it on each bound it passes,
+        all of which hold W_v, and stops at the first that fails: the
+        variant is unrealizable.  A region that comes back is checked
+        itself, as a solve from TRUE may never have moved its bound."""
         verdict = check_realizability(game, self.region())
         if (verdict == "realizable") != weaker:
             return verdict
-        return check_realizability(game, self.solve(game, weaker))
+        region = self.solve(game, weaker, holds=partial(start_ok, game))
+        return ("unrealizable" if region is None
+                else check_realizability(game, region))
 
     def verdict(self, semantics="strict") -> str:
         return check_realizability(self.game(semantics),
@@ -410,6 +421,12 @@ def error_resilience(spec: BooleanSpec | Session,
     w, so none of them changes, and the solve would return w.  When
     `hole` meets w the solve cannot return w, as every filtered
     controllable predecessor excludes `hole`.
+
+    So each solve of the chain, which starts from W, moves its bound,
+    and it tests the initial condition (`start_ok`) on every bound it
+    moves to, each of which holds W_k: it returns None, and the level is
+    k - 1, at the first that fails, and a region that comes back is
+    realizable.
     """
     if max_k < 1:
         raise AnalysisError("max_k must be at least 1")
@@ -428,8 +445,8 @@ def error_resilience(spec: BooleanSpec | Session,
         if (hole & w).is_false():  # W_k would be w: see the docstring
             return ResilienceResult(level=INFINITE)
         region_k = session.solve(replace(game, position_filter=~hole),
-                                 weaker=True)
-        if check_realizability(game, region_k) != "realizable":
+                                 weaker=True, holds=partial(start_ok, game))
+        if region_k is None:
             return ResilienceResult(level=k - 1)
         w = region_k.win
     return ResilienceResult(level=max_k, exceeded=True)
@@ -454,32 +471,30 @@ def precommit_analysis(spec: BooleanSpec | Session) -> PrecommitResult:
     P-game too), so cpre_Q is inside cpre_P, W_Q inside W_P, and
     realizable(Q) implies realizable(P).  Each set is settled against
     the baseline (`Session.settle`; committing only takes power, so a set
-    that fails the check with W is unrealizable without a solve) and
-    kept: any subset of a realizable set is answered realizable and any
-    superset of an unrealizable one unrealizable, with neither.  The
-    per-output verdicts come from halving (adaptive group testing,
-    Hwang 1972): all outputs are tried as one set, and an unrealizable
-    set of several outputs is split in two until every output is
-    settled; the greedy maximal set, built in output order, asks the
-    same memo.  When every output is committable this is at most one
-    solve in all; the worst case, every output failing alone, is at
-    most 2k - 1 solves for k outputs, against k singleton solves.
+    that fails the check with W is unrealizable without a solve, and a
+    solve stops at the first bound that fails it).  Every realizable
+    set is kept, and any subset of one is answered realizable with
+    neither.  The per-output verdicts come from halving (adaptive group
+    testing, Hwang 1972): all outputs are tried as one set, and an
+    unrealizable set of several outputs is split in two until every
+    output is settled; the greedy maximal set, built in output order,
+    asks the same memo.  When every output is committable this is at
+    most one solve in all; the worst case, every output failing alone,
+    is at most 2k - 1 solves for k outputs, against k singleton solves.
     """
     session = _session(spec)
     session.require_realizable("precommit analysis")
     game = session.game()
-    yes: list[frozenset[str]] = []   # solved sets that were realizable
-    no: list[frozenset[str]] = []    # solved sets that were not
+    yes: list[frozenset[str]] = []   # settled sets that were realizable
 
     def realizable_with(outs: list[str]) -> bool:
         key = frozenset(outs)
         if any(key <= y for y in yes):
             return True
-        if any(n <= key for n in no):
-            return False
         committed = replace(game, precommit=outs)
         ok = session.settle(committed, weaker=True) == "realizable"
-        (yes if ok else no).append(key)
+        if ok:
+            yes.append(key)
         return ok
 
     outputs = session.spec.output_props

@@ -375,7 +375,7 @@ def _conj(mgr: BddManager, sets: list[BddRef]) -> BddRef:
 
 
 def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
-               record: bool = True) -> WinningRegion:
+               holds=None, record: bool = True) -> WinningRegion | None:
     """GR(1) fixpoint; resource limits surface as ResourceLimitError.
 
     Sweeps the goals until one whole sweep leaves Z unchanged; the mu-Y
@@ -394,6 +394,13 @@ def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
     is the winning set of an otherwise identical game with more system
     power.
 
+    `holds`, a test on sets that is monotone in them (`start_ok`), is
+    applied to each Z a goal's mu-Y moves it to, and the solve returns
+    None at the first Z that fails it.  Every such Z contains the
+    winning set (Bloem et al., JCSS 2012), so the winning set fails the
+    test too.  A Z that never moves, `start` or TRUE, is not tested, so
+    a region that comes back may still fail it.
+
     `record` changes nothing and is ignored: the last sweep is always
     recorded.  It is still accepted because `bench/selftest.py` passes it.
     """
@@ -405,6 +412,8 @@ def solve_game(game: SymbolicGame, start: BddRef | None = None, *,
             row = fix.mu_y(z, j, rows)
             if row[0] != z:
                 changed, z, rows = True, row[0], []
+                if holds is not None and not holds(BddRef(game.mgr, z)):
+                    return None
             elif not changed:
                 rows.append(row)
         if not changed:
@@ -442,19 +451,21 @@ def standard_start_ok(game: SymbolicGame, v: BddRef) -> bool:
     return mgr.exists(fixed, cond).is_true()
 
 
-def check_realizability(game: SymbolicGame, region: WinningRegion) -> str:
-    """'realizable' or 'unrealizable' for a solved region.
-
-    Standard semantics: `standard_start_ok` for the winning set.
+def start_ok(game: SymbolicGame, v: BddRef) -> bool:
+    """The game's initial condition on the set `v`, monotone in it.
     Robotics semantics: every initial position admitted by the initial
-    assumptions and guarantees must be winning.
-    """
+    assumptions and guarantees is in `v`.  Standard semantics:
+    `standard_start_ok`."""
     if game.robotics:
-        cond = (game.init_env & game.init_sys).implies(region.win)
-        ok = game.mgr.forall(game.inputs + game.outputs, cond).is_true()
-    else:
-        ok = standard_start_ok(game, region.win)
-    return "realizable" if ok else "unrealizable"
+        cond = (game.init_env & game.init_sys).implies(v)
+        return game.mgr.forall(game.inputs + game.outputs, cond).is_true()
+    return standard_start_ok(game, v)
+
+
+def check_realizability(game: SymbolicGame, region: WinningRegion) -> str:
+    """'realizable' or 'unrealizable' for a solved region: `start_ok`
+    for its winning set."""
+    return "realizable" if start_ok(game, region.win) else "unrealizable"
 
 
 # ----------------------------------------------------------------------

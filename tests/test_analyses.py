@@ -352,9 +352,9 @@ def _precommit_solves(monkeypatch, session):
     session.region()
     solved = []
 
-    def spy(game, start=None):
+    def spy(game, start=None, holds=None):
         solved.append(game.precommit)
-        return solve_game(game, start=start)
+        return solve_game(game, start=start, holds=holds)
 
     with monkeypatch.context() as m:
         m.setattr(analyses_mod, "solve_game", spy)
@@ -973,9 +973,10 @@ def test_settled_verdicts_match_direct_solves_random():
 
 
 def _settle_variants(session):
-    """Every stuck output and every set of at most two committed outputs
-    (variants with less system power), and every stuck input (more),
-    each with its `weaker` flag."""
+    """Every stuck output, every set of at most two committed outputs
+    and all outputs committed together (variants with less system
+    power), and every stuck input (more), each with its `weaker`
+    flag."""
     game = session.game()
     outs = session.spec.output_props
     for sig in outs:
@@ -984,16 +985,22 @@ def _settle_variants(session):
     for sig in session.spec.input_props:
         for value in (False, True):
             yield _stuck(game, sig, value, False), False
-    for k in (1, 2):
-        for committed in itertools.combinations(outs, k):
-            yield replace(game, precommit=list(committed)), True
+    commits = [list(c) for k in (1, 2)
+               for c in itertools.combinations(outs, k)]
+    if len(outs) > 2:
+        commits.append(outs)
+    for committed in commits:
+        yield replace(game, precommit=committed), True
 
 
-def _check_settle(spec, by_bound):
+def _check_settle(spec, counts):
     """`Session.settle` against a cold solve of every variant, under the
     standard and the robotics condition (the game's flag is all that
-    differs between them); counts in `by_bound` the variants, by
-    direction, that W settles without a solve."""
+    differs between them).  Counts in `counts` the variants, by
+    direction, that W settles without a solve, and as "untested" the
+    unrealizable stronger variants whose cold solve keeps Z at TRUE:
+    their solve tests no bound, so only the check of the region that
+    comes back finds them unrealizable."""
     session = Session(spec)
     for variant, weaker in _settle_variants(session):
         cold = solve_game(variant)
@@ -1002,20 +1009,53 @@ def _check_settle(spec, by_bound):
             want = check_realizability(v, cold)
             assert session.settle(v, weaker) == want, (v, weaker)
             bound = check_realizability(v, session.region())
-            by_bound[weaker] += (bound == "realizable") != weaker
+            counts[weaker] += (bound == "realizable") != weaker
+            counts["untested"] += (not weaker and cold.win.is_true()
+                                   and want == "unrealizable")
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in
                                         SPEC_DIR.glob("*.spec")))
 def test_settle_matches_cold_solves_corpus(name):
-    _check_settle(load_spec(name), {False: 0, True: 0})
+    _check_settle(load_spec(name), {False: 0, True: 0, "untested": 0})
 
 
-def test_settle_matches_cold_solves_random():
-    by_bound = {False: 0, True: 0}
-    for seed in range(100):
-        _check_settle(random_boolean_spec(seed), by_bound)
-    assert min(by_bound.values()) >= 100, by_bound
+def test_settle_matches_cold_solves_random(monkeypatch):
+    # with arbiter and chain specs, whose stuck outputs fail the initial
+    # condition at a bound some sweeps before the fixpoint
+    from conftest import chain_text, random_compare_spec_text
+    from test_game import _arbiter_specs
+    specs = ([random_boolean_spec(seed) for seed in range(200)]
+             + [compile_text(random_compare_spec_text(seed))
+                for seed in range(50)]
+             + _arbiter_specs(monkeypatch)
+             + [compile_text(chain_text(n)) for n in (5, 10, 20)])
+    counts = {False: 0, True: 0, "untested": 0}
+    for spec in specs:
+        _check_settle(spec, counts)
+    assert min(counts[False], counts[True]) >= 100, counts
+    assert counts["untested"] >= 10, counts
+
+
+def test_stuck_outputs_stop_at_the_first_failed_bound(monkeypatch):
+    # each stuck output of chain(30) fails the initial condition at a
+    # bound a few sweeps in; run to their fixpoints, the variant solves
+    # made 5880 nu-X steps
+    from conftest import chain_text
+    import gr1report.game as game_mod
+    session = Session(compile_text(chain_text(30)))
+    session.region()
+    fixpoints = []
+    init = game_mod._Fixpoint.__init__
+
+    def noted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        fixpoints.append(self)
+
+    monkeypatch.setattr(game_mod._Fixpoint, "__init__", noted)
+    table = stuck_at_analysis(session)
+    assert set(table.entries.values()) == {"unrealizable"}
+    assert sum(f.steps for f in fixpoints) <= 1500
 
 
 @pytest.mark.parametrize("name,analysis,most", [
@@ -1032,9 +1072,9 @@ def test_solves_left_after_settling_from_the_baseline(monkeypatch, name,
     session.region()
     calls = []
 
-    def spy(game, start=None):
+    def spy(game, start=None, holds=None):
         calls.append(game)
-        return solve_game(game, start=start)
+        return solve_game(game, start=start, holds=holds)
 
     with monkeypatch.context() as m:
         m.setattr(analyses_mod, "solve_game", spy)

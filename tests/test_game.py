@@ -16,7 +16,8 @@ from gr1report.bdd import FALSE, TRUE, BddManager, BddRef
 from gr1report.game import (
     SymbolicGame, build_game, classical, solve_game,
     check_realizability, extract_strategy, ir_to_bdd, reactive_distance,
-    reached_positions, GameError, _Fixpoint, _level_order, _conj, _union,
+    reached_positions, start_ok, GameError, _Fixpoint, _level_order, _conj,
+    _union,
 )
 from gr1report.oracle import explicit_solve
 from test_bdd import build_bdd, fresh, trees
@@ -589,6 +590,40 @@ def test_one_pass_solver_matches_two_pass():
                                     solve_game(variant, start=cold.win),
                                     start=cold.win)
                 _assert_same_region(variant, solve_game(variant))
+
+
+def test_a_bounded_solve_stops_only_where_the_winning_set_fails():
+    # `holds` sees each bound Z once, after the goal that moved it, and
+    # every bound holds the winning set; so a solve stops only on a game
+    # whose winning set fails the test, at the first bound that does,
+    # and otherwise returns the unbounded solve's region
+    stopped = returned = 0
+    for seed in range(60):
+        spec = random_boolean_spec(seed)
+        for robotics in (False, True):
+            game = build_game(spec, robotics=robotics)
+            full = solve_game(game)
+            seen = []
+
+            def holds(v):
+                seen.append(v)
+                return start_ok(game, v)
+
+            got = solve_game(game, holds=holds)
+            assert all(b != a and b.implies(a).is_true()
+                       for a, b in zip(seen, seen[1:]))
+            assert all(full.win.implies(v).is_true() for v in seen)
+            if got is None:
+                assert [start_ok(game, v) for v in seen] == (
+                    [True] * (len(seen) - 1) + [False])
+                assert check_realizability(game, full) == "unrealizable"
+                stopped += 1
+            else:
+                assert (got.win, got.strata, got.xcores, got.stationary,
+                        got.steps) == (full.win, full.strata, full.xcores,
+                                       full.stationary, full.steps)
+                returned += 1
+    assert stopped >= 10 and returned >= 10, (stopped, returned)
 
 
 # ----------------------------------------------------------------------

@@ -521,11 +521,11 @@ def test_failed_resilience_leaves_shared_game_clean(tmp_path, monkeypatch):
     from gr1report.bdd import ResourceLimitError
     solve = analyses_mod.solve_game
 
-    def flaky(game, start=None):
+    def flaky(game, start=None, holds=None):
         # only the glitch loop of the resilience analysis filters
         if game.position_filter is not None:
             raise ResourceLimitError("deadline exceeded")
-        return solve(game, start=start)
+        return solve(game, start=start, holds=holds)
 
     others = tuple(a for a in ANALYSIS_ORDER if a != "resilience")
     clean = run_report(spec_path("delivery"), ReportConfig(analyses=others),
