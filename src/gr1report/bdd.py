@@ -968,13 +968,18 @@ class BddManager:
         the assigned variables (Bryant 1986)."""
         self._check_same(f)
         self._bound_cache()
+        cube = self.cube(assignment)
+        return BddRef(self, self._and_exists(f.node, cube.node,
+                                             self._names_qid(assignment)))
+
+    def cube(self, assignment: dict[str, bool]) -> BddRef:
+        """The conjunction of the assignment's literals."""
         fixed = sorted(((self._level_of(n), v)
                         for n, v in assignment.items()), reverse=True)
         cube = TRUE
         for lvl, v in fixed:
             cube = self._mk(lvl, *((FALSE, cube) if v else (cube, FALSE)))
-        return BddRef(self, self._and_exists(f.node, cube,
-                                             self._names_qid(assignment)))
+        return BddRef(self, cube)
 
     def _splitter(self, names: list[str]):
         """split(n, i) = (n with names[i] false, n with names[i] true).

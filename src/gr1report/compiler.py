@@ -174,7 +174,7 @@ class BooleanSpec:
     linked: dict[str, tuple[str, ...]] = field(default_factory=dict)
     parts: dict[str, list[BoolPart]] = field(
         default_factory=lambda: {k: [] for k in PART_KINDS})
-    source: SpecDocument | None = None
+    source: SpecDocument | None = None   # compiled from; `user_vars` reads it
 
     def decode(self, assignment: dict[str, bool],
                kind: str | None = None) -> dict[str, object]:
@@ -196,13 +196,11 @@ class BooleanSpec:
                 out[name] = v
         return out
 
-    def user_vars(self) -> list[str]:
-        seen = []
-        for p in self.props:
-            base = p.split("@", 1)[0]
-            if base not in seen:
-                seen.append(base)
-        return seen
+    def user_vars(self, kind: str | None = None) -> list[str]:
+        """The declared variables in declaration order, an integer of one
+        value (no bits) included; with `kind`, that side's only."""
+        return [v.name for v in self.source.variables
+                if kind in (None, v.kind)]
 
 
 # ----------------------------------------------------------------------

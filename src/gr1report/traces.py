@@ -11,11 +11,14 @@ The environment plays inside the complement of the falsification set
 (`Session.falsified`): GR(1) games are determined, so that complement
 is its winning set for the liveness assumptions.
 
-abstract_strategy handles games decided by the safety parts alone: it
-probes, round by round and proposition by proposition, whether fixing a
-value preserves the winner's forced win within the minimal horizon, and
-renders the play as a table of constants, input-dependent stars, and a
-terminal violation marker.
+abstract_strategy handles games decided by the safety parts alone, with
+one scheme for either winner: it probes, round by round and variable by
+variable, whether fixing a value of the winner's preserves its forced
+win within the minimal horizon, reads the opponent's values off a
+forward reach through the sets that force the win, and renders the play
+as a table of constants, stars, and a terminal violation marker.  The
+winner picks only its predecessor (`cox` or `pre_env`), its initial
+condition and the reach's two filters.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from .analyses import Session, _session
 from .bdd import BddManager, BddRef
 from .compiler import BooleanSpec
-from .game import SymbolicGame, _conj, canonical_moves, standard_start_ok
+from .game import SymbolicGame, canonical_moves, standard_start_ok
 
 STAR = "star"
 VIOLATION = "X"
@@ -58,12 +61,6 @@ class AnnotatedTrace:
     def to_json(self) -> dict:
         return {"steps": [s.to_json() for s in self.steps],
                 "lassoStart": self.lasso_start}
-
-
-def _cube(mgr: BddManager, assignment: dict[str, bool]) -> BddRef:
-    """The single assignment as a BDD."""
-    return _conj(mgr, [mgr.var(n) if v else mgr.nvar(n)
-                       for n, v in assignment.items()])
 
 
 def _env_ranks(game: SymbolicGame, w_env: BddRef):
@@ -136,7 +133,7 @@ def nominal_trace(spec: BooleanSpec | Session, max_steps: int = 64):
             raise TraceError("environment strategy has no move")
         step = dict(pos)
         step.update(mgr.pick_min_model(moves, game.primed_inputs))
-        reply, goal = canonical_moves(game, region, j, _cube(mgr, step))
+        reply, goal = canonical_moves(game, region, j, mgr.cube(step))
         if reply.is_false():
             raise TraceError("the canonical strategy has no move for an "
                              "admissible input")
@@ -184,14 +181,15 @@ def _attractor(game: SymbolicGame, pre, horizon: int) -> list[BddRef]:
     return sets
 
 
-def _pin(mgr: BddManager, spec: BooleanSpec, name: str, value) -> BddRef:
-    """Position predicate pinning one user variable to a value."""
+def _pins(mgr: BddManager, spec: BooleanSpec, name: str):
+    """Each value of one user variable with the position predicate that
+    pins the variable to it."""
     if name in spec.bool_vars:
-        return mgr.var(name) if value else mgr.nvar(name)
+        return [(v, mgr.cube({name: v})) for v in (False, True)]
     g = spec.groups[name]
-    enc = value - g.lo
-    return _conj(mgr, [mgr.var(b) if (enc >> i) & 1 else mgr.nvar(b)
-                       for i, b in enumerate(g.bits)])
+    return [(v, mgr.cube({b: bool((v - g.lo) >> i & 1)
+                          for i, b in enumerate(g.bits)}))
+            for v in range(g.lo, g.hi + 1)]
 
 
 def abstract_strategy(spec: BooleanSpec | Session, horizon: int = 64):
@@ -203,9 +201,9 @@ def abstract_strategy(spec: BooleanSpec | Session, horizon: int = 64):
     session = _session(spec)
     spec, game = session.spec, session.game()
     wins = []
-    for winner, owner, pre, start_ok in (
-            ("system", "output", game.cox, standard_start_ok),
-            ("environment", "input", game.pre_env,
+    for winner, pre, start_ok in (
+            ("system", game.cox, standard_start_ok),
+            ("environment", game.pre_env,
              # some initial input makes every initial output land in v:
              # the dual of the system's condition
              lambda game, v: not standard_start_ok(game, ~v))):
@@ -213,109 +211,76 @@ def abstract_strategy(spec: BooleanSpec | Session, horizon: int = 64):
         h = next((h for h in range(len(attr)) if start_ok(game, attr[h])),
                  None)
         if h is not None:
-            wins.append((winner, owner, pre, start_ok, h, attr))
+            wins.append((winner, pre, start_ok, attr[:h + 1]))
     if len(wins) > 1:
         raise TraceError("both players cannot force a safety win")
     return _build_table(game, spec, *wins[0]) if wins else None
 
 
-def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str,
-                 owner: str, pre, start_ok, h: int,
-                 attr: list[BddRef]) -> AbstractStrategy:
-    """The table of `winner`, who owns the `owner` variables and forces
-    the opponent's violation within h rounds: `attr` are the attractor
-    sets of `pre`, and `start_ok` the initial condition that reached h."""
-    if h == 0:
-        # the loser's initial condition is already unsatisfiable: the
-        # table is the violation round alone
-        return AbstractStrategy(
-            winner=winner, horizon=0,
-            rounds=[{name: VIOLATION for name in spec.user_vars()}])
+def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str, pre,
+                 start_ok, attr: list[BddRef]) -> AbstractStrategy:
+    """The table of `winner`, who forces the opponent's violation within
+    h = len(attr) - 1 rounds: `attr` are the attractor sets of `pre`,
+    the last the first to meet the initial condition `start_ok`.
+
+    Round by round, each of the winner's variables gets the one constant
+    that keeps the win, pinned in `cons` for the later probes, or a star.
+    The sets that force the violation under those pins then bound a
+    forward reach from the initial positions, and each of the opponent's
+    variables shows the values it takes there: one constant, a star, or
+    X when none is left.  The winner picks only the reach's filters: the
+    system's plays stay in the sets, and the environment's keep every
+    initial output and every legal reply of the system in them."""
     mgr = game.mgr
-
-    def unconstrained(t: int) -> BddRef:
-        # win-by-h backward set for round t with no later constraints
-        k = h - t
-        return attr[k] if k < len(attr) else attr[-1]
-
-    winner_vars = [v for v in spec.user_vars() if _owner(spec, v) == owner]
-
-    cons: list[BddRef] = [mgr.true for _ in range(h)]
-
-    def wins_with(t: int, extra: BddRef) -> bool:
-        v = unconstrained(t) & cons[t] & extra
-        for s in range(t - 1, -1, -1):
-            v = pre(v) & cons[s]
-        return start_ok(game, v)
-
-    def values_of(name):
-        if name in spec.bool_vars:
-            return [False, True]
-        g = spec.groups[name]
-        return list(range(g.lo, g.hi + 1))
-
-    rounds: list[dict[str, object]] = []
-    table_winner: list[dict[str, object]] = []
-    for t in range(h):
-        row: dict[str, object] = {}
-        for name in winner_vars:
-            working = []
-            for val in values_of(name):
-                if wins_with(t, _pin(mgr, spec, name, val)):
-                    working.append(val)
-            if len(working) == 1:
-                row[name] = working[0]
-                cons[t] = cons[t] & _pin(mgr, spec, name, working[0])
-            else:
-                row[name] = STAR
-        table_winner.append(row)
-
-    # forward reachable sets under the final constraints fill the
-    # opponent's rows
-    final: list[BddRef] = [mgr.false] * (h + 1)
-    for s in range(h - 1, -1, -1):
-        final[s] = pre(final[s + 1]) & cons[s]
-
-    if winner == "environment":
-        keeps = mgr.forall(game.outputs, game.init_sys.implies(final[0]))
-        r = game.init_env & keeps & game.init_sys
+    if winner == "system":
+        owner, start, keep = "output", (lambda v: v), game.prime
     else:
-        r = game.init_env & game.init_sys & cons[0] & final[0]
-    reach = [r]
+        owner = "input"
+
+        def start(v):
+            return mgr.forall(game.outputs, game.init_sys.implies(v))
+
+        def keep(v):
+            return game.forced(game.prime(v))
+    h = len(attr) - 1
+    names = spec.user_vars()
+    pins = {name: _pins(mgr, spec, name) for name in names}
+    cons = [mgr.true] * h
+
+    def backward(t: int, v: BddRef) -> list[BddRef]:
+        # the winner's sets of rounds 0..t that force v at round t
+        sets = [v]
+        for s in range(t - 1, -1, -1):
+            sets.append(pre(sets[-1]) & cons[s])
+        return sets[::-1]
+
+    def fix(t: int, name: str):
+        # the winner's one value at round t that keeps the win within h
+        working = [(v, p) for v, p in pins[name]
+                   if start_ok(game, backward(t, attr[h - t] & cons[t]
+                                              & p)[0])]
+        if len(working) != 1:
+            return STAR
+        cons[t] &= working[0][1]
+        return working[0][0]
+
+    def seen(reach: BddRef, name: str):
+        # the opponent's values in the round's reachable positions
+        present = [v for v, p in pins[name] if not (reach & p).is_false()]
+        if not present:
+            return VIOLATION
+        return present[0] if len(present) == 1 else STAR
+
+    mine = [{name: fix(t, name) for name in spec.user_vars(owner)}
+            for t in range(h)]
+    final = backward(h, mgr.false)
+    reach = [game.init_env & game.init_sys & start(final[0])]
     for s in range(1, h):
-        prev = reach[-1]
-        if winner == "environment":
-            ok = game.forced(game.prime(final[s]))
-            img = mgr.and_exists(prev & ok, game.trans_env & game.trans_sys,
-                                 game.positions)
-        else:
-            img = mgr.and_exists(
-                prev, game.trans_env & game.trans_sys
-                & game.prime(final[s] & cons[s]), game.positions)
-        reach.append(mgr.rename(img, "unprime"))
-
-    for t in range(h):
-        row = dict(table_winner[t])
-        for name in spec.user_vars():
-            if name in row:
-                continue
-            present = []
-            for val in values_of(name):
-                if not (reach[t] & _pin(mgr, spec, name, val)).is_false():
-                    present.append(val)
-            if len(present) == 1:
-                row[name] = present[0]
-            elif not present:
-                row[name] = VIOLATION
-            else:
-                row[name] = STAR
-        rounds.append({name: row[name] for name in spec.user_vars()})
-
-    rounds.append({name: VIOLATION for name in spec.user_vars()})
-    return AbstractStrategy(winner=winner, rounds=rounds, horizon=h)
-
-
-def _owner(spec: BooleanSpec, name: str) -> str:
-    if name in spec.bool_vars:
-        return spec.bool_vars[name]
-    return spec.groups[name].kind
+        reach.append(mgr.rename(mgr.and_exists(
+            reach[-1] & keep(final[s]), game.trans_env & game.trans_sys,
+            game.positions), "unprime"))
+    rounds = [{name: mine[t][name] if name in mine[t] else
+               seen(reach[t], name) for name in names} for t in range(h)]
+    return AbstractStrategy(
+        winner=winner, horizon=h,
+        rounds=rounds + [dict.fromkeys(names, VIOLATION)])

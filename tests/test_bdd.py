@@ -186,6 +186,7 @@ UNDECLARED = {
     "nvar": lambda m, f: m.nvar("zz"),
     "exists": lambda m, f: m.exists(["zz"], f),
     "restrict": lambda m, f: m.restrict(f, {"zz": True}),
+    "cube": lambda m, f: m.cube({"zz": True}),
     **{name: (lambda m, f, _call=call: _call(m, f, ["a", "zz"]))
        for name, call in ENUMERATIONS.items()},
 }
@@ -516,6 +517,8 @@ def test_kernel_matches_truth_tables(t1, t2, t3, data):
     fixed = {n: data.draw(st.booleans()) for n in q}
     assert tt(m.restrict(f, fixed)) == table(
         lambda env: eval_tree(t1, {**env, **fixed}))
+    assert tt(m.cube(fixed)) == table(
+        lambda env: all(env[n] == v for n, v in fixed.items()))
     # renaming a function of the unprimed register
     h = build_bdd(m, t3)
     hp = m.rename(h, "prime")

@@ -2,15 +2,16 @@
 
 import pytest
 
-from conftest import SPEC_DIR, chain_text, load_spec, random_boolean_spec
+from conftest import (SPEC_DIR, chain_text, load_spec, random_boolean_spec,
+                      random_spec_text)
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.analyses import Session
 from gr1report.bdd import BddManager
-from gr1report.game import extract_strategy, standard_start_ok
+from gr1report.game import _conj, extract_strategy, standard_start_ok
 from gr1report.oracle import eval_ir
 from gr1report.traces import (
-    nominal_trace, abstract_strategy, AnnotatedTrace, TraceError, TraceStep,
-    STAR, VIOLATION, _env_ranks,
+    nominal_trace, abstract_strategy, AbstractStrategy, AnnotatedTrace,
+    TraceError, TraceStep, STAR, VIOLATION, _attractor, _env_ranks,
 )
 
 
@@ -447,3 +448,243 @@ def test_abstract_counter_table_soundness_exhaustive():
                         nxt_reach.add(tuple(sorted(nxt.items())))
         reach = nxt_reach
     assert reach == set()
+
+
+def test_abstract_table_lists_a_fixed_integer():
+    # `k: 2...2` compiles to no bits; the table still lists it, in
+    # declaration order, as the decoded trace does
+    spec = compile_text("[INPUT]\nr\nk: 2...2\n[OUTPUT]\ng\n"
+                        "[SYS_TRANS]\nX(g) <-> X(r)\nX(!g)\n")
+    ab = abstract_strategy(spec)
+    assert ab.winner == "environment" and ab.horizon == 1
+    assert ab.rounds == [{"r": STAR, "k": 2, "g": STAR},
+                         {"r": VIOLATION, "k": VIOLATION, "g": VIOLATION}]
+
+
+# Three games whose tables each need one step of the table builder.
+# pin: a = 1 is the system's one working constant; b = 1 works only
+#   when a follows the input, so b's probe must see a pinned.
+# forced: the environment wins with r = s in round 1, which forces
+#   g & !h; r != s is no forcing move, although its reply g & h lands
+#   in the winning set.
+# start: the same in round 0, through the initial condition.
+FILTERED_TABLES = {
+    "pin": ("[INPUT]\nr\n[OUTPUT]\na\nb\n[ENV_TRANS]\n"
+            "!((a & !b) | (!r & !a & b) | (r & a & b))\n",
+            0, {"r": STAR, "a": True, "b": False}),
+    "forced": ("[INPUT]\nr\ns\n[OUTPUT]\ng\nh\n[SYS_INIT]\n!g\n"
+               "[SYS_TRANS]\ng -> !X(r)\n(X(r) <-> X(s)) -> X(g)\n"
+               "(X(r) <-> X(s)) -> !X(h)\n",
+               1, {"r": STAR, "s": STAR, "g": True, "h": False}),
+    "start": ("[INPUT]\nr\ns\n[OUTPUT]\ng\nh\n[SYS_INIT]\n"
+              "(r <-> s) -> g\n(r <-> s) -> !h\n[SYS_TRANS]\ng -> !X(r)\n",
+              0, {"r": STAR, "s": STAR, "g": True, "h": False}),
+}
+
+
+@pytest.mark.parametrize("text, t, row", FILTERED_TABLES.values(),
+                         ids=FILTERED_TABLES)
+def test_abstract_table_keeps_to_the_winners_moves(text, t, row):
+    assert abstract_strategy(compile_text(text)).rounds[t] == row
+
+
+def _sound_environment_table(spec, ab) -> bool:
+    """Brute force over valuations: the environment plays the table's
+    inputs, the system every legal reply, and every play dies by the
+    round marked X, where the environment has a legal move that leaves
+    the system none.  The system's rows list the values its legal
+    replies take.  The table has no star on the environment's side."""
+    import itertools
+    te, ts, ie, i_s = ([p.ir for p in spec.parts[k]] for k in (
+        "env_trans", "sys_trans", "env_init", "sys_init"))
+
+    def valuations(props):
+        for bits in itertools.product([False, True], repeat=len(props)):
+            yield dict(zip(props, bits))
+
+    def legal(parts, init, cur, nxt):
+        env = {(k, True): v for k, v in nxt.items()}
+        if cur is None:
+            return all(eval_ir(p, {(k, False): v for k, v in nxt.items()})
+                       for p in init)
+        env.update({(k, False): v for k, v in cur.items()})
+        return all(eval_ir(p, env) for p in parts)
+
+    def replies(cur, inp):
+        return [{**inp, **out} for out in valuations(spec.output_props)
+                if legal(ts, i_s, cur, {**inp, **out})]
+
+    reach = [None]                     # before round 0
+    for rnd in ab.rounds[:-1]:
+        inp, = [v for v in valuations(spec.input_props)
+                if all(spec.decode(v, "input")[k] == rnd[k]
+                       for k in spec.user_vars("input"))]
+        if not all(legal(te, ie, cur, inp) for cur in reach):
+            return False
+        reach = list({tuple(nxt.items()): nxt for cur in reach
+                      for nxt in replies(cur, inp)}.values())
+        for name in spec.user_vars("output"):
+            values = sorted({spec.decode(v)[name] for v in reach})
+            shown = (VIOLATION if not values else
+                     values[0] if len(values) == 1 else STAR)
+            if rnd[name] != shown:
+                return False
+    return all(any(legal(te, ie, cur, inp) and not replies(cur, inp)
+                   for inp in valuations(spec.input_props))
+               for cur in reach)
+
+
+def test_abstract_environment_tables_sound_exhaustive():
+    # the brute force above on the counter and on every small random
+    # environment table whose inputs have no star
+    checked = 0
+    specs = {"counter": load_spec("counter")}
+    specs.update((seed, random_boolean_spec(seed)) for seed in range(1000))
+    for key, spec in specs.items():
+        ab = abstract_strategy(spec)
+        if (ab is None or ab.winner != "environment" or len(spec.props) > 6
+                or any(rnd[k] == STAR for rnd in ab.rounds
+                       for k in spec.user_vars("input"))):
+            continue
+        assert _sound_environment_table(spec, ab), key
+        checked += ab.horizon > 0
+    assert checked >= 50, checked
+
+
+# ----------------------------------------------------------------------
+# differential check: the table built with a branch per winner, kept
+# only here
+
+def _pin_reference(mgr, spec, name, value):
+    if name in spec.bool_vars:
+        return mgr.var(name) if value else mgr.nvar(name)
+    g = spec.groups[name]
+    enc = value - g.lo
+    return _conj(mgr, [mgr.var(b) if (enc >> i) & 1 else mgr.nvar(b)
+                       for i, b in enumerate(g.bits)])
+
+
+def _abstract_strategy_reference(spec, horizon=64):
+    """`abstract_strategy` with a table builder that branches on the
+    winner in its forward reach, and a horizon-0 case of its own."""
+    game = Session(spec).game()
+    wins = []
+    for winner, owner, pre, start_ok in (
+            ("system", "output", game.cox, standard_start_ok),
+            ("environment", "input", game.pre_env,
+             lambda game, v: not standard_start_ok(game, ~v))):
+        attr = _attractor(game, pre, horizon)
+        h = next((h for h in range(len(attr)) if start_ok(game, attr[h])),
+                 None)
+        if h is not None:
+            wins.append((winner, owner, pre, start_ok, h, attr))
+    if len(wins) > 1:
+        raise TraceError("both players cannot force a safety win")
+    return _build_table_reference(game, spec, *wins[0]) if wins else None
+
+
+def _build_table_reference(game, spec, winner, owner, pre, start_ok, h,
+                           attr):
+    if h == 0:
+        return AbstractStrategy(
+            winner=winner, horizon=0,
+            rounds=[{name: VIOLATION for name in spec.user_vars()}])
+    mgr = game.mgr
+
+    def unconstrained(t):
+        k = h - t
+        return attr[k] if k < len(attr) else attr[-1]
+
+    def kind(name):
+        if name in spec.bool_vars:
+            return spec.bool_vars[name]
+        return spec.groups[name].kind
+
+    winner_vars = [v for v in spec.user_vars() if kind(v) == owner]
+    cons = [mgr.true for _ in range(h)]
+
+    def wins_with(t, extra):
+        v = unconstrained(t) & cons[t] & extra
+        for s in range(t - 1, -1, -1):
+            v = pre(v) & cons[s]
+        return start_ok(game, v)
+
+    def values_of(name):
+        if name in spec.bool_vars:
+            return [False, True]
+        g = spec.groups[name]
+        return list(range(g.lo, g.hi + 1))
+
+    rounds, table_winner = [], []
+    for t in range(h):
+        row = {}
+        for name in winner_vars:
+            working = [val for val in values_of(name)
+                       if wins_with(t, _pin_reference(mgr, spec, name, val))]
+            if len(working) == 1:
+                row[name] = working[0]
+                cons[t] = cons[t] & _pin_reference(mgr, spec, name,
+                                                   working[0])
+            else:
+                row[name] = STAR
+        table_winner.append(row)
+
+    final = [mgr.false] * (h + 1)
+    for s in range(h - 1, -1, -1):
+        final[s] = pre(final[s + 1]) & cons[s]
+
+    if winner == "environment":
+        keeps = mgr.forall(game.outputs, game.init_sys.implies(final[0]))
+        r = game.init_env & keeps & game.init_sys
+    else:
+        r = game.init_env & game.init_sys & cons[0] & final[0]
+    reach = [r]
+    for s in range(1, h):
+        prev = reach[-1]
+        if winner == "environment":
+            ok = game.forced(game.prime(final[s]))
+            img = mgr.and_exists(prev & ok, game.trans_env & game.trans_sys,
+                                 game.positions)
+        else:
+            img = mgr.and_exists(
+                prev, game.trans_env & game.trans_sys
+                & game.prime(final[s] & cons[s]), game.positions)
+        reach.append(mgr.rename(img, "unprime"))
+
+    for t in range(h):
+        row = dict(table_winner[t])
+        for name in spec.user_vars():
+            if name in row:
+                continue
+            present = [val for val in values_of(name)
+                       if not (reach[t] & _pin_reference(mgr, spec, name,
+                                                         val)).is_false()]
+            if len(present) == 1:
+                row[name] = present[0]
+            elif not present:
+                row[name] = VIOLATION
+            else:
+                row[name] = STAR
+        rounds.append({name: row[name] for name in spec.user_vars()})
+    rounds.append({name: VIOLATION for name in spec.user_vars()})
+    return AbstractStrategy(winner=winner, rounds=rounds, horizon=h)
+
+
+def test_abstract_table_matches_the_per_winner_reference(monkeypatch):
+    import pathlib
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    import specgen
+    texts = [p.read_text() for p in sorted(SPEC_DIR.glob("*.spec"))]
+    texts += [random_spec_text(seed) for seed in range(1000)]
+    texts += [specgen.arbiter(n) for n in (2, 3, 4)]
+    texts += [chain_text(n) for n in (3, 8)]
+    texts += [text for text, _t, _row in FILTERED_TABLES.values()]
+    deep = {"system": 0, "environment": 0}
+    for text in texts:
+        spec = compile_text(text)
+        got, want = abstract_strategy(spec), _abstract_strategy_reference(spec)
+        assert (got and got.to_json()) == (want and want.to_json()), text
+        if want is not None and want.horizon >= 2:
+            deep[want.winner] += 1
+    assert min(deep.values()) >= 10, deep
