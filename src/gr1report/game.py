@@ -438,12 +438,23 @@ def solves_alike(a: SymbolicGame, b: SymbolicGame) -> bool:
             and a.live_env == b.live_env and a.trans_env == b.trans_env)
 
 
-def standard_start_ok(game: SymbolicGame, v: BddRef) -> bool:
-    """The standard initial condition for target `v`: for some value of
-    the precommitted outputs (none outside the precommit analysis), every
-    initial input admitted by the assumptions has some initial output
-    satisfying the guarantees inside `v`."""
+def start_ok(game: SymbolicGame, v: BddRef) -> bool:
+    """The game's initial condition on the set `v`, monotone in it, and
+    the one rule of who picks the initial position: the verdict, every
+    variant solve (as `holds`) and the abstract table's two winners (the
+    environment's is `not start_ok(game, ~v)`) read it.  Standard: for
+    some value of the precommitted outputs, every initial input the
+    assumptions admit has an initial output the guarantees admit in
+    `v`.  Robotics: the environment picks the whole initial position,
+    so each one the initial parts admit is in `v`; precommit changes
+    nothing there.  `stuck_at_analysis`'s certificate from the canonical
+    strategy holds only under standard semantics, as robotics asks about
+    every admitted initial output; `nominal_trace`'s least admitted
+    start in W is one the environment may pick under robotics too."""
     mgr = game.mgr
+    if game.robotics:
+        cond = (game.init_env & game.init_sys).implies(v)
+        return mgr.forall(game.inputs + game.outputs, cond).is_true()
     fixed = list(game.precommit or ())
     rest = [o for o in game.outputs if o not in fixed]
     some = mgr.exists(rest, game.init_sys & v)
@@ -451,15 +462,14 @@ def standard_start_ok(game: SymbolicGame, v: BddRef) -> bool:
     return mgr.exists(fixed, cond).is_true()
 
 
-def start_ok(game: SymbolicGame, v: BddRef) -> bool:
-    """The game's initial condition on the set `v`, monotone in it.
-    Robotics semantics: every initial position admitted by the initial
-    assumptions and guarantees is in `v`.  Standard semantics:
-    `standard_start_ok`."""
-    if game.robotics:
-        cond = (game.init_env & game.init_sys).implies(v)
-        return game.mgr.forall(game.inputs + game.outputs, cond).is_true()
-    return standard_start_ok(game, v)
+def openings(game: SymbolicGame, v: BddRef, player: str) -> BddRef:
+    """The admitted initial positions with which `player` ("system" or
+    "environment") opens inside `v`: those in `v`, but under standard
+    semantics the environment picks only the inputs, so its inputs must
+    send every admitted initial output into `v`."""
+    if player == "environment" and not game.robotics:
+        v = game.mgr.forall(game.outputs, game.init_sys.implies(v))
+    return game.init_env & game.init_sys & v
 
 
 def check_realizability(game: SymbolicGame, region: WinningRegion) -> str:
@@ -666,9 +676,9 @@ def extract_strategy(game: SymbolicGame, region: WinningRegion) -> MealyMachine:
     to goal j+1), else a stratum-decreasing transition, else a waiting
     move inside the first assumption-starving region containing the
     state.  Ties break to the lexicographically smallest next-output
-    cube in declaration order.  Under robotics semantics an initial input
-    with no admissible initial output has no initial state: the
-    realizability condition holds vacuously there.
+    cube in declaration order.  Once `start_ok` holds, every initial
+    input has a winning initial output, except under robotics one with
+    no admissible initial output: it gets no initial state.
     """
     if check_realizability(game, region) != "realizable":
         raise GameError("extract_strategy on an unrealizable game")
@@ -699,11 +709,7 @@ def extract_strategy(game: SymbolicGame, region: WinningRegion) -> MealyMachine:
     for model in mgr.iter_models(game.init_env, inputs):
         opts = mgr.restrict(init_options, model)
         if opts.is_false():
-            if (game.robotics
-                    and mgr.restrict(game.init_env & game.init_sys,
-                                     model).is_false()):
-                continue  # no admissible initial output: vacuous
-            raise GameError("initial input without a winning output")
+            continue  # robotics: no admissible initial output, vacuous
         out_model = mgr.pick_min_model(opts, outputs)
         s = intern(_assign_tuple(model, inputs),
                    _assign_tuple(out_model, outputs), 0)

@@ -140,6 +140,7 @@ class ExplicitResult:
     win: int                      # position-space table
     strata: list[list[int]]       # [goal][d]
     realizable: str
+    realizable_robotics: str      # the verdict under robotics semantics
     n_positions: int
 
     def distance(self, idx: int, goal: int):
@@ -277,10 +278,12 @@ def explicit_solve(spec: BooleanSpec,
         strata.append(ys)
 
     some = g.pspace.exists(g.init_sys & z, g.out_slots)
-    ok = g.pspace.forall((pmask ^ g.init_env) | some, g.in_slots)
-    verdict = "realizable" if ok == pmask else "unrealizable"
+    ok = (g.pspace.forall((pmask ^ g.init_env) | some, g.in_slots) == pmask,
+          not g.init_env & g.init_sys & (pmask ^ z))  # robotics: all in z
+    standard, robotics = ("realizable" if o else "unrealizable" for o in ok)
     return ExplicitResult(props=list(spec.props), win=z, strata=strata,
-                          realizable=verdict, n_positions=1 << g.n)
+                          realizable=standard, realizable_robotics=robotics,
+                          n_positions=1 << g.n)
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,8 @@ variable, whether fixing a value of the winner's preserves its forced
 win within the minimal horizon, reads the opponent's values off a
 forward reach through the sets that force the win, and renders the play
 as a table of constants, stars, and a terminal violation marker.  The
-winner picks only its predecessor (`cox` or `pre_env`), its initial
-condition and the reach's two filters.
+winner picks only its predecessor (`cox` or `pre_env`) and the reach's
+filter; its initial condition and openings come from `game`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .analyses import Session, _session
 from .bdd import BddManager, BddRef
 from .compiler import BooleanSpec
-from .game import SymbolicGame, canonical_moves, standard_start_ok
+from .game import SymbolicGame, canonical_moves, openings, start_ok
 
 STAR = "star"
 VIOLATION = "X"
@@ -201,47 +201,38 @@ def abstract_strategy(spec: BooleanSpec | Session, horizon: int = 64):
     session = _session(spec)
     spec, game = session.spec, session.game()
     wins = []
-    for winner, pre, start_ok in (
-            ("system", game.cox, standard_start_ok),
-            ("environment", game.pre_env,
-             # some initial input makes every initial output land in v:
-             # the dual of the system's condition
-             lambda game, v: not standard_start_ok(game, ~v))):
+    for winner, pre in (("system", game.cox), ("environment", game.pre_env)):
         attr = _attractor(game, pre, horizon)
-        h = next((h for h in range(len(attr)) if start_ok(game, attr[h])),
-                 None)
+        h = next((h for h in range(len(attr))
+                  if _starts_in(game, winner, attr[h])), None)
         if h is not None:
-            wins.append((winner, pre, start_ok, attr[:h + 1]))
+            wins.append((winner, pre, attr[:h + 1]))
     if len(wins) > 1:
         raise TraceError("both players cannot force a safety win")
     return _build_table(game, spec, *wins[0]) if wins else None
 
 
+def _starts_in(game: SymbolicGame, winner: str, v: BddRef) -> bool:
+    """The winner's initial condition on `v`: `start_ok` or its dual."""
+    return start_ok(game, v) if winner == "system" else not start_ok(game, ~v)
+
+
 def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str, pre,
-                 start_ok, attr: list[BddRef]) -> AbstractStrategy:
+                 attr: list[BddRef]) -> AbstractStrategy:
     """The table of `winner`, who forces the opponent's violation within
     h = len(attr) - 1 rounds: `attr` are the attractor sets of `pre`,
-    the last the first to meet the initial condition `start_ok`.
+    the last the first to meet the winner's initial condition.
 
     Round by round, each of the winner's variables gets the one constant
     that keeps the win, pinned in `cons` for the later probes, or a star.
     The sets that force the violation under those pins then bound a
-    forward reach from the initial positions, and each of the opponent's
-    variables shows the values it takes there: one constant, a star, or
-    X when none is left.  The winner picks only the reach's filters: the
-    system's plays stay in the sets, and the environment's keep every
-    initial output and every legal reply of the system in them."""
+    forward reach from the winner's `openings`, and each of the
+    opponent's variables shows the values it takes there: one constant,
+    a star, or X when none is left.  The system's plays stay in the
+    sets; the environment's keep every legal reply of the system there."""
     mgr = game.mgr
-    if winner == "system":
-        owner, start, keep = "output", (lambda v: v), game.prime
-    else:
-        owner = "input"
-
-        def start(v):
-            return mgr.forall(game.outputs, game.init_sys.implies(v))
-
-        def keep(v):
-            return game.forced(game.prime(v))
+    owner, keep = (("output", game.prime) if winner == "system" else
+                   ("input", lambda v: game.forced(game.prime(v))))
     h = len(attr) - 1
     names = spec.user_vars()
     pins = {name: _pins(mgr, spec, name) for name in names}
@@ -257,8 +248,8 @@ def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str, pre,
     def fix(t: int, name: str):
         # the winner's one value at round t that keeps the win within h
         working = [(v, p) for v, p in pins[name]
-                   if start_ok(game, backward(t, attr[h - t] & cons[t]
-                                              & p)[0])]
+                   if _starts_in(game, winner, backward(
+                       t, attr[h - t] & cons[t] & p)[0])]
         if len(working) != 1:
             return STAR
         cons[t] &= working[0][1]
@@ -274,7 +265,7 @@ def _build_table(game: SymbolicGame, spec: BooleanSpec, winner: str, pre,
     mine = [{name: fix(t, name) for name in spec.user_vars(owner)}
             for t in range(h)]
     final = backward(h, mgr.false)
-    reach = [game.init_env & game.init_sys & start(final[0])]
+    reach = [openings(game, final[0], winner)]
     for s in range(1, h):
         reach.append(mgr.rename(mgr.and_exists(
             reach[-1] & keep(final[s]), game.trans_env & game.trans_sys,

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from conftest import load_spec, spec_path, random_boolean_spec
 from gr1report.analyses import (
-    assumption_falsification, classify_assumptions, error_resilience,
+    Session, assumption_falsification, classify_assumptions, error_resilience,
     precommit_analysis, semantics_comparison, stuck_at_analysis,
 )
 from gr1report.game import (
@@ -133,10 +133,12 @@ def test_criterion_8_oracle_equivalence_200_random_specs():
         spec = random_boolean_spec(seed, max_bits=12)
         game = build_game(spec)
         region = solve_game(game)
-        assert (game.mgr.to_truthtable(region.win, game.positions)
-                == explicit_solve(spec).win), seed
         ex = explicit_solve(spec)
+        assert (game.mgr.to_truthtable(region.win, game.positions)
+                == ex.win), seed
         assert check_realizability(game, region) == ex.realizable, seed
+        assert (Session(spec, robotics=True).verdict()
+                == ex.realizable_robotics), seed
         for j in range(len(region.strata)):
             sym = [game.mgr.to_truthtable(s, game.positions)
                    for s in region.strata[j]]

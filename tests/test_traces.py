@@ -7,7 +7,7 @@ from conftest import (SPEC_DIR, chain_text, load_spec, random_boolean_spec,
 from gr1report import parse_spec, compile_to_boolean
 from gr1report.analyses import Session
 from gr1report.bdd import BddManager
-from gr1report.game import _conj, extract_strategy, standard_start_ok
+from gr1report.game import _conj, extract_strategy, start_ok
 from gr1report.oracle import eval_ir
 from gr1report.traces import (
     nominal_trace, abstract_strategy, AbstractStrategy, AnnotatedTrace,
@@ -264,28 +264,32 @@ def test_the_falsification_game_is_solved_once_per_session(monkeypatch,
 
 
 def _env_start_ok(game, v):
-    """Some initial input makes every initial output land in v: the
-    environment's initial condition, stated directly."""
-    every = game.mgr.forall(game.outputs, game.init_sys.implies(v))
+    """The environment's initial condition, stated directly: some
+    initial input makes every initial output land in v, or under
+    robotics, where it picks the outputs too, some initial position is
+    in v."""
+    every = (game.init_sys & v if game.robotics else
+             game.mgr.forall(game.outputs, game.init_sys.implies(v)))
     return not (game.init_env & every).is_false()
 
 
-def test_env_buchi_records_the_last_sweep(monkeypatch):
+def test_environment_side_of_the_trace_and_the_table(monkeypatch):
     # the trace's environment side against the two-pass reference: its
     # winning set is the complement of the session's falsification set
     # (GR(1) games are determined), and its rank iterates are those of
     # the last sweep; the environment's initial condition in
-    # `abstract_strategy`, the dual of the system's, is `_env_start_ok`
+    # `abstract_strategy`, the dual of the system's `start_ok`, is
+    # `_env_start_ok` under both semantics
     import gr1report.traces as traces_mod
     tried = []
 
     def spy(game, v):
         tried.append((game, v))
-        return standard_start_ok(game, v)
-    monkeypatch.setattr(traces_mod, "standard_start_ok", spy)
+        return start_ok(game, v)
+    monkeypatch.setattr(traces_mod, "start_ok", spy)
     specs = [load_spec(p.stem) for p in sorted(SPEC_DIR.glob("*.spec"))]
     specs += [random_boolean_spec(seed) for seed in range(200)]
-    env_wins = 0
+    env_wins = {False: 0, True: 0}
     for k, spec in enumerate(specs):
         for robotics in (False, True):
             session = Session(spec, robotics=robotics)
@@ -297,12 +301,14 @@ def test_env_buchi_records_the_last_sweep(monkeypatch):
                 k, robotics)
             tried.clear()
             ab = abstract_strategy(session)
-            env_wins += ab is not None and ab.winner == "environment"
+            env_wins[robotics] += ab is not None and ab.winner == "environment"
             # the spy sees ~v for the environment's sets v
+            assert tried, (k, robotics)
             for g, u in tried:
-                assert (not standard_start_ok(g, u)) == _env_start_ok(
-                    g, ~u), (k, robotics)
-    assert env_wins >= 10, env_wins
+                assert g.robotics == robotics
+                assert (not start_ok(g, u)) == _env_start_ok(g, ~u), (
+                    k, robotics)
+    assert min(env_wins.values()) >= 10, env_wins
 
 
 # ----------------------------------------------------------------------
@@ -488,12 +494,15 @@ def test_abstract_table_keeps_to_the_winners_moves(text, t, row):
     assert abstract_strategy(compile_text(text)).rounds[t] == row
 
 
-def _sound_environment_table(spec, ab) -> bool:
+def _sound_environment_table(spec, ab, robotics=False) -> bool:
     """Brute force over valuations: the environment plays the table's
     inputs, the system every legal reply, and every play dies by the
     round marked X, where the environment has a legal move that leaves
     the system none.  The system's rows list the values its legal
-    replies take.  The table has no star on the environment's side."""
+    replies take.  Under robotics the environment picks round 0's
+    outputs too: its picks are the initial positions the row admits
+    from which every play dies, and round 0 lists their outputs.  The
+    table has no star on the environment's side."""
     import itertools
     te, ts, ie, i_s = ([p.ir for p in spec.parts[k]] for k in (
         "env_trans", "sys_trans", "env_init", "sys_init"))
@@ -514,41 +523,101 @@ def _sound_environment_table(spec, ab) -> bool:
         return [{**inp, **out} for out in valuations(spec.output_props)
                 if legal(ts, i_s, cur, {**inp, **out})]
 
-    reach = [None]                     # before round 0
-    for rnd in ab.rounds[:-1]:
-        inp, = [v for v in valuations(spec.input_props)
-                if all(spec.decode(v, "input")[k] == rnd[k]
-                       for k in spec.user_vars("input"))]
-        if not all(legal(te, ie, cur, inp) for cur in reach):
-            return False
-        reach = list({tuple(nxt.items()): nxt for cur in reach
-                      for nxt in replies(cur, inp)}.values())
+    def lists(rnd, reach):
         for name in spec.user_vars("output"):
             values = sorted({spec.decode(v)[name] for v in reach})
             shown = (VIOLATION if not values else
                      values[0] if len(values) == 1 else STAR)
             if rnd[name] != shown:
                 return False
-    return all(any(legal(te, ie, cur, inp) and not replies(cur, inp)
-                   for inp in valuations(spec.input_props))
-               for cur in reach)
+        return True
+
+    def step(reach, rnd):
+        # the row's one input against every legal reply from `reach`;
+        # None if that input is illegal somewhere
+        inp, = [v for v in valuations(spec.input_props)
+                if all(spec.decode(v, "input")[k] == rnd[k]
+                       for k in spec.user_vars("input"))]
+        if not all(legal(te, ie, cur, inp) for cur in reach):
+            return None
+        return list({tuple(nxt.items()): nxt for cur in reach
+                     for nxt in replies(cur, inp)}.values())
+
+    def dies(reach, rounds, listed=True):
+        # every play from `reach` dies by the X round, and when `listed`
+        # each row lists the system's values
+        for rnd in rounds[:-1]:
+            reach = step(reach, rnd)
+            if reach is None or (listed and not lists(rnd, reach)):
+                return False
+        return all(any(legal(te, ie, cur, inp) and not replies(cur, inp)
+                       for inp in valuations(spec.input_props))
+                   for cur in reach)
+
+    if not robotics:
+        return dies([None], ab.rounds)
+    picks = [p for p in step([None], ab.rounds[0]) or ()
+             if dies([p], ab.rounds[1:], listed=False)]
+    return (bool(picks) and lists(ab.rounds[0], picks)
+            and dies(picks, ab.rounds[1:]))
 
 
 def test_abstract_environment_tables_sound_exhaustive():
-    # the brute force above on the counter and on every small random
-    # environment table whose inputs have no star
-    checked = 0
+    # the brute force above, under both semantics, on the counter and on
+    # every small random environment table whose inputs have no star
+    checked = {False: 0, True: 0}
     specs = {"counter": load_spec("counter")}
     specs.update((seed, random_boolean_spec(seed)) for seed in range(1000))
     for key, spec in specs.items():
-        ab = abstract_strategy(spec)
-        if (ab is None or ab.winner != "environment" or len(spec.props) > 6
-                or any(rnd[k] == STAR for rnd in ab.rounds
-                       for k in spec.user_vars("input"))):
-            continue
-        assert _sound_environment_table(spec, ab), key
-        checked += ab.horizon > 0
-    assert checked >= 50, checked
+        for robotics in (False, True):
+            ab = abstract_strategy(Session(spec, robotics=robotics))
+            if (ab is None or ab.winner != "environment"
+                    or len(spec.props) > 6
+                    or any(rnd[k] == STAR for rnd in ab.rounds
+                           for k in spec.user_vars("input"))):
+                continue
+            assert _sound_environment_table(spec, ab, robotics), (
+                key, robotics)
+            checked[robotics] += ab.horizon > 0
+    assert min(checked.values()) >= 50, checked
+
+
+def test_robotics_tables_name_the_winner():
+    # a table's winner is the verdict's under both semantics: the
+    # environment's initial condition is the dual of the system's
+    # `start_ok`, which gives the initial position to the player the
+    # semantics says
+    tables = {False: 0, True: 0}
+    for seed in range(1000):
+        for robotics in (False, True):
+            session = Session(random_boolean_spec(seed), robotics=robotics)
+            ab = abstract_strategy(session)
+            if ab is None:
+                continue
+            assert (ab.winner == "system") == (
+                session.verdict() == "realizable"), (seed, robotics)
+            tables[robotics] += 1
+    assert tables == {False: 778, True: 806}, tables
+
+
+@pytest.mark.parametrize("name, row", [
+    ("mutex_fixed", {"g1": False, "g2": False, "promise1": True,
+                     "promise2": True, "r1": STAR, "r2": STAR}),
+    ("patrol", {"camera": STAR, "person": STAR, "r1": True, "r2": STAR,
+                "r3": STAR, "r4": STAR, "r5": STAR}),
+    ("request_grant", {"g": STAR, "r": STAR}),
+])
+def test_robotics_corpus_tables(name, row):
+    # realizable under standard semantics only: under robotics the
+    # environment picks an initial position outside W, and round 0
+    # lists its picks
+    spec = load_spec(name)
+    assert Session(spec).verdict() == "realizable"
+    session = Session(spec, robotics=True)
+    assert session.verdict() == "unrealizable"
+    ab = abstract_strategy(session)
+    assert (ab.winner, ab.horizon) == ("environment", 1)
+    assert ab.rounds == [row, dict.fromkeys(row, VIOLATION)]
 
 
 # ----------------------------------------------------------------------
@@ -564,20 +633,19 @@ def _pin_reference(mgr, spec, name, value):
                        for i, b in enumerate(g.bits)])
 
 
-def _abstract_strategy_reference(spec, horizon=64):
+def _abstract_strategy_reference(spec, robotics=False, horizon=64):
     """`abstract_strategy` with a table builder that branches on the
     winner in its forward reach, and a horizon-0 case of its own."""
-    game = Session(spec).game()
+    game = Session(spec, robotics=robotics).game()
     wins = []
-    for winner, owner, pre, start_ok in (
-            ("system", "output", game.cox, standard_start_ok),
+    for winner, owner, pre, ok in (
+            ("system", "output", game.cox, start_ok),
             ("environment", "input", game.pre_env,
-             lambda game, v: not standard_start_ok(game, ~v))):
+             lambda game, v: not start_ok(game, ~v))):
         attr = _attractor(game, pre, horizon)
-        h = next((h for h in range(len(attr)) if start_ok(game, attr[h])),
-                 None)
+        h = next((h for h in range(len(attr)) if ok(game, attr[h])), None)
         if h is not None:
-            wins.append((winner, owner, pre, start_ok, h, attr))
+            wins.append((winner, owner, pre, ok, h, attr))
     if len(wins) > 1:
         raise TraceError("both players cannot force a safety win")
     return _build_table_reference(game, spec, *wins[0]) if wins else None
@@ -634,7 +702,10 @@ def _build_table_reference(game, spec, winner, owner, pre, start_ok, h,
         final[s] = pre(final[s + 1]) & cons[s]
 
     if winner == "environment":
-        keeps = mgr.forall(game.outputs, game.init_sys.implies(final[0]))
+        # the environment opens with the initial positions in final[0];
+        # under standard semantics it picks only their inputs
+        keeps = (final[0] if game.robotics else
+                 mgr.forall(game.outputs, game.init_sys.implies(final[0])))
         r = game.init_env & keeps & game.init_sys
     else:
         r = game.init_env & game.init_sys & cons[0] & final[0]
@@ -680,11 +751,15 @@ def test_abstract_table_matches_the_per_winner_reference(monkeypatch):
     texts += [specgen.arbiter(n) for n in (2, 3, 4)]
     texts += [chain_text(n) for n in (3, 8)]
     texts += [text for text, _t, _row in FILTERED_TABLES.values()]
-    deep = {"system": 0, "environment": 0}
+    deep = dict.fromkeys([(robotics, winner) for robotics in (False, True)
+                          for winner in ("system", "environment")], 0)
     for text in texts:
         spec = compile_text(text)
-        got, want = abstract_strategy(spec), _abstract_strategy_reference(spec)
-        assert (got and got.to_json()) == (want and want.to_json()), text
-        if want is not None and want.horizon >= 2:
-            deep[want.winner] += 1
+        for robotics in (False, True):
+            got = abstract_strategy(Session(spec, robotics=robotics))
+            want = _abstract_strategy_reference(spec, robotics)
+            assert (got and got.to_json()) == (want and want.to_json()), (
+                text, robotics)
+            if want is not None and want.horizon >= 2:
+                deep[robotics, want.winner] += 1
     assert min(deep.values()) >= 10, deep
